@@ -17,7 +17,7 @@ A numpy/scipy library covering:
 from .errors import (ChargeGameError, DegenerateFleetError, EmptyPolytopeError,
                      InfeasibleTargetError, PipelineStageError, ZeroGainError)
 from .feasible import (AdmissiblePolytope, FeasibilityStructure,
-                       admissible_polytope, discretize, hall_condition, project)
+                       admissible_polytope, discretize, hall_condition)
 from .model import (AllocationProfile, CompanyParams, GameInstance,
                     GovernmentObjective, StationSet, aggregate, company_cost,
                     derive_queuing_params, government_cost,

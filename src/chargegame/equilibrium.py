@@ -1,15 +1,17 @@
 """Nash equilibrium computation for the pricing game.
 
 The game map (stacked per-company gradients of own costs) is affine,
-F(x) = F1 x + F2. Under the aligned feedback prices F1 is the Kronecker
-product of the fleet-size outer product with the authority weight
-diagonal, which is symmetric positive semidefinite but not definite, so a
-plain fixed-point (Picard) iteration on the projected step need not
-converge. The averaged variant
+F(x) = F1 x + F2. Companies interact only through each station's
+aggregate, so F1 is block-diagonal by station and is stored as one
+(n_companies, n_companies) block per station. Under the aligned feedback
+prices block k is weight_k N N', which is symmetric positive semidefinite
+but not definite, so a plain fixed-point (Picard) iteration on the
+projected step need not converge. The averaged variant
 
     x^i  <-  1/2 ( x^i + project_i( x^i - gamma * grad_i ) )
 
-is guaranteed to converge for any step below 2 / lambda_max(F1). Each
+is guaranteed to converge for any step below 2 / lambda_max(F1), the
+maximum over the station blocks (`step_bound`). Each
 company only ever reads the shared aggregate sigma(x) plus its own block,
 so the iteration runs with the information pattern of a decentralized
 scheme; updates within a round are synchronous, making the result
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameInstance
+from .model import GameInstance, government_cost
 
 
 @dataclass
@@ -56,31 +58,34 @@ class SolveReport:
 
 
 def game_map(instance: GameInstance, perturbation=None, prices: np.ndarray | None = None):
-    """Dense (F1, F2) of the affine game map.
+    """Station-blocked (F1, F2) of the affine game map F(x) = F1 x + F2.
+
+    Companies interact only through each station's aggregate, so F1 is
+    block-diagonal by station: ``F1[k]`` is the (n_companies, n_companies)
+    block coupling the companies' allocations at station k, and F2 is
+    stacked like x.
 
     * default: the game under the aligned feedback prices,
-      F1 = (N N') kron diag(weight), F2 = stack_i(N_i * linear);
+      F1[k] = weight_k N N', F2 = stack_i(N_i * linear);
     * ``prices`` given: the fixed-price game, whose gradient uses the raw
       queuing coefficients plus the constant charging/revenue term;
     * ``perturbation`` given: feedback prices built from a perturbed
-      demand inverse; adds blockdiag(shift_i) @ (L1 x + L2) where L1/L2
-      carry the demand-weighted policy coefficients.
+      demand inverse; adds the blocks of ``perturbation_map``.
     """
     if perturbation is not None and prices is not None:
         raise ValueError("perturbation applies to feedback prices only")
     n_vec = instance.fleet_sizes
+    outer = np.outer(n_vec, n_vec)
 
     if prices is not None:
         prices = np.asarray(prices, dtype=float)
-        f1 = np.kron(np.outer(n_vec, n_vec) + np.diag(n_vec**2),
-                     np.diag(instance.stations.queue_weight))
+        f1 = instance.stations.queue_weight[:, None, None] * (outer + np.diag(n_vec**2))
         f2 = np.concatenate([
             c.lin + c.demand * prices + c.revenue for c in instance.companies
         ])
         return f1, f2
 
-    w = instance.government.weight
-    f1 = np.kron(np.outer(n_vec, n_vec), np.diag(w))
+    f1 = instance.government.weight[:, None, None] * outer
     f2 = np.concatenate([n_i * instance.government.linear for n_i in n_vec])
 
     if perturbation is not None:
@@ -93,29 +98,35 @@ def game_map(instance: GameInstance, perturbation=None, prices: np.ndarray | Non
 def perturbation_map(instance: GameInstance, perturbation):
     """Additive game-map change caused by a perturbed demand inverse.
 
-    Block row i of the result is shift_i * demand_i * (the policy
-    coefficients), matching the gradient of the perturbed company cost.
+    Company i's row of station block k is shift_ik * demand_ik times its
+    policy coefficients: b_bar_ik * N_j off the diagonal, a_bar_ik on it,
+    matching the gradient of the perturbed company cost.
     """
     from .model import _policy_terms  # local import to keep module surfaces small
 
-    m = instance.n_stations
     mc = instance.n_companies
-    n_vec = instance.fleet_sizes
-    phi_l1 = np.zeros((mc * m, mc * m))
-    phi_l2 = np.zeros(mc * m)
-    for i, comp in enumerate(instance.companies):
-        a_bar, b_bar, delta = _policy_terms(instance, i)
-        shift = np.asarray(perturbation.demand_shift[i], dtype=float)
-        d_shift = shift * comp.demand
-        rows = slice(i * m, (i + 1) * m)
-        for j in range(mc):
-            cols = slice(j * m, (j + 1) * m)
-            if i == j:
-                phi_l1[rows, cols] = np.diag(d_shift * a_bar)
-            else:
-                phi_l1[rows, cols] = np.diag(d_shift * b_bar * n_vec[j])
-        phi_l2[rows] = d_shift * delta
-    return phi_l1, phi_l2
+    a_bar, b_bar, delta = (np.stack(t) for t in
+                           zip(*[_policy_terms(instance, i) for i in range(mc)]))
+    d_shift = np.stack([
+        np.asarray(shift, dtype=float) * comp.demand
+        for comp, shift in zip(instance.companies, perturbation.demand_shift)
+    ])
+    phi_l1 = (d_shift * b_bar).T[:, :, None] * instance.fleet_sizes[None, None, :]
+    diag = np.arange(mc)
+    phi_l1[:, diag, diag] = (d_shift * a_bar).T
+    return phi_l1, (d_shift * delta).reshape(-1)
+
+
+def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F1 x for station-blocked F1 (..., m, mc, mc) and stacked x (..., mc*m).
+
+    A single map (m, mc, mc) is shared by every row of x; per-row maps
+    (rows, m, mc, mc) pair with x of shape (rows, mc*m).
+    """
+    m, mc = f1.shape[-3], f1.shape[-1]
+    x = np.asarray(x, dtype=float)
+    blocks = x.reshape(*x.shape[:-1], mc, m)
+    return np.einsum("...kij,...jk->...ik", f1, blocks).reshape(x.shape)
 
 
 def pseudo_gradient(instance: GameInstance, x: np.ndarray, perturbation=None,
@@ -126,33 +137,38 @@ def pseudo_gradient(instance: GameInstance, x: np.ndarray, perturbation=None,
     if x.shape != (n,):
         raise ValueError(f"expected stacked vector of length {n}")
     f1, f2 = game_map(instance, perturbation, prices)
-    return f1 @ x + f2
+    return apply_map(f1, x) + f2
 
 
 def lambda_max_closed_form(instance: GameInstance) -> float:
-    """Largest eigenvalue of F1 via its Kronecker structure: ||N||^2 max weight."""
+    """Largest eigenvalue of the aligned F1: ||N||^2 max weight."""
     n_vec = instance.fleet_sizes
     return float(n_vec @ n_vec) * float(instance.government.weight.max())
 
 
+def step_bound(f1: np.ndarray):
+    """Supremum 2 / L of admissible step sizes for station-blocked F1.
+
+    L is lambda_max(F1) when the whole map is symmetric and the spectral
+    norm otherwise (a perturbed map may lose symmetry). For a
+    block-diagonal map both are the maximum over the station blocks.
+    Per-row maps (rows, m, mc, mc) give one bound per row.
+    """
+    f1 = np.asarray(f1, dtype=float)
+    symmetric = np.all(np.abs(f1 - f1.swapaxes(-1, -2)) <= 1e-12, axis=(-3, -2, -1))
+    lam = np.where(symmetric,
+                   np.linalg.eigvalsh(f1)[..., -1].max(axis=-1),
+                   np.linalg.norm(f1, 2, axis=(-2, -1)).max(axis=-1))
+    if np.any(lam <= 0):
+        raise ValueError("game map has nonpositive curvature bound")
+    bound = 2.0 / lam
+    return float(bound) if f1.ndim == 3 else bound
+
+
 def step_size_bound(instance: GameInstance, perturbation=None,
                     prices: np.ndarray | None = None) -> float:
-    """Supremum of admissible step sizes, 2 / lambda_max.
-
-    Unperturbed feedback-price case: closed form from the Kronecker
-    structure. Fixed-price case: symmetric eigensolver. Perturbed case:
-    the map may lose symmetry, so the conservative spectral norm is used.
-    """
-    if perturbation is None and prices is None:
-        return 2.0 / lambda_max_closed_form(instance)
-    f1, _ = game_map(instance, perturbation, prices)
-    if np.allclose(f1, f1.T, rtol=0.0, atol=1e-12):
-        lam = float(np.linalg.eigvalsh(f1)[-1])
-    else:
-        lam = float(np.linalg.norm(f1, 2))
-    if lam <= 0:
-        raise ValueError("game map has nonpositive curvature bound")
-    return 2.0 / lam
+    """Supremum of admissible step sizes, 2 / lambda_max, of one game."""
+    return step_bound(game_map(instance, perturbation, prices)[0])
 
 
 def default_start(instance: GameInstance) -> np.ndarray:
@@ -178,7 +194,8 @@ def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
     drops below ``tol`` or after ``max_iter`` rounds. ``gamma`` defaults
     to 0.9 times the admissible supremum.
     """
-    gamma_max = step_size_bound(instance, perturbation, prices)
+    f1, f2 = game_map(instance, perturbation, prices)
+    gamma_max = step_bound(f1)
     if gamma is None:
         gamma = 0.9 * gamma_max
     if not 0.0 < gamma < gamma_max:
@@ -188,13 +205,12 @@ def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
         x0 = default_start(instance)
     x0 = np.asarray(x0, dtype=float)
 
-    f1, f2 = game_map(instance, perturbation, prices)
     out = _iterate_batch(
         instance, f1, x0[None, :], f2[None, :], np.array([gamma]),
-        max_iter=max_iter, tol=tol, record_iterates=True,
+        max_iter=max_iter, tol=tol, record_iterates=record_iterates,
+        record_trace=True,
     )
-    iterates = out["iterates"][:, 0, :]
-    report = SolveReport(
+    return SolveReport(
         x=out["x"][0],
         gamma=float(gamma),
         iterations=int(out["iterations"][0]),
@@ -202,9 +218,8 @@ def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
         residuals=out["residuals"][:, 0],
         j_g_trace=out["j_g"][:, 0],
         sigma_trace=out["sigma"][:, 0, :],
-        iterates=iterates if record_iterates else None,
+        iterates=out["iterates"][:, 0, :] if record_iterates else None,
     )
-    return report
 
 
 def nash_residual(instance: GameInstance, x: np.ndarray, gamma: float | None = None,
@@ -227,13 +242,13 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
                      f1_rows: np.ndarray | None = None,
                      gammas: np.ndarray | None = None,
                      x0: np.ndarray | None = None, max_iter: int = 1000,
-                     tol: float = 1e-8, record_iterates: bool = False,
-                     record_trace: bool = False) -> dict:
+                     tol: float = 1e-8, record_iterates: bool = False) -> dict:
     """Solve many variants of the game that share polytopes and fleet sizes.
 
-    Either a shared ``f1`` or per-row ``f1_rows`` must be given; ``f2_rows``
-    is (rows, n). Used by the price grid search (shared F1, per-price F2)
-    and the perturbation sweep (per-sample F1).
+    Either a shared blocked ``f1`` (m, mc, mc) or per-row ``f1_rows``
+    (rows, m, mc, mc) must be given; ``f2_rows`` is (rows, n). Used by the
+    price grid search (shared F1, per-price F2) and the perturbation sweep
+    (per-sample F1).
     """
     if (f1 is None) == (f1_rows is None):
         raise ValueError("pass exactly one of f1 or f1_rows")
@@ -244,16 +259,18 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     return _iterate_batch(instance, f1 if f1 is not None else f1_rows,
                           x0, f2_rows, np.asarray(gammas, dtype=float),
                           max_iter=max_iter, tol=tol,
-                          record_iterates=record_iterates,
-                          record_trace=record_trace,
-                          per_row_f1=f1 is None)
+                          record_iterates=record_iterates, record_trace=False)
 
 
-def _iterate_batch(instance: GameInstance, f1, x0: np.ndarray, f2: np.ndarray,
-                   gammas: np.ndarray, max_iter: int, tol: float,
-                   record_iterates: bool, record_trace: bool = True,
-                   per_row_f1: bool = False) -> dict:
-    """Shared engine: averaged projected-gradient rounds over row batches."""
+def _iterate_batch(instance: GameInstance, f1: np.ndarray, x0: np.ndarray,
+                   f2: np.ndarray, gammas: np.ndarray, max_iter: int, tol: float,
+                   record_iterates: bool, record_trace: bool) -> dict:
+    """Shared engine: averaged projected-gradient rounds over row batches.
+
+    Rows stop moving once their residual drops to ``tol``; only live rows
+    are projected. ``record_trace`` keeps the per-round residual, sigma
+    and authority loss of every row.
+    """
     rows = x0.shape[0]
     m = instance.n_stations
     mc = instance.n_companies
@@ -263,65 +280,49 @@ def _iterate_batch(instance: GameInstance, f1, x0: np.ndarray, f2: np.ndarray,
     x = x0.astype(float).copy()
     live = np.ones(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
+    residual = np.full(rows, np.inf)
     residual_hist: list[np.ndarray] = []
     j_hist: list[np.ndarray] = []
     sigma_hist: list[np.ndarray] = []
-    iter_hist: list[np.ndarray] | None = [] if record_iterates else None
+    iter_hist: list[np.ndarray] = [x.copy()] if record_iterates else []
 
     def sigma_of(xr):
         return xr.reshape(rows, mc, m).transpose(0, 2, 1) @ fleet
 
-    def jg_of(sig):
-        if gov.set_point is not None:
-            d = sig - gov.set_point[None, :]
-            return 0.5 * (d * d) @ gov.weight
-        return 0.5 * (sig * sig) @ gov.weight + sig @ gov.linear
-
-    sig = sigma_of(x)
-    j_best = jg_of(sig)
     if record_trace:
-        sigma_hist.append(sig.copy())
-        j_hist.append(j_best.copy())
-    if record_iterates:
-        iter_hist.append(x.copy())
+        sig = sigma_of(x)
+        sigma_hist.append(sig)
+        j_hist.append(government_cost(sig, gov))
 
-    last_residual = np.full(rows, np.inf)
     for k in range(max_iter):
-        if per_row_f1:
-            grad = np.einsum("rij,rj->ri", f1, x) + f2
-        else:
-            grad = x @ f1.T + f2
-        proj = np.empty_like(x)
+        grad = apply_map(f1, x) + f2
+        proj = x.copy()
         for i, poly in enumerate(instance.polytopes):
             sl = slice(i * m, (i + 1) * m)
-            proj[:, sl] = poly.project_batch(x[:, sl] - gammas[:, None] * grad[:, sl])
+            proj[live, sl] = poly.project_batch(
+                x[live, sl] - gammas[live, None] * grad[live, sl])
         res = np.linalg.norm(proj - x, axis=1)
-        x = np.where(live[:, None], 0.5 * (x + proj), x)
+        x = 0.5 * (x + proj)    # exact no-op on stopped rows, where proj == x
         iterations[live] = k + 1
-        last_residual = np.where(live, res, last_residual)
-        sig = sigma_of(x)
-        j_now = jg_of(sig)
-        j_best = np.minimum(j_best, j_now)
+        residual[live] = res[live]
         if record_trace:
-            sigma_hist.append(sig.copy())
-            j_hist.append(j_now.copy())
+            sig = sigma_of(x)
+            sigma_hist.append(sig)
+            j_hist.append(government_cost(sig, gov))
             residual_hist.append(res)
         if record_iterates:
             iter_hist.append(x.copy())
-        live = live & (res > tol)
+        live &= res > tol
         if not live.any():
             break
 
     return {
         "x": x,
         "iterations": iterations,
-        "converged": last_residual <= tol,
-        "residuals": np.array(residual_hist) if residual_hist else np.zeros((0, rows)),
-        "j_g": np.array(j_hist) if j_hist else None,
-        "sigma": np.array(sigma_hist) if sigma_hist else None,
-        "j_g_final": jg_of(sigma_of(x)),
-        "j_g_best": j_best,
+        "converged": residual <= tol,
+        "residuals": np.array(residual_hist).reshape(-1, rows) if record_trace else None,
+        "j_g": np.array(j_hist) if record_trace else None,
+        "sigma": np.array(sigma_hist) if record_trace else None,
         "sigma_final": sigma_of(x),
         "iterates": np.array(iter_hist) if record_iterates else None,
-        "last_residual": last_residual,
     }

@@ -218,11 +218,6 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
     return AdmissiblePolytope(m, fleet_size, masks, g_mat, h, feasible_point)
 
 
-def project(x_raw: np.ndarray, polytope: AdmissiblePolytope) -> np.ndarray:
-    """Euclidean projection of ``x_raw`` onto the admissible polytope."""
-    return polytope.project(x_raw)
-
-
 def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np.ndarray:
     """Round an admissible continuous split to a matchable integer target.
 

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibrium, robustness, scenario as scenario_mod, surge
-from .equilibrium import SolveReport, game_map, solve_nash, solve_nash_batch
+from .equilibrium import (SolveReport, game_map, solve_nash, solve_nash_batch,
+                          step_bound)
 from .errors import PipelineStageError
 from .feasible import discretize
 from .model import GameInstance, government_cost, system_optimal_prices
@@ -110,8 +111,7 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
         raise ValueError("p_max must be positive")
     m = instance.n_stations
     f1, _ = game_map(instance, prices=np.zeros(m))
-    lam = float(np.linalg.eigvalsh(f1)[-1])
-    gamma = 0.9 * 2.0 / lam
+    gamma = 0.9 * step_bound(f1)
 
     axes = [np.linspace(0.0, p_max, resolution) for _ in range(m)]
     all_prices: list[np.ndarray] = []
@@ -153,10 +153,7 @@ def _evaluate_price_rows(instance: GameInstance, price_rows: np.ndarray,
     out = solve_nash_batch(instance, f2, f1=f1,
                            gammas=np.full(rows, gamma),
                            max_iter=max_iter, tol=tol)
-    return np.array([
-        government_cost(out["sigma_final"][r], instance.government)
-        for r in range(rows)
-    ])
+    return government_cost(out["sigma_final"], instance.government)
 
 
 # ---------------------------------------------------------------------------

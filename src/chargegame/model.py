@@ -175,20 +175,24 @@ def setpoint_from_distribution(fleet_sizes, share: np.ndarray) -> np.ndarray:
     return float(fleet_sizes.sum()) * share
 
 
-def government_cost(sigma: np.ndarray, objective: GovernmentObjective) -> float:
-    """Authority loss at an aggregate allocation.
+def government_cost(sigma: np.ndarray, objective: GovernmentObjective):
+    """Authority loss at an aggregate allocation, or at a stack of them.
 
-    Reported in set-point form when a set point exists (so the attainable
-    optimum reads 0); the two forms differ by the constant
-    1/2 set_point' W set_point.
+    ``sigma`` is (..., n_stations); a single aggregate gives a float, a
+    stack gives one loss per aggregate. Reported in set-point form when a
+    set point exists (so the attainable optimum reads 0); the two forms
+    differ by the constant 1/2 set_point' W set_point.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != objective.weight.shape:
+    if sigma.shape[-1:] != objective.weight.shape:
         raise ValueError("sigma has the wrong length")
+    w = objective.weight
     if objective.set_point is not None:
         diff = sigma - objective.set_point
-        return float(0.5 * np.sum(objective.weight * diff * diff))
-    return float(0.5 * sigma @ (objective.weight * sigma) + objective.linear @ sigma)
+        loss = 0.5 * np.sum(w * diff * diff, axis=-1)
+    else:
+        loss = 0.5 * np.sum(sigma * (w * sigma), axis=-1) + sigma @ objective.linear
+    return float(loss) if sigma.ndim == 1 else loss
 
 
 @dataclass(frozen=True)

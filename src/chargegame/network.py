@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 
 @dataclass
@@ -60,13 +60,6 @@ class RoadNetwork:
             return self._dist_cache[np.asarray(sources, dtype=int)]
         return dijkstra(self._graph(), directed=True,
                         indices=np.asarray(sources, dtype=int)) / 1000.0
-
-    def check_stations_connected(self, station_indices) -> bool:
-        """All stations must sit in one strongly connected component."""
-        _, labels = connected_components(self._graph(), directed=True,
-                                         connection="strong")
-        labels = labels[np.asarray(station_indices, dtype=int)]
-        return bool(np.all(labels == labels[0]))
 
 
 def write_network(path: str | Path, net: RoadNetwork) -> None:

@@ -17,10 +17,10 @@ change costs one small dense solve of the normal equations
 
 where B stacks the equality row on top of the active inequality rows.
 
-`project_batch` runs many projections at once by grouping rows that share
-the same working set, so thousands of rows (grid searches, robustness
-sweeps) amortize each factorization. The batched path and the single-row
-path follow the identical update rule and produce identical results.
+`PolytopeProjector.project_batch` is the one implementation: it runs many
+projections at once by grouping rows that share the same working set, so
+thousands of rows (grid searches, robustness sweeps) amortize each
+factorization. A single projection, weighted or not, is a batch of one row.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ _BLOCK_TOL = 1e-13     # direction considered to approach a constraint
 def _solve_kkt(b_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (B B^T) nu = rhs for one or many right-hand sides.
 
+    Weighted projections pass B W^-1/2, so that B B^T is the weighted
+    normal matrix B W^-1 B^T.
+
     Falls back to least squares when the active rows are linearly
     dependent (e.g. a subset constraint together with its complement and
     the simplex equality).
@@ -44,74 +47,6 @@ def _solve_kkt(b_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(k_mat, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(k_mat, rhs, rcond=None)[0]
-
-
-def project_polytope(
-    y: np.ndarray,
-    g_mat: np.ndarray,
-    h: np.ndarray,
-    start: np.ndarray,
-    total: float = 1.0,
-    weights: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Project ``y`` onto ``{x : sum(x) = total, g_mat @ x <= h}``.
-
-    ``start`` must be a feasible point. With ``weights`` w (positive,
-    diagonal), minimizes ``1/2 sum(w * (x - y)**2)`` instead of the plain
-    Euclidean distance, which is what a quadratic best response with a
-    diagonal Hessian needs.
-    """
-    n = y.shape[0]
-    n_ineq = g_mat.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    w_inv = 1.0 / w
-    if max_iter is None:
-        max_iter = 50 * (n + n_ineq + 1)
-
-    ones = np.ones(n)
-    x = start.astype(float).copy()
-    active = np.abs(g_mat @ x - h) <= 1e-10
-
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        b_mat = np.vstack([ones[None, :], g_mat[idx]])
-        rhs = b_mat @ y - np.concatenate(([total], h[idx]))
-        k_mat = (b_mat * w_inv[None, :]) @ b_mat.T
-        try:
-            nu = np.linalg.solve(k_mat, rhs)
-        except np.linalg.LinAlgError:
-            nu = np.linalg.lstsq(k_mat, rhs, rcond=None)[0]
-        x_hat = y - w_inv * (b_mat.T @ nu)
-        p = x_hat - x
-
-        if np.linalg.norm(p, np.inf) <= _CONV_TOL:
-            mu = nu[1:]
-            if mu.size == 0 or mu.min() >= -_MULT_TOL:
-                return x_hat
-            active[idx[int(np.argmin(mu))]] = False
-            continue
-
-        inactive = np.flatnonzero(~active)
-        alpha = 1.0
-        block = -1
-        if inactive.size:
-            g_p = g_mat[inactive] @ p
-            moving = g_p > _BLOCK_TOL
-            if np.any(moving):
-                slack = np.maximum(h[inactive] - g_mat[inactive] @ x, 0.0)
-                ratios = slack[moving] / g_p[moving]
-                j = int(np.argmin(ratios))
-                if ratios[j] < alpha:
-                    alpha = ratios[j]
-                    block = inactive[np.flatnonzero(moving)[j]]
-        x = x + alpha * p
-        if block >= 0:
-            active[block] = True
-
-    raise RuntimeError("active-set projection did not converge")
 
 
 class PolytopeProjector:
@@ -128,17 +63,23 @@ class PolytopeProjector:
 
     def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if weights is not None:
-            return project_polytope(y, self.g_mat, self.h, self.feasible_point,
-                                    self.total, weights=weights)
-        return self.project_batch(y[None, :])[0]
+        return self.project_batch(y[None, :], weights)[0]
 
-    def project_batch(self, y_rows: np.ndarray) -> np.ndarray:
-        """Project every row of ``y_rows``; rows sharing a working set share solves."""
+    def project_batch(self, y_rows: np.ndarray,
+                      weights: np.ndarray | None = None) -> np.ndarray:
+        """Project every row of ``y_rows``; rows sharing a working set share solves.
+
+        ``weights`` (positive, one per variable, shared by all rows) turns
+        the Euclidean distance into ``1/2 sum(w * (x - y)**2)``.
+        """
         y_rows = np.asarray(y_rows, dtype=float)
         n_rows, n = y_rows.shape
         g_mat, h = self.g_mat, self.h
         n_ineq = g_mat.shape[0]
+        w = self._ones if weights is None else np.asarray(weights, dtype=float)
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+        w_inv_sqrt = np.sqrt(1.0 / w)
 
         x = np.broadcast_to(self.feasible_point, (n_rows, n)).copy()
         active = np.abs(x @ g_mat.T - h[None, :]) <= 1e-10
@@ -162,8 +103,8 @@ class PolytopeProjector:
                 idx = np.flatnonzero(active[rows[0]])
                 b_mat = np.vstack([self._ones[None, :], g_mat[idx]])
                 rhs = y_rows[rows] @ b_mat.T - np.concatenate(([self.total], h[idx]))[None, :]
-                nu = _solve_kkt(b_mat, rhs.T).T
-                x_hat = y_rows[rows] - nu @ b_mat
+                nu = _solve_kkt(b_mat * w_inv_sqrt, rhs.T).T
+                x_hat = y_rows[rows] - nu @ (b_mat / w)
                 p = x_hat - x[rows]
                 small = np.abs(p).max(axis=1) <= _CONV_TOL
 

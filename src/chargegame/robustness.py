@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (game_map, perturbation_map, solve_nash,
-                          solve_nash_batch)
+from .equilibrium import (apply_map, game_map, perturbation_map, solve_nash,
+                          solve_nash_batch, step_bound)
 from .model import (GameInstance, aggregate, government_cost,
                     pseudo_inverse_diag)
 
@@ -120,7 +120,7 @@ def psi_values(instance: GameInstance, perturbation: Perturbation,
                iterates: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """Inner products (Delta F)(x_k) . (x_k - x*) along an iterate trace."""
     phi_l1, phi_l2 = perturbation_map(instance, perturbation)
-    delta_f = iterates @ phi_l1.T + phi_l2[None, :]
+    delta_f = apply_map(phi_l1, iterates) + phi_l2
     return np.einsum("ki,ki->k", delta_f, iterates - x_star[None, :])
 
 
@@ -154,11 +154,10 @@ def jg_gap_bound(instance: GameInstance, perturbation: Perturbation,
     """
     if iterates.size == 0:
         raise ValueError("empty iterate trace")
-    f1, f2 = game_map(instance)
-    phi_l1, phi_l2 = perturbation_map(instance, perturbation)
+    f1, f2 = game_map(instance, perturbation)
     r_x = float(np.sqrt(instance.n_companies))
-    r_map = float(np.linalg.norm(f1 + phi_l1, 2) * r_x
-                  + np.linalg.norm(f2 + phi_l2))
+    r_map = float(np.linalg.norm(f1, 2, axis=(-2, -1)).max() * r_x
+                  + np.linalg.norm(f2))
     psi = psi_values(instance, perturbation, iterates, x_star)
     k_plus_1 = iterates.shape[0]
     dist0 = float(np.linalg.norm(iterates[0] - x_star) ** 2)
@@ -168,7 +167,7 @@ def jg_gap_bound(instance: GameInstance, perturbation: Perturbation,
     fleet = instance.fleet_sizes
     mc, m = instance.n_companies, instance.n_stations
     sig = iterates.reshape(-1, mc, m).transpose(0, 2, 1) @ fleet
-    j_vals = np.array([government_cost(s, gov) for s in sig])
+    j_vals = government_cost(sig, gov)
     j_star = government_cost(aggregate(fleet, x_star.reshape(mc, m)), gov)
     observed = float(j_vals.min() - j_star)
     return GapBound(float(bound), observed, r_map, r_x, psi)
@@ -258,8 +257,8 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     x_star = star.x
     n = instance.n_companies * instance.n_stations
 
-    f1_rsg, f2_rsg = game_map(instance)
     f1_fixed_true, _ = game_map(instance, prices=np.zeros(instance.n_stations))
+    g_fixed = np.full(n_samples, 0.9 * step_bound(f1_fixed_true))
 
     rows: list[SweepSample] = []
     eps = epsilon_bound(instance)
@@ -271,27 +270,19 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     for a_idx, alpha in enumerate(alphas):
         perts = [build_perturbation(instance, alpha, _sample_seed(seed, a_idx, s))
                  for s in range(n_samples)]
-        f1_rows = np.empty((n_samples, n, n))
+        f1_rows = np.empty((n_samples,) + f1_fixed_true.shape)
         f2_rows = np.empty((n_samples, n))
-        gammas = np.empty(n_samples)
         for s, pert in enumerate(perts):
-            phi_l1, phi_l2 = perturbation_map(instance, pert)
-            f1_rows[s] = f1_rsg + phi_l1
-            f2_rows[s] = f2_rsg + phi_l2
-            b = f1_rows[s]
-            if np.allclose(b, b.T, rtol=0.0, atol=1e-12):
-                lam = float(np.linalg.eigvalsh(b)[-1])
-            else:
-                lam = float(np.linalg.norm(b, 2))
-            gammas[s] = 0.9 * 2.0 / lam
+            f1_rows[s], f2_rows[s] = game_map(instance, pert)
             ass_ok[a_idx, s] = check_convexity_assumption(instance, pert)
+        gammas = 0.9 * step_bound(f1_rows)
 
         out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows, gammas=gammas,
                                max_iter=max_iter, tol=tol,
                                record_iterates=check_bounds)
+        j_rsg = government_cost(out["sigma_final"], instance.government)
         for s, pert in enumerate(perts):
-            j_val = government_cost(out["sigma_final"][s], instance.government)
-            rows.append(SweepSample(float(alpha), s, "rsg", float(j_val),
+            rows.append(SweepSample(float(alpha), s, "rsg", float(j_rsg[s]),
                                     bool(ass_ok[a_idx, s])))
             if check_bounds:
                 trace = out["iterates"][:, s, :]
@@ -306,13 +297,11 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
             for s, pert in enumerate(perts):
                 shifted = instance.with_demand(pert.demand_estimate)
                 _, f2_base[s] = game_map(shifted, prices=price)
-            lam_fixed = float(np.linalg.eigvalsh(f1_fixed_true)[-1])
-            g_fixed = np.full(n_samples, 0.9 * 2.0 / lam_fixed)
             base_out = solve_nash_batch(instance, f2_base, f1=f1_fixed_true,
                                         gammas=g_fixed, max_iter=max_iter, tol=tol)
+            j_base = government_cost(base_out["sigma_final"], instance.government)
             for s in range(n_samples):
-                j_val = government_cost(base_out["sigma_final"][s], instance.government)
-                rows.append(SweepSample(float(alpha), s, name, float(j_val),
+                rows.append(SweepSample(float(alpha), s, name, float(j_base[s]),
                                         bool(ass_ok[a_idx, s])))
 
     return SweepResult(rows, alphas, n_samples, eps, eps_obs, gap_b, gap_o,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chargegame import build_game, demo_scenario, reference_game
@@ -26,3 +27,38 @@ def demo_snapshot(demo_build):
 def random_simplex(rng, n):
     v = rng.exponential(1.0, n)
     return v / v.sum()
+
+
+def dense_perturbation(instance, perturbation):
+    """Dense (n, n) perturbation of F1, block row by block row."""
+    from chargegame.model import _policy_terms
+
+    m, mc = instance.n_stations, instance.n_companies
+    n_vec = instance.fleet_sizes
+    phi = np.zeros((mc * m, mc * m))
+    for i, comp in enumerate(instance.companies):
+        a_bar, b_bar, _ = _policy_terms(instance, i)
+        d_shift = np.asarray(perturbation.demand_shift[i], dtype=float) * comp.demand
+        rows = slice(i * m, (i + 1) * m)
+        for j in range(mc):
+            cols = slice(j * m, (j + 1) * m)
+            if i == j:
+                phi[rows, cols] = np.diag(d_shift * a_bar)
+            else:
+                phi[rows, cols] = np.diag(d_shift * b_bar * n_vec[j])
+    return phi
+
+
+def dense_f1(instance, perturbation=None, prices=None):
+    """Dense (n, n) F1 over the stacked allocation, built with Kronecker products.
+
+    Oracle for the station-blocked F1 of ``chargegame.equilibrium.game_map``.
+    """
+    n_vec = instance.fleet_sizes
+    if prices is not None:
+        return np.kron(np.outer(n_vec, n_vec) + np.diag(n_vec**2),
+                       np.diag(instance.stations.queue_weight))
+    f1 = np.kron(np.outer(n_vec, n_vec), np.diag(instance.government.weight))
+    if perturbation is not None:
+        f1 = f1 + dense_perturbation(instance, perturbation)
+    return f1

@@ -9,9 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from chargegame.equilibrium import (default_start, game_map,
-                                    lambda_max_closed_form, solve_nash,
-                                    step_size_bound)
+from chargegame.equilibrium import (default_start, lambda_max_closed_form,
+                                    solve_nash, step_size_bound)
 from chargegame.feasible import FeasibilityStructure, hall_condition
 from chargegame.harness import (ExperimentConfig, fixed_price_nash,
                                 grid_search, run_pipeline)
@@ -21,7 +20,7 @@ from chargegame.robustness import robustness_sweep
 from chargegame.scenario import mfd_speed
 from chargegame.surge import driver_best_response, two_step
 
-from conftest import random_simplex
+from conftest import dense_f1, random_simplex
 from test_equilibrium import make_instance, qp_oracle
 from test_feasible import maxflow_feasible, random_fleet
 from test_surge import make_driver, random_feasible_target
@@ -104,8 +103,7 @@ def test_criterion_3_equilibrium_unique_across_starts(ref_game):
 
 
 def test_criterion_4_step_bound_and_monotonicity(ref_game):
-    f1, _ = game_map(ref_game)
-    dense = float(np.linalg.eigvalsh(f1)[-1])
+    dense = float(np.linalg.eigvalsh(dense_f1(ref_game))[-1])
     closed = lambda_max_closed_form(ref_game)
     rel = abs(closed - dense) / dense
     assert rel <= 1e-10

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
-from chargegame.equilibrium import (default_start, game_map,
+from chargegame.equilibrium import (apply_map, default_start, game_map,
                                     lambda_max_closed_form, nash_residual,
-                                    pseudo_gradient, solve_nash,
+                                    pseudo_gradient, solve_nash, step_bound,
                                     step_size_bound)
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
@@ -15,7 +15,7 @@ from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
 from chargegame.robustness import build_perturbation
 from chargegame.scenario import reference_game
 
-from conftest import random_simplex
+from conftest import dense_f1, random_simplex
 
 
 def make_instance(fleet, weight, set_point, seed=0, n_stations=None):
@@ -35,7 +35,8 @@ def make_instance(fleet, weight, set_point, seed=0, n_stations=None):
 def qp_oracle(instance, x0):
     """Independent solve of the stacked authority program via trust-constr."""
     m, mc = instance.n_stations, instance.n_companies
-    f1, f2 = game_map(instance)
+    f1 = dense_f1(instance)
+    _, f2 = game_map(instance)
 
     def fun(x):
         sig = aggregate(instance.fleet_sizes, x.reshape(mc, m))
@@ -67,13 +68,33 @@ class TestGameMap:
         assert np.allclose(g, expected)
 
     def test_kronecker_block_identity(self, ref_game):
+        # company block (i, j) of the dense map is n_i n_j diag(w); the
+        # station blocks hold its diagonal
         f1, _ = game_map(ref_game)
         n_vec = ref_game.fleet_sizes
         w = ref_game.government.weight
+        assert f1.shape == (4, 3, 3)
         for i in range(3):
             for j in range(3):
-                block = f1[i * 4:(i + 1) * 4, j * 4:(j + 1) * 4]
-                assert np.array_equal(block, n_vec[i] * n_vec[j] * np.diag(w))
+                assert np.array_equal(f1[:, i, j], n_vec[i] * n_vec[j] * w)
+
+    @pytest.mark.parametrize("case", ["aligned", "fixed", "alpha=0.05", "alpha=0.35"])
+    def test_blocked_map_matches_dense(self, ref_game, case):
+        rng = np.random.default_rng(7)
+        pert, prices = None, None
+        if case == "fixed":
+            prices = np.full(4, 3.0)
+        elif case.startswith("alpha"):
+            pert = build_perturbation(ref_game, float(case[6:]), seed=4)
+        f1, _ = game_map(ref_game, pert, prices)
+        dense = dense_f1(ref_game, pert, prices)
+        xs = rng.normal(0.0, 1.0, (5, 12))
+        want = xs @ dense.T
+        scale = 1e-12 * np.abs(want).max()
+        assert np.allclose(apply_map(f1, xs), want, rtol=1e-12, atol=scale)
+        per_row = np.broadcast_to(f1, (5,) + f1.shape)
+        assert np.allclose(apply_map(per_row, xs), want, rtol=1e-12, atol=scale)
+        assert np.allclose(apply_map(f1, xs[0]), want[0], rtol=1e-12, atol=scale)
 
     def test_blocks_match_finite_differences(self, ref_game):
         rng = np.random.default_rng(0)
@@ -133,16 +154,33 @@ class TestStepBound:
 
     def test_two_company_dense_value(self):
         inst = make_instance([1, 1], np.array([2.0, 2.0]), np.array([1.0, 1.0]))
-        f1, _ = game_map(inst)
-        lam = np.linalg.eigvalsh(f1)[-1]
+        lam = np.linalg.eigvalsh(dense_f1(inst))[-1]
         assert lam == pytest.approx(4.0)
         assert step_size_bound(inst) == pytest.approx(0.5)
 
     def test_case_study_closed_form_vs_eigensolver(self, ref_game):
-        f1, _ = game_map(ref_game)
-        dense = np.linalg.eigvalsh(f1)[-1]
+        dense = np.linalg.eigvalsh(dense_f1(ref_game))[-1]
         closed = lambda_max_closed_form(ref_game)
         assert abs(closed - dense) <= 1e-10 * dense
+
+    def test_step_rule_matches_dense(self, ref_game):
+        # eigenvalue bound for symmetric maps, spectral norm otherwise
+        cases = [(None, None), (None, np.full(4, 3.0))]
+        cases += [(build_perturbation(ref_game, (0.0, 0.05, 0.35)[s % 3], seed=s), None)
+                  for s in range(30)]
+        rows = []
+        for pert, prices in cases:
+            dense = dense_f1(ref_game, pert, prices)
+            if np.allclose(dense, dense.T, rtol=0.0, atol=1e-12):
+                want = 2.0 / np.linalg.eigvalsh(dense)[-1]
+            else:
+                want = 2.0 / np.linalg.norm(dense, 2)
+            got = step_size_bound(ref_game, pert, prices)
+            assert abs(got - want) <= 1e-12 * want
+            rows.append((game_map(ref_game, pert, prices)[0], want))
+        per_row = step_bound(np.stack([f1 for f1, _ in rows]))
+        want = np.array([w for _, w in rows])
+        assert np.all(np.abs(per_row - want) <= 1e-12 * want)
 
 
 class TestSolver:

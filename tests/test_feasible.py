@@ -5,7 +5,7 @@ import pytest
 
 from chargegame.errors import DegenerateFleetError, EmptyPolytopeError
 from chargegame.feasible import (FeasibilityStructure, admissible_polytope,
-                                 discretize, hall_condition, project)
+                                 discretize, hall_condition)
 
 
 def maxflow_feasible(target, reach):
@@ -146,7 +146,7 @@ class TestProject:
         feas = FeasibilityStructure.full(8, 3)
         poly = admissible_polytope(feas, 8)
         x = np.array([0.3, 0.3, 0.4])
-        assert np.allclose(project(x, poly), x, atol=1e-10)
+        assert np.allclose(poly.project(x), x, atol=1e-10)
 
     def test_station_consistency_both_views(self):
         rng = np.random.default_rng(1)

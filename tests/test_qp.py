@@ -136,11 +136,13 @@ def test_weighted_projection_matches_oracle():
     for _ in range(20):
         m = int(rng.integers(2, 4))
         poly = random_polytope(rng, m)
-        y = rng.normal(0, 2, m)
+        ys = rng.normal(0, 2, (50, m))
         w = rng.uniform(0.5, 4.0, m)
-        got = poly.project_weighted(y, w)
-        want = oracle_project(y, poly.g_mat, poly.h, weights=w)
-        assert np.linalg.norm(got - want) <= 1e-7
+        got = poly.projector.project_batch(ys, w)
+        assert np.allclose(poly.project_weighted(ys[0], w), got[0], atol=1e-9)
+        for y, x in zip(ys, got):
+            want = oracle_project(y, poly.g_mat, poly.h, weights=w)
+            assert np.linalg.norm(x - want) <= 1e-7
 
 
 def test_weighted_rejects_nonpositive_weights():

@@ -11,7 +11,7 @@ from chargegame.robustness import (best_response_gap, build_perturbation,
                                    robustness_sweep)
 from chargegame.scenario import reference_game
 
-from conftest import random_simplex
+from conftest import dense_f1, dense_perturbation, random_simplex
 
 
 def _batch_perturbed_solve(instance, perts, max_iter=300, record_iterates=False):
@@ -20,14 +20,14 @@ def _batch_perturbed_solve(instance, perts, max_iter=300, record_iterates=False)
 
     f1, f2 = game_map(instance)
     n = f2.size
-    f1_rows = np.empty((len(perts), n, n))
+    f1_rows = np.empty((len(perts),) + f1.shape)
     f2_rows = np.empty((len(perts), n))
     gammas = np.empty(len(perts))
     for s, pert in enumerate(perts):
         phi_l1, phi_l2 = perturbation_map(instance, pert)
         f1_rows[s] = f1 + phi_l1
         f2_rows[s] = f2 + phi_l2
-        gammas[s] = 0.9 * 2.0 / np.linalg.norm(f1_rows[s], 2)
+        gammas[s] = 0.9 * 2.0 / np.linalg.norm(dense_f1(instance, pert), 2)
     out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows, gammas=gammas,
                            max_iter=max_iter, tol=1e-9,
                            record_iterates=record_iterates)
@@ -169,7 +169,8 @@ class TestGapBound:
         psi = psi_values(ref_game, pert, pts, star.x)
         # recompute from parts
         from chargegame.equilibrium import perturbation_map
-        phi_l1, phi_l2 = perturbation_map(ref_game, pert)
+        _, phi_l2 = perturbation_map(ref_game, pert)
+        phi_l1 = dense_perturbation(ref_game, pert)
         for k, x in enumerate(pts):
             manual = (phi_l1 @ x + phi_l2) @ (x - star.x)
             assert np.isclose(psi[k], manual, rtol=1e-12, atol=1e-12)
