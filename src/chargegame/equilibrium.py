@@ -126,7 +126,12 @@ def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
     m, mc = f1.shape[-3], f1.shape[-1]
     x = np.asarray(x, dtype=float)
     blocks = x.reshape(*x.shape[:-1], mc, m)
-    return np.einsum("...kij,...jk->...ik", f1, blocks).reshape(x.shape)
+    if f1.ndim == 3:    # one (mc, mc) @ (mc, rows) product per station
+        cols = blocks.reshape(-1, mc, m).transpose(2, 1, 0)
+        out = np.matmul(f1, cols).transpose(2, 1, 0)
+    else:               # one (mc, mc) @ (mc, 1) product per row and station
+        out = np.matmul(f1, blocks.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)
+    return out.reshape(x.shape)
 
 
 def pseudo_gradient(instance: GameInstance, x: np.ndarray, perturbation=None,
@@ -320,6 +325,7 @@ def _iterate_batch(instance: GameInstance, f1: np.ndarray, x0: np.ndarray,
         "x": x,
         "iterations": iterations,
         "converged": residual <= tol,
+        "residual": residual,
         "residuals": np.array(residual_hist).reshape(-1, rows) if record_trace else None,
         "j_g": np.array(j_hist) if record_trace else None,
         "sigma": np.array(sigma_hist) if record_trace else None,

@@ -282,6 +282,9 @@ def run_pipeline(config: ExperimentConfig,
         "j_g": upper.j_g,
         "charging_fleet": [int(c.fleet_size) for c in instance.companies],
     }
+    if sweep is not None:
+        meta["robustness_rows"] = len(sweep.rows)
+        meta["robustness_unconverged"] = sum(not r.converged for r in sweep.rows)
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
     return PipelineResult(out_dir, build, upper, upper_seconds, config.mechanism,

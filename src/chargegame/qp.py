@@ -9,18 +9,25 @@ allocation polytope is the W = I special case; per-company best responses
 of the pricing game reduce to the weighted case because their Hessians are
 diagonal.
 
-The method is a textbook primal active-set loop. Problem sizes are tiny
-(a handful of variables, a few dozen constraints), so every working-set
-change costs one small dense solve of the normal equations
+`PolytopeProjector.project_batch` is the one entry point; a single
+projection, weighted or not, is a batch of one row. It has two paths,
+chosen once per polytope when the projector is built:
 
-    B W^-1 B^T nu = B y - [s; h_W],      x = y - W^-1 B^T nu,
+* Lower-bounded simplex. When the rows of G x <= h only restate
+  x >= l (nonnegativity rows, caps on all stations but one, and rows the
+  simplex {1^T x = s, x >= l} already implies), the projection is exact
+  and closed form: a sort of the breakpoints w (y - l) per row (Duchi et
+  al., ICML 2008; Condat, Math. Prog. 2016). Full-reach fleets give such
+  polytopes.
+* Everything else runs a textbook primal active-set loop. Problem sizes
+  are tiny (a handful of variables, a few dozen constraints), so every
+  working-set change costs one small dense solve of the normal equations
 
-where B stacks the equality row on top of the active inequality rows.
+      B W^-1 B^T nu = B y - [s; h_W],      x = y - W^-1 B^T nu,
 
-`PolytopeProjector.project_batch` is the one implementation: it runs many
-projections at once by grouping rows that share the same working set, so
-thousands of rows (grid searches, robustness sweeps) amortize each
-factorization. A single projection, weighted or not, is a batch of one row.
+  where B stacks the equality row on top of the active inequality rows.
+  Rows that share a working set share the solve, so thousands of rows
+  (grid searches, robustness sweeps) amortize each factorization.
 """
 
 from __future__ import annotations
@@ -49,6 +56,33 @@ def _solve_kkt(b_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(k_mat, rhs, rcond=None)[0]
 
 
+def _simplex_lower_bound(g_mat: np.ndarray, h: np.ndarray, total: float) -> np.ndarray | None:
+    """The l with {1^T x = total, G x <= h} = {1^T x = total, x >= l}, or None.
+
+    A row -e_k bounds x_k >= -h; a row summing every entry but x_k bounds
+    x_k >= total - h through the equality. l_k is the largest such bound,
+    so those rows are implied by construction. The two sets are equal
+    exactly when every l_k is bounded, sum(l) <= total, and every other
+    row holds at its maximum over the simplex,
+    g.l + (total - sum(l)) max_j g_j <= h. No tolerance enters the test.
+    """
+    n = g_mat.shape[1]
+    n_zero = np.count_nonzero(g_mat == 0, axis=1)
+    neg_unit = (n_zero == n - 1) & (g_mat.min(axis=1) == -1)
+    complement = (n_zero == 1) & (np.count_nonzero(g_mat == 1, axis=1) == n - 1)
+    lower = np.full(n, -np.inf)
+    np.maximum.at(lower, np.argmin(g_mat[neg_unit], axis=1), -h[neg_unit])
+    np.maximum.at(lower, np.argmax(g_mat[complement] == 0, axis=1), total - h[complement])
+    slack = total - lower.sum()
+    if not slack >= 0:      # also refuses an unbounded l (slack is nan or inf)
+        return None
+    rest = ~(neg_unit | complement)
+    g_rest = g_mat[rest]
+    if g_rest.size and np.any(g_rest @ lower + slack * g_rest.max(axis=1) > h[rest]):
+        return None
+    return lower
+
+
 class PolytopeProjector:
     """Projector onto ``{x : sum(x) = total, G x <= h}`` with batch support."""
 
@@ -60,6 +94,7 @@ class PolytopeProjector:
         self.total = float(total)
         self.n = self.g_mat.shape[1]
         self._ones = np.ones(self.n)
+        self.lower = _simplex_lower_bound(self.g_mat, self.h, self.total)
 
     def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -67,7 +102,10 @@ class PolytopeProjector:
 
     def project_batch(self, y_rows: np.ndarray,
                       weights: np.ndarray | None = None) -> np.ndarray:
-        """Project every row of ``y_rows``; rows sharing a working set share solves.
+        """Project every row of ``y_rows``.
+
+        A lower-bounded simplex (``lower`` set) is projected in closed form;
+        otherwise rows sharing an active-set working set share solves.
 
         ``weights`` (positive, one per variable, shared by all rows) turns
         the Euclidean distance into ``1/2 sum(w * (x - y)**2)``.
@@ -79,6 +117,8 @@ class PolytopeProjector:
         w = self._ones if weights is None else np.asarray(weights, dtype=float)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
+        if self.lower is not None:
+            return self._project_simplex(y_rows, w)
         w_inv_sqrt = np.sqrt(1.0 / w)
 
         x = np.broadcast_to(self.feasible_point, (n_rows, n)).copy()
@@ -147,3 +187,26 @@ class PolytopeProjector:
                     active[step_rows[add], block[add]] = True
 
         raise RuntimeError("batched active-set projection did not converge")
+
+    def _project_simplex(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Exact projection onto {sum(x) = total, x >= lower}.
+
+        x = l + max(0, z - tau / w) with z = y - l, where tau solves
+        sum(max(0, z - tau / w)) = total - sum(l). With the breakpoints w z
+        sorted in decreasing order, the first j of them active give
+        tau_j = (cumsum(z)_j - slack) / cumsum(1 / w)_j; the active ones are
+        the prefix whose breakpoints lie above their tau_j.
+        """
+        lower = self.lower
+        slack = self.total - lower.sum()
+        if slack == 0:      # the set is the single point l
+            return np.broadcast_to(lower, y_rows.shape).copy()
+        z = y_rows - lower
+        order = np.argsort(-(z * w), axis=1)
+        z_sorted = np.take_along_axis(z, order, axis=1)
+        w_sorted = w[order]
+        taus = (np.cumsum(z_sorted, axis=1) - slack) / np.cumsum(1.0 / w_sorted, axis=1)
+        # at least one breakpoint is active when slack > 0, even if rounding hides it
+        count = np.maximum(np.count_nonzero(w_sorted * z_sorted > taus, axis=1), 1)
+        tau = taus[np.arange(y_rows.shape[0]), count - 1]
+        return lower + np.maximum(z - tau[:, None] / w, 0.0)

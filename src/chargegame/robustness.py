@@ -205,6 +205,8 @@ class SweepSample:
     mechanism: str
     j_g: float
     assumption_ok: bool
+    converged: bool         # the solve met its residual tolerance
+    residual: float         # final fixed-point residual of the solve
 
 
 @dataclass
@@ -230,9 +232,10 @@ class SweepResult:
         return out
 
     def to_csv_rows(self):
-        yield "alpha,sample_id,mechanism,j_g,assumption_ok"
+        yield "alpha,sample_id,mechanism,j_g,assumption_ok,converged"
         for r in self.rows:
-            yield f"{r.alpha!r},{r.sample},{r.mechanism},{r.j_g!r},{int(r.assumption_ok)}"
+            yield (f"{r.alpha!r},{r.sample},{r.mechanism},{r.j_g!r},"
+                   f"{int(r.assumption_ok)},{int(r.converged)}")
 
 
 def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
@@ -283,7 +286,8 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
         j_rsg = government_cost(out["sigma_final"], instance.government)
         for s, pert in enumerate(perts):
             rows.append(SweepSample(float(alpha), s, "rsg", float(j_rsg[s]),
-                                    bool(ass_ok[a_idx, s])))
+                                    bool(ass_ok[a_idx, s]), bool(out["converged"][s]),
+                                    float(out["residual"][s])))
             if check_bounds:
                 trace = out["iterates"][:, s, :]
                 gb = jg_gap_bound(instance, pert, trace, float(gammas[s]), x_star)
@@ -302,7 +306,9 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
             j_base = government_cost(base_out["sigma_final"], instance.government)
             for s in range(n_samples):
                 rows.append(SweepSample(float(alpha), s, name, float(j_base[s]),
-                                        bool(ass_ok[a_idx, s])))
+                                        bool(ass_ok[a_idx, s]),
+                                        bool(base_out["converged"][s]),
+                                        float(base_out["residual"][s])))
 
     return SweepResult(rows, alphas, n_samples, eps, eps_obs, gap_b, gap_o,
                        ass_ok, j_star)

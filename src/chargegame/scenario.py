@@ -18,6 +18,7 @@ identical snapshots and identical downstream game instances.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -169,13 +170,15 @@ def simulate_period(scenario: Scenario, seed: int | None = None) -> FleetSnapsho
 
     demand = scenario.demand[np.argsort(scenario.demand[:, 0], kind="stable")]
     pointer = 0
-    private_expiry: list[float] = []
+    private_expiry: list[float] = []     # heap of private-trip end times
 
     n_steps = int(round(p.horizon_h * HOURS / p.dt_s))
     for step in range(n_steps):
         t_now = step * p.dt_s
         t_next = t_now + p.dt_s
-        n_private = sum(1 for e in private_expiry if e > t_now)
+        while private_expiry and private_expiry[0] <= t_now:   # t_now only grows
+            heapq.heappop(private_expiry)
+        n_private = len(private_expiry)
         accumulation = p.base_accumulation + float(np.sum(remaining_km > 0)) + n_private
         speed = mfd_speed(accumulation)
         step_km = speed * p.dt_s / HOURS
@@ -197,7 +200,7 @@ def simulate_period(scenario: Scenario, seed: int | None = None) -> FleetSnapsho
                     served = True
             if not served:
                 trip_h = dist[origin, destination] / max(speed, 1e-9)
-                private_expiry.append(t_now + trip_h * HOURS)
+                heapq.heappush(private_expiry, t_now + trip_h * HOURS)
 
         driving = remaining_km > 0
         if np.any(driving):

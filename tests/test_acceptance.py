@@ -186,7 +186,7 @@ def test_criterion_9_robustness_sweep(demo_build):
     sweep = robustness_sweep(inst, (0.0, 0.05, 0.1, 0.15, 0.25, 0.35), 100,
                              baselines, seed=21)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 120.0
+    assert elapsed < 30.0
 
     rsg_means = sweep.mean("rsg")
     worst_baseline = max(sweep.mean("p1").max(), sweep.mean("p2").max())

@@ -183,7 +183,10 @@ class TestCLI:
                          "--samples", "2", "--alphas", "0,0.1",
                          "--max-iter", "150"])
         assert code == 0
-        assert (tmp_path / "rob" / "robustness.csv").exists()
+        rows = (tmp_path / "rob" / "robustness.csv").read_text().splitlines()[1:]
+        meta = json.loads((tmp_path / "rob" / "run_meta.json").read_text())
+        assert meta["robustness_rows"] == len(rows)
+        assert meta["robustness_unconverged"] == sum(r.endswith(",0") for r in rows)
         means = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(means) == {"rsg", "p1", "p2", "base"}
         assert len(means["rsg"]) == 2

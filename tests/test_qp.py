@@ -150,3 +150,106 @@ def test_weighted_rejects_nonpositive_weights():
     poly = random_polytope(rng, 3)
     with pytest.raises(ValueError):
         poly.project_weighted(np.zeros(3), np.array([1.0, -1.0, 1.0]))
+
+
+def lower_bounded_simplex(rng, m, tight=False, with_zero=False):
+    """Rows of {sum(x) = 1, x >= l}, laid out as an admissible polytope is.
+
+    l is dyadic so that sum(l) = 1 holds exactly when ``tight``. There is
+    one cap per proper station subset S, followed by the nonnegativity
+    rows. The cap on all stations but k is 1 - l_k; every other cap is at
+    or above its maximum over the simplex, sum(l over S) + 1 - sum(l).
+    """
+    units = rng.integers(0, 5, m)
+    if with_zero:
+        units[rng.integers(0, m)] = 0
+    if tight:
+        units[-1] = 32 - units[:-1].sum()
+    lower = units / 32.0
+    slack = 1.0 - lower.sum()
+    rows, rhs = [], []
+    for mask in range(1, (1 << m) - 1):
+        subset = np.array([mask >> j & 1 for j in range(m)], dtype=bool)
+        rows.append(subset.astype(float))
+        if subset.sum() == m - 1:
+            rhs.append(1.0 - lower[~subset][0])
+        else:
+            rhs.append(lower[subset].sum() + slack + rng.choice([0.0, 0.25]))
+    g_mat = np.vstack(rows + [-np.eye(m)])
+    h = np.concatenate([rhs, np.zeros(m)])
+    return g_mat, h, lower, lower + slack / m
+
+
+def active_set_projector(proj):
+    """The same polytope, forced onto the general active-set path."""
+    general = PolytopeProjector(proj.g_mat, proj.h, proj.feasible_point)
+    general.lower = None
+    return general
+
+
+class TestLowerBoundedSimplex:
+    @pytest.mark.parametrize("tight,with_zero", [(False, False), (False, True),
+                                                 (True, False), (True, True)])
+    def test_matches_oracle_and_active_set(self, tight, with_zero):
+        rng = np.random.default_rng(11 + 2 * tight + with_zero)
+        for trial in range(8):
+            m = int(rng.integers(2, 5))
+            g_mat, h, lower, inside = lower_bounded_simplex(rng, m, tight, with_zero)
+            proj = PolytopeProjector(g_mat, h, inside)
+            assert np.array_equal(proj.lower, lower)
+            ys = rng.normal(0, 1.5, (8, m))
+            for w in (None, rng.uniform(0.5, 4.0, m)):
+                fast = proj.project_batch(ys, w)
+                if tight:   # the set is the point l
+                    assert np.array_equal(fast, np.tile(lower, (8, 1)))
+                else:
+                    general = active_set_projector(proj).project_batch(ys, w)
+                    assert np.abs(fast - general).max() <= 1e-10, f"trial {trial}"
+                    assert np.all(fast >= lower)
+                    assert np.abs(fast.sum(axis=1) - 1.0).max() <= 1e-12
+                for y, x in zip(ys, fast):
+                    assert np.array_equal(proj.project(y, w), x)
+                for y, x in zip(ys[:2], fast):
+                    want = oracle_project(y, g_mat, h, weights=w)
+                    assert np.abs(x - want).max() <= 1e-10, f"trial {trial}"
+
+    @pytest.mark.xfail(raises=RuntimeError, strict=True,
+                       reason="the active-set loop cycles on a single-point set "
+                              "where every cap is tight")
+    def test_active_set_on_single_point_set(self):
+        g_mat, h = [], []
+        lower = np.array([0.0, 3.0, 29.0]) / 32
+        for mask, slack in zip(range(1, 7), (0, 0, 0, 0.25, 0, 0)):
+            subset = np.array([mask >> j & 1 for j in range(3)], dtype=bool)
+            g_mat.append(subset.astype(float))
+            h.append(lower[subset].sum() + slack)
+        g_mat = np.vstack(g_mat + [-np.eye(3)])
+        h = np.concatenate([h, np.zeros(3)])
+        general = active_set_projector(PolytopeProjector(g_mat, h, lower))
+        y = np.array([-0.4036594304354752, 0.40560184483093675, -1.0132865658167611])
+        w = np.array([0.9835799018839195, 1.3233156479422865, 1.5986567703183105])
+        assert np.abs(general.project(y, w) - lower).max() <= 1e-10
+
+    def test_accepts_demo_fleet_polytopes(self, demo_build):
+        for poly in demo_build.instance.polytopes:
+            lower = poly.projector.lower
+            assert lower is not None
+            # full reach: each cap on all stations but one is (N - m + 1) / N
+            assert np.allclose(lower, (poly.n_stations - 1) / poly.fleet_size,
+                               rtol=0, atol=1e-15)
+
+    def test_refuses_partial_reach_reference_polytopes(self):
+        from chargegame import reference_game
+        for poly in reference_game(0, generous=False).polytopes:
+            assert poly.projector.lower is None
+
+    def test_refuses_binding_pair_cap(self):
+        # x0 + x1 <= 1/2 cuts the simplex {x >= 0}; projection must honour it
+        g_mat = np.vstack([[1.0, 1.0, 0.0, 0.0], -np.eye(4)])
+        h = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
+        proj = PolytopeProjector(g_mat, h, np.full(4, 0.25))
+        assert proj.lower is None
+        y = np.array([0.9, 0.6, -0.2, 0.1])
+        x = proj.project(y)
+        assert x[0] + x[1] <= 0.5 + 1e-12
+        assert np.abs(x - oracle_project(y, g_mat, h)).max() <= 1e-10

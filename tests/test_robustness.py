@@ -225,12 +225,14 @@ class TestSweep:
         sweep = robustness_sweep(ref_game, (0.0,), 2, {"base": np.full(4, 3.0)},
                                  seed=1, max_iter=100, check_bounds=False)
         rows = list(sweep.to_csv_rows())
-        assert rows[0] == "alpha,sample_id,mechanism,j_g,assumption_ok"
+        assert rows[0] == "alpha,sample_id,mechanism,j_g,assumption_ok,converged"
         assert len(rows) == 1 + 2 * 2
-        for line in rows[1:]:
-            alpha, sample, mech, j_g, ok = line.split(",")
+        for line, row in zip(rows[1:], sweep.rows):
+            alpha, sample, mech, j_g, ok, conv = line.split(",")
             float(alpha), int(sample), float(j_g), int(ok)
             assert mech in ("rsg", "base")
+            assert conv == str(int(row.converged))
+            assert row.converged == (row.residual <= 1e-8)
 
     def test_sweep_deterministic_given_seed(self, ref_game):
         kw = dict(alphas=(0.1,), n_samples=2, seed=9, max_iter=150,
