@@ -17,6 +17,8 @@ instance = build.instance
 report = solve_nash(instance)
 print("upper level done: loss", f"{report.j_g:.2e}")
 
+solutions = []
+
 for i in range(instance.n_companies):
     x_i = report.blocks[i]
     sigma_others = report.sigma - instance.fleet_sizes[i] * x_i
@@ -26,9 +28,11 @@ for i in range(instance.n_companies):
     target = discretize(x_i, feas, instance.companies[i].fleet_size)
 
     solution = two_step(target, drivers, prices, seed=100 + i)
+    solutions.append(solution)
     check = verify_zero_cost(solution, target, drivers, prices)
     nonzero = solution.surge[solution.surge > 0]
-    print(f"\ncompany {i + 1}: target {target.tolist()} via {solution.mode}")
+    print(f"\ncompany {i + 1}: target {target.tolist()} via {solution.mode}"
+          f" ({solution.solver_info})")
     print(f"  tracking cost {solution.j_m}, responses verified: {bool(check)}")
     if nonzero.size:
         print(f"  nonzero surge prices: {nonzero.size} "
@@ -36,7 +40,7 @@ for i in range(instance.n_companies):
     else:
         print("  no surge needed: drivers already prefer their targets")
 
-rows = list(surge_price_rows(solution))
-print(f"\nCSV preview, last company ({len(rows) - 1} nonzero rows):")
+rows = list(surge_price_rows(solutions))
+print(f"\nsurge_prices.csv preview ({len(rows) - 1} nonzero rows):")
 for line in rows[:4]:
     print(" ", line)

@@ -258,7 +258,8 @@ def run_pipeline(config: ExperimentConfig,
            _prices_table_rows(instance, blocks, prices_at_eq, sigma))
     if comparison:
         _write(files, out_dir, "comparison.csv", _comparison_rows(comparison))
-    _write(files, out_dir, "surge_prices.csv", _surge_rows(surge_solutions))
+    _write(files, out_dir, "surge_prices.csv",
+           surge.surge_price_rows(surge_solutions))
     _write(files, out_dir, "allocation.csv",
            _allocation_rows(instance, blocks, targets))
 
@@ -281,6 +282,8 @@ def run_pipeline(config: ExperimentConfig,
         "converged": upper.converged,
         "j_g": upper.j_g,
         "charging_fleet": [int(c.fleet_size) for c in instance.companies],
+        "surge_modes": [{"mode": sol.mode, "solver_info": sol.solver_info}
+                        for sol in surge_solutions],
     }
     if sweep is not None:
         meta["robustness_rows"] = len(sweep.rows)
@@ -338,16 +341,6 @@ def _comparison_rows(comparison: dict):
         if name in comparison:
             j_g, sigma = comparison[name]
             yield f"{name},{float(j_g)!r}," + ",".join(repr(float(v)) for v in sigma)
-
-
-def _surge_rows(solutions):
-    yield "company,vehicle_id,station,rho,mode"
-    for i, sol in enumerate(solutions):
-        n_v, m = sol.surge.shape
-        for v in range(n_v):
-            for k in range(m):
-                if sol.surge[v, k] > 0:
-                    yield f"{i},{v},{k},{float(sol.surge[v, k])!r},{sol.mode}"
 
 
 def _allocation_rows(instance: GameInstance, blocks, targets):

@@ -303,22 +303,33 @@ def estimate_company_params(snapshot: FleetSnapshot, scenario: Scenario,
 
 def estimate_driver_params(snapshot: FleetSnapshot, scenario: Scenario,
                            extras: list[dict]) -> list[list[DriverParams]]:
-    """Per-vehicle cost data for the surge game, one list per company."""
+    """Per-vehicle cost data for the surge game, one list per company.
+
+    The drivers of a company share one read-only revenue vector and one
+    read-only surge-gain vector, their demand vectors are rows of one
+    read-only array, and drivers with the same reach share its set.
+    """
     p = scenario.params
     occupancy = np.asarray(p.occupancy, dtype=float)
-    surge_gain = p.driver_hours * p.speed_estimate * occupancy
     out = []
     for i in range(scenario.n_companies):
         sel, _, reach, demand = _charging_demand(snapshot, scenario, i)
         g_v = extras[i]["e_arr"] - (p.driver_hours / p.daily_hours) * extras[i]["e_pro"]
+        surge_gain = p.driver_hours * p.speed_estimate * occupancy
+        d_rows = np.where(reach, demand, 0.0)
+        for arr in (g_v, surge_gain, d_rows):
+            arr.flags.writeable = False
+        reach_sets: dict[bytes, frozenset[int]] = {}
         drivers = []
         for r in range(sel.size):
-            d_row = np.where(reach[r], demand[r], 0.0)
+            key = reach[r].tobytes()
+            if key not in reach_sets:
+                reach_sets[key] = frozenset(np.flatnonzero(reach[r]).tolist())
             drivers.append(DriverParams(
-                demand=d_row,
-                base_revenue=g_v.copy(),
-                surge_gain=surge_gain.copy(),
-                reachable=frozenset(np.flatnonzero(reach[r]).tolist()),
+                demand=d_rows[r],
+                base_revenue=g_v,
+                surge_gain=surge_gain,
+                reachable=reach_sets[key],
                 horizon=p.driver_hours,
             ))
         out.append(drivers)

@@ -12,6 +12,14 @@ a tracking error) and, if the target is missed, falls back to per-vehicle
 surge vectors, which always achieve the target exactly whenever the
 target is matchable at all.
 
+When every driver has the same strictly positive surge gain, the shared
+vector is an assignment-market question (Shapley & Shubik, 1971): a
+vector making every driver strictly prefer its own station exists iff it
+supports the min-cost assignment of drivers to the target's slots, and
+the least such vector solves a system of difference constraints
+(Bellman-Ford). That path is exact and polynomial; other fleets take a
+class enumeration or a seeded local search.
+
 Tie-breaking everywhere is deterministic: the lowest station index among
 minimizers. A small strictness margin is added to binding surge prices so
 the intended choice survives floating-point noise.
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import InfeasibleTargetError, ZeroGainError
 from .feasible import FeasibilityStructure, hall_condition
@@ -32,7 +40,7 @@ DEFAULT_MARGIN = 1e-6
 _STRICT_EPS = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriverParams:
     """One driver's station-choice cost data.
 
@@ -207,16 +215,29 @@ def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
                       rho_cap: float | None = None) -> SurgeSolution:
     """Best single surge vector shared by every driver.
 
-    Identical drivers react identically to a shared vector, so reachable
-    aggregates are determined by a station choice per driver class. When
-    the class-choice space fits the budget the solver enumerates it and
-    checks each candidate with a linear feasibility program (exact);
-    otherwise it falls back to a seeded local search over surge vectors.
-    The optimum may be a strictly positive tracking cost.
+    When every driver has the same surge-gain vector, strictly positive on
+    every station, the solver first returns the componentwise-least vector
+    (at or above ``rho_min``) that makes every driver prefer the station
+    of the min-cost target assignment by at least ``DEFAULT_MARGIN``, with
+    zero tracking cost (see ``_equal_price_assignment``). This path is
+    exact: it finds a vector whenever one exists with that margin and
+    within ``rho_cap``.
+
+    Otherwise, or when no such vector exists: identical drivers react
+    identically to a shared vector, so reachable aggregates are determined
+    by a station choice per driver class. When the class-choice space fits
+    the budget the solver enumerates it and checks each candidate with a
+    linear feasibility program (exact); otherwise it falls back to a
+    seeded local search over surge vectors. The optimum may be a strictly
+    positive tracking cost. ``solver_info`` names the path that ran.
     """
     target = np.asarray(target, dtype=int)
     prices = np.asarray(prices, dtype=float)
     rho_min = np.asarray(rho_min, dtype=float)
+
+    sol = _equal_price_assignment(target, drivers, prices, rho_min, rho_cap)
+    if sol is not None:
+        return sol
 
     classes: dict[tuple, list[int]] = {}
     for v, d in enumerate(drivers):
@@ -239,6 +260,82 @@ def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
 
     return _equal_price_search(target, drivers, prices, rho_min, budget, seed,
                                rho_cap)
+
+
+def _shared_gain(drivers: list[DriverParams]) -> np.ndarray | None:
+    """The surge-gain vector all drivers share, if it is strictly positive."""
+    if not drivers:
+        return None
+    gain = drivers[0].surge_gain
+    if not np.all(gain > 0):
+        return None
+    for d in drivers[1:]:
+        if d.surge_gain is not gain and not np.array_equal(d.surge_gain, gain):
+            return None
+    return gain
+
+
+def _equal_price_assignment(target, drivers, prices, rho_min,
+                            rho_cap) -> SurgeSolution | None:
+    """Least shared vector supporting the min-cost target assignment, or None.
+
+    With one gain vector, driver v pays ``a[v, k] - pi_k`` at station k,
+    where ``a = demand * prices + base_revenue`` and ``pi = gain * rho``.
+    Every assignment with the target's counts pays the same total of pi,
+    so a vector under which every driver strictly prefers its station
+    supports the unique min-cost assignment: solving that one assignment
+    decides existence (Shapley & Shubik, *The assignment game*, 1971).
+    Its supporting vectors solve the difference constraints
+    ``pi_j >= pi_k + w[j, k] + DEFAULT_MARGIN``, where ``w[j, k]`` is the
+    largest advantage of k over j among the drivers at j that reach k.
+    Relaxing them upward from the floor gives the least solution in at
+    most m - 1 rounds; a change in round m means a positive cycle, so no
+    vector exists (Bellman-Ford; CLRS 24.4). Returns None whenever the
+    gains are not shared and positive, no assignment hits the target, a
+    cycle exists, or the least vector exceeds ``rho_cap``.
+    """
+    gain = _shared_gain(drivers)
+    n, m = len(drivers), prices.size
+    if gain is None or np.any(target < 0) or int(target.sum()) != n:
+        return None
+    reach = np.zeros((n, m), dtype=bool)
+    for v, d in enumerate(drivers):
+        reach[v, list(d.reachable)] = True
+    a = (np.stack([d.demand for d in drivers]) * prices
+         + np.stack([d.base_revenue for d in drivers]))
+    cost = np.where(reach, a, np.inf)
+
+    slots = np.repeat(np.arange(m), target)
+    try:
+        _, cols = linear_sum_assignment(cost[:, slots])
+    except ValueError:          # no assignment hits the target
+        return None
+    station = slots[cols]
+
+    rows = np.arange(n)
+    advantage = a[rows, station][:, None] - cost   # -inf where unreachable
+    advantage[rows, station] = -np.inf
+    w = np.full((m, m), -np.inf)
+    np.maximum.at(w, station, advantage)
+    w += DEFAULT_MARGIN
+
+    pi = gain * rho_min
+    for _ in range(m):
+        lifted = np.maximum(pi, np.max(pi[None, :] + w, axis=1))
+        if np.array_equal(lifted, pi):
+            break
+        pi = lifted
+    else:
+        return None             # positive cycle: no vector with this margin
+    rho = np.maximum(pi / gain, rho_min)
+    if rho_cap is not None and np.any(rho > rho_cap):
+        return None             # the least vector already breaks the cap
+
+    mu = np.argmin(cost - gain * rho, axis=1)
+    if not np.array_equal(np.bincount(mu, minlength=m), target):
+        return None
+    return SurgeSolution(mu, np.tile(rho, (n, 1)), 0.0, "equal-price",
+                         "least vector of the min-cost assignment")
 
 
 def _class_costs(drivers, members, prices):
@@ -397,12 +494,13 @@ def verify_zero_cost(solution: SurgeSolution, target: np.ndarray,
     return VerifyResult(bool(np.array_equal(sigma, target)))
 
 
-def surge_price_rows(solution: SurgeSolution):
-    """CSV rows (vehicle_id, station, rho) for nonzero surge prices."""
-    yield "vehicle_id,station,rho"
-    n_v, m = solution.surge.shape
-    for v in range(n_v):
-        for k in range(m):
-            rho = solution.surge[v, k]
-            if rho > 0:
-                yield f"{v},{k},{float(rho)!r}"
+def surge_price_rows(solutions: list[SurgeSolution]):
+    """CSV rows (company, vehicle_id, station, rho, mode) for nonzero surge
+    prices, one solution per company."""
+    yield "company,vehicle_id,station,rho,mode"
+    for i, sol in enumerate(solutions):
+        n_v, m = sol.surge.shape
+        for v in range(n_v):
+            for k in range(m):
+                if sol.surge[v, k] > 0:
+                    yield f"{i},{v},{k},{float(sol.surge[v, k])!r},{sol.mode}"

@@ -96,6 +96,14 @@ class TestPipeline:
             assert (pipe.out_dir / name).exists()
         meta = json.loads((pipe.out_dir / "run_meta.json").read_text())
         assert 0 < meta["upper_solve_seconds"] < 3.0
+        modes = meta["surge_modes"]
+        assert [m["mode"] for m in modes] == [s.mode for s in pipe.surge_solutions]
+        assert [m["solver_info"] for m in modes] == [
+            s.solver_info for s in pipe.surge_solutions]
+        rows = (pipe.out_dir / "surge_prices.csv").read_text().splitlines()[1:]
+        for row in rows:
+            company, *_, mode = row.split(",")
+            assert mode == modes[int(company)]["mode"]
 
     def test_upper_converged_to_floor(self, pipe):
         trace = pipe.upper.j_g_trace

@@ -195,6 +195,16 @@ class TestEstimation:
                     d.surge_gain,
                     p.driver_hours * p.speed_estimate * np.asarray(p.occupancy))
 
+    def test_drivers_share_read_only_vectors(self, demo_build):
+        for fleet in demo_build.drivers:
+            gain = fleet[0].surge_gain
+            assert all(d.surge_gain is gain for d in fleet)
+            assert all(d.base_revenue is fleet[0].base_revenue for d in fleet)
+            with pytest.raises(ValueError):
+                gain[0] = 1.0
+            with pytest.raises(ValueError):
+                fleet[0].demand[0] = 1.0
+
     def test_surge_gain_values(self):
         # 2 h horizon, 20 km/h estimate, occupancy 0.35: gain 14
         assert 2.0 * 20.0 * 0.35 == pytest.approx(14.0)

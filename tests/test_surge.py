@@ -211,8 +211,13 @@ class TestEqualPrice:
             assert search.j_m >= exact.j_m - 1e-9
 
 
-def _inducible(drivers, combo, prices, m):
-    """LP feasibility of a shared vector inducing the given choices."""
+def _inducible(drivers, combo, prices, m, margin=None, objective=None):
+    """LP feasibility of a shared vector inducing the given choices.
+
+    Without ``margin`` a tie only needs breaking against lower-indexed
+    stations; with it every alternative must be worse by ``margin``. With
+    an ``objective`` the LP optimum is returned (None when infeasible).
+    """
     from scipy.optimize import linprog
 
     rows, rhs = [], []
@@ -224,20 +229,156 @@ def _inducible(drivers, combo, prices, m):
             row = np.zeros(m)
             row[j] = d.surge_gain[j]
             row[j_c] -= d.surge_gain[j_c]
-            slack = alpha[j] - alpha[j_c] - (1e-7 if j < j_c else 0.0)
+            if margin is None:
+                slack = alpha[j] - alpha[j_c] - (1e-7 if j < j_c else 0.0)
+            else:
+                slack = alpha[j] - alpha[j_c] - margin
             rows.append(row)
             rhs.append(slack)
+    c = np.zeros(m) if objective is None else objective
     if not rows:
-        return True
-    res = linprog(np.zeros(m), A_ub=np.array(rows), b_ub=np.array(rhs),
+        return True if objective is None else 0.0
+    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
                   bounds=[(0.0, None)] * m, method="highs")
-    return res.status == 0
+    if objective is None:
+        return res.status == 0
+    return res.fun if res.status == 0 else None
 
 
 def _forced_search(target, drivers, prices, m, seed):
     """Run the stochastic path by making every driver its own class budget-buster."""
     return equal_price_solve(target, drivers, prices, np.zeros(m), budget=1,
                              seed=seed)
+
+
+ASSIGNMENT_PATH = "least vector of the min-cost assignment"
+
+
+def shared_gain_fleet(rng, m, n_v, n_distinct):
+    """``n_v`` drivers sharing one gain vector, copies of ``n_distinct``
+    distinct drivers, some of which reach a single station."""
+    gain = rng.uniform(5.0, 20.0, m)
+    distinct = []
+    for _ in range(n_distinct):
+        reach = frozenset([int(rng.integers(m))]) if rng.random() < 0.25 else None
+        d = make_driver(rng, m, reachable=reach)
+        distinct.append(DriverParams(d.demand, d.base_revenue, gain, d.reachable))
+    copies = [distinct[int(rng.integers(n_distinct))] for _ in range(n_v - n_distinct)]
+    return [(distinct + copies)[v] for v in rng.permutation(n_v)]
+
+
+def brute_force_vector(drivers, target, prices, m):
+    """The per-driver choice hitting the target that a shared vector induces
+    with every alternative worse by the margin, or None."""
+    for combo in product(*[sorted(d.reachable) for d in drivers]):
+        if not np.array_equal(np.bincount(np.array(combo), minlength=m), target):
+            continue
+        if _inducible(drivers, combo, prices, m, margin=DEFAULT_MARGIN):
+            return combo
+    return None
+
+
+class TestEqualPriceAssignment:
+    def test_matches_brute_force_on_shared_gain_fleets(self):
+        rng = np.random.default_rng(11)
+        found = 0
+        for case in range(90):
+            m = int(rng.integers(2, 5))
+            n_v = int(rng.integers(1, 9 if m < 4 else 7))
+            n_distinct = int(rng.integers(1, n_v + 1))
+            drivers = shared_gain_fleet(rng, m, n_v, n_distinct)
+            prices = rng.uniform(0, 3, m)
+            if case % 3:
+                target = random_feasible_target(rng, drivers, m)
+            else:   # the responses to some shared vector: often inducible
+                rho = rng.uniform(0, 6, m)
+                target = np.bincount([driver_best_response(d, rho, prices)
+                                      for d in drivers], minlength=m)
+            sol = equal_price_solve(target, drivers, prices, np.zeros(m))
+            combo = brute_force_vector(drivers, target, prices, m)
+            assert (sol.solver_info == ASSIGNMENT_PATH) == (combo is not None)
+            if combo is None:
+                continue
+            found += 1
+            assert sol.j_m == 0.0 and sol.mode == "equal-price"
+            rho = sol.surge[0]
+            assert np.all(sol.surge == rho[None, :])
+            assert np.all(rho >= 0.0)
+            induced = [driver_best_response(d, rho, prices) for d in drivers]
+            assert induced == list(combo) == sol.assignment.tolist()
+            assert verify_zero_cost(sol, target, drivers, prices)
+            for k in range(m):
+                lp_min = _inducible(drivers, combo, prices, m,
+                                    margin=DEFAULT_MARGIN, objective=np.eye(m)[k])
+                assert rho[k] <= lp_min + 1e-9
+        assert min(found, 90 - found) >= 10    # both outcomes are exercised
+
+    def test_floor_and_cap(self):
+        rng = np.random.default_rng(12)
+        m = 3
+        drivers = shared_gain_fleet(rng, m, 6, 6)
+        prices = rng.uniform(0, 3, m)
+        rho = rng.uniform(0, 6, m)
+        target = np.bincount([driver_best_response(d, rho, prices)
+                              for d in drivers], minlength=m)
+        free = equal_price_solve(target, drivers, prices, np.zeros(m))
+        assert free.solver_info == ASSIGNMENT_PATH
+        assert np.min(free.surge[0]) == 0.0     # one station stays at its floor
+
+        rho_min = np.array([0.5, 1.0, 1.5])
+        floored = equal_price_solve(target, drivers, prices, rho_min)
+        assert floored.solver_info == ASSIGNMENT_PATH
+        assert np.all(floored.surge[0] >= rho_min)
+        assert verify_zero_cost(floored, target, drivers, prices)
+
+        capped = equal_price_solve(target, drivers, prices, np.zeros(m),
+                                   rho_cap=0.5 * float(np.max(free.surge[0])))
+        assert capped.solver_info != ASSIGNMENT_PATH
+
+    def test_zero_or_unshared_gain_takes_previous_path(self):
+        rng = np.random.default_rng(13)
+        m = 3
+        proto = make_driver(rng, m, reachable=frozenset(range(m)))
+        drivers = [proto] * 5
+        target = np.array([0, 5, 0])
+        shared = equal_price_solve(target, drivers, np.zeros(m), np.zeros(m))
+        assert shared.solver_info == ASSIGNMENT_PATH
+
+        gain = proto.surge_gain.copy()
+        gain[0] = 0.0
+        zero = DriverParams(proto.demand, proto.base_revenue, gain, proto.reachable)
+        sol = equal_price_solve(target, [zero] * 5, np.zeros(m), np.zeros(m))
+        assert sol.solver_info == "exact class enumeration"
+
+        unshared = [DriverParams(proto.demand, proto.base_revenue,
+                                 proto.surge_gain * (1.0 + 0.01 * v), proto.reachable)
+                    for v in range(5)]
+        sol = equal_price_solve(target, unshared, np.zeros(m), np.zeros(m))
+        assert sol.solver_info == "exact class enumeration"
+        sol = equal_price_solve(target, unshared, np.zeros(m), np.zeros(m),
+                                budget=1)
+        assert sol.solver_info == "local search (1 evaluations)"
+
+    def test_demo_companies_take_assignment_path(self, demo_build):
+        from chargegame.equilibrium import solve_nash
+        from chargegame.feasible import discretize
+        from chargegame.model import system_optimal_prices
+
+        instance = demo_build.instance
+        report = solve_nash(instance)
+        for i in range(instance.n_companies):
+            x_i = report.blocks[i]
+            prices = system_optimal_prices(
+                instance, i, x_i, report.sigma - instance.fleet_sizes[i] * x_i)
+            drivers = demo_build.drivers[i]
+            target = discretize(x_i, fleet_feasibility(drivers, instance.n_stations),
+                                instance.companies[i].fleet_size)
+            sol = equal_price_solve(target, drivers, prices,
+                                    np.zeros(instance.n_stations))
+            assert sol.solver_info == ASSIGNMENT_PATH
+            assert sol.j_m == 0.0
+            assert verify_zero_cost(sol, target, drivers, prices)
+            assert two_step(target, drivers, prices).solver_info == ASSIGNMENT_PATH
 
 
 class TestTwoStep:
@@ -302,7 +443,8 @@ def test_surge_csv_rows_nonzero_only():
     d = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
                      np.array([1.0, 1.0]), frozenset([0, 1]))
     sol = per_vehicle_prices(np.array([1]), [d], np.zeros(2), np.zeros(2))
-    rows = list(surge_price_rows(sol))
-    assert rows[0] == "vehicle_id,station,rho"
-    assert len(rows) == 2
-    assert rows[1].startswith("0,1,")
+    rows = list(surge_price_rows([sol, sol]))
+    assert rows[0] == "company,vehicle_id,station,rho,mode"
+    assert len(rows) == 3
+    assert rows[1].startswith("0,0,1,") and rows[1].endswith(",per-vehicle")
+    assert rows[2].startswith("1,0,1,")
