@@ -2,25 +2,29 @@
 
 A company has to split a fleet of vehicles over charging stations while
 every vehicle can only reach a subset of the stations (battery range).
-An integer station target is realizable exactly when, for every group of
-stations, the group's total target does not exceed the number of vehicles
-able to reach at least one station in the group (the classic marriage
-condition for many-to-one matchings).
+An integer station target is realizable exactly when its vehicle-to-slot
+matching exists: each station j offers ``target[j]`` slots, and every
+slot must get its own vehicle able to reach that station (a bipartite
+b-matching; Gale, *A theorem on flows in networks*, 1957). Every
+matching question in the package, and the min-cost assignment of the
+shared surge price, is one ``linear_sum_assignment`` on a
+vehicles x slots cost matrix (``_assign_slots``).
 
 The continuous counterpart is a polytope on the allocation simplex: for
 every proper station subset S the fraction of the fleet sent into S is
 capped so that rounding the continuous split up or down always leaves a
 realizable integer target. Rounding itself is a largest-remainder
-apportionment with a repair search over the floor/ceil lattice.
+apportionment; when that target is not matchable, one assignment solve
+picks the matchable floor/ceil point that keeps the largest remainders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DegenerateFleetError, EmptyPolytopeError, InfeasibleTargetError
 from .qp import PolytopeProjector
@@ -33,13 +37,14 @@ class FeasibilityStructure:
     """Which vehicles can reach which stations, for one company.
 
     ``vehicle_stations[v]`` is the set of station indices vehicle ``v``
-    can reach. The station-side view (set of vehicles that can reach a
-    station) is derived; the two views always stay consistent.
+    can reach. ``reach`` is the same relation as a read-only boolean
+    (n_vehicles, n_stations) matrix; the station-side view (set of
+    vehicles that can reach a station) is read from it.
     """
 
     n_stations: int
     vehicle_stations: tuple[frozenset[int], ...]
-    _station_bits: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    reach: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v, omega in enumerate(self.vehicle_stations):
@@ -47,11 +52,12 @@ class FeasibilityStructure:
                 raise DegenerateFleetError(f"vehicle {v} cannot reach any station")
             if min(omega) < 0 or max(omega) >= self.n_stations:
                 raise ValueError(f"vehicle {v} has out-of-range station index")
-        bits = [0] * self.n_stations
-        for v, omega in enumerate(self.vehicle_stations):
-            for j in omega:
-                bits[j] |= 1 << v
-        object.__setattr__(self, "_station_bits", tuple(bits))
+        sizes = [len(omega) for omega in self.vehicle_stations]
+        reach = np.zeros((len(sizes), self.n_stations), dtype=bool)
+        reach[np.repeat(np.arange(len(sizes)), sizes),
+              np.fromiter(chain.from_iterable(self.vehicle_stations), dtype=int)] = True
+        reach.flags.writeable = False
+        object.__setattr__(self, "reach", reach)
 
     @property
     def n_vehicles(self) -> int:
@@ -59,15 +65,7 @@ class FeasibilityStructure:
 
     def station_vehicles(self, j: int) -> frozenset[int]:
         """Vehicles able to reach station ``j``."""
-        bits = self._station_bits[j]
-        return frozenset(v for v in range(self.n_vehicles) if bits >> v & 1)
-
-    def union_size(self, stations) -> int:
-        """Number of distinct vehicles able to reach any station in the set."""
-        acc = 0
-        for j in stations:
-            acc |= self._station_bits[j]
-        return acc.bit_count()
+        return frozenset(np.flatnonzero(self.reach[:, j]).tolist())
 
     @classmethod
     def full(cls, n_vehicles: int, n_stations: int) -> "FeasibilityStructure":
@@ -90,28 +88,34 @@ def _check_subset_count(n_stations: int):
         )
 
 
-def hall_condition(target: np.ndarray, feas: FeasibilityStructure) -> bool:
-    """True iff the integer target admits a perfect vehicle-station matching.
+def _assign_slots(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Min-cost assignment of vehicles (rows) to station slots (columns).
 
-    Enumerates all station subsets S and checks that the target mass inside
-    S never exceeds the number of vehicles reaching into S.
+    A slot is one unit of one station; ``cost`` is +inf where the vehicle
+    cannot reach the slot's station. The assignment fills the smaller side:
+    every slot when there are no more slots than vehicles, every vehicle
+    otherwise. Returns the (vehicle, slot) index pairs, or None when no
+    assignment fills that side.
+    """
+    try:
+        return linear_sum_assignment(cost)
+    except ValueError:          # scipy: the cost matrix is infeasible
+        return None
+
+
+def hall_condition(target: np.ndarray, feas: FeasibilityStructure) -> bool:
+    """True iff every slot of the integer target can get its own vehicle.
+
+    Station j needs ``target[j]`` distinct vehicles that reach it; this is
+    the marriage condition (no station group needs more vehicles than reach
+    into it), decided by one assignment solve. A target summing to less
+    than the fleet passes when its slots fill; a negative target fails.
     """
     target = np.asarray(target)
-    m = feas.n_stations
-    _check_subset_count(m)
-    if np.any(target < 0):
+    if np.any(target < 0) or target.sum() > feas.n_vehicles:
         return False
-    bits = feas._station_bits
-    for mask in range(1, 1 << m):
-        need = 0
-        acc = 0
-        for j in range(m):
-            if mask >> j & 1:
-                need += int(target[j])
-                acc |= bits[j]
-        if need > acc.bit_count():
-            return False
-    return True
+    slots = np.repeat(np.arange(feas.n_stations), target.astype(int))
+    return _assign_slots(np.where(feas.reach[:, slots], 0.0, np.inf)) is not None
 
 
 @dataclass
@@ -200,13 +204,11 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
 
     masks = np.arange(1, 1 << m, dtype=np.int64)
     masks = masks[masks != (1 << m) - 1]  # proper subsets only
-    rows = np.zeros((masks.size, m))
-    rhs = np.zeros(masks.size)
-    for r, mask in enumerate(masks):
-        stations = [j for j in range(m) if mask >> j & 1]
-        rows[r, stations] = 1.0
-        cap = max(0, feas.union_size(stations) - len(stations))
-        rhs[r] = cap / fleet_size
+    members = (masks[:, None] >> np.arange(m) & 1).astype(bool)
+    # distinct vehicles reaching into each subset, less one per station in it
+    caps = (members @ feas.reach.T).sum(axis=1) - members.sum(axis=1)
+    rows = members.astype(float)
+    rhs = np.maximum(caps, 0) / fleet_size
 
     g_mat = np.vstack([rows, -np.eye(m)]) if masks.size else -np.eye(m)
     h = np.concatenate([rhs, np.zeros(m)]) if masks.size else np.zeros(m)
@@ -221,44 +223,36 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
 def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np.ndarray:
     """Round an admissible continuous split to a matchable integer target.
 
-    Starts from largest-remainder apportionment (floor everything, hand the
-    leftover units to the largest fractional parts) and, if the marriage
-    condition fails, searches the floor/ceil lattice for a combination that
-    passes. For splits inside the admissible polytope a valid combination
-    always exists; exhausting the lattice therefore signals a bug upstream.
+    Candidates are the floor/ceil lattice points summing to the fleet size:
+    the floors plus one extra unit at some of the stations with a
+    fractional part. One assignment solve over the floors' slots (cost -1
+    each) and one optional slot per fractional station (cost -2^-(r+2) for
+    the station of remainder rank r, largest remainder first) finds a
+    point whose slots all fill. The optional costs sum to less than a
+    half, so filling every floor slot comes first; among those points the
+    solve keeps the largest remainders. The result is the largest-remainder
+    apportionment whenever that is matchable, otherwise the matchable
+    lattice point that keeps the largest remainders. For splits inside the
+    admissible polytope a matchable point always exists; raising
+    ``InfeasibleTargetError`` therefore signals a bug upstream.
     """
     x = np.asarray(x, dtype=float)
     scaled = fleet_size * x
     floors = np.floor(scaled + 1e-9).astype(int)
     fracs = scaled - floors
     missing = int(fleet_size - floors.sum())
-    if missing < 0 or missing > x.size:
+    candidates = np.flatnonzero(fracs > 1e-9)
+    if np.any(floors < 0) or missing < 0 or missing > candidates.size:
         raise ValueError("input is not on the allocation simplex")
 
-    candidates = np.flatnonzero(fracs > 1e-9)
-    if missing == 0:
-        # the floors are the only lattice point summing to the fleet size
-        target = floors.copy()
-        if hall_condition(target, feas):
-            return target
-
-    # largest-remainder order first, then the rest of the lattice
-    if missing > 0:
-        order = candidates[np.argsort(-fracs[candidates], kind="stable")]
-        target = floors.copy()
-        target[order[:missing]] += 1
-        if hall_condition(target, feas):
-            return target
-        tried = 0
-        for combo in combinations(sorted(candidates.tolist()), missing):
-            target = floors.copy()
-            target[list(combo)] += 1
-            if hall_condition(target, feas):
-                return target
-            tried += 1
-            if tried > 1_000_000:
-                break
-
-    raise InfeasibleTargetError(
-        "no matchable rounding exists; the input split was not admissible"
-    )
+    order = candidates[np.argsort(-fracs[candidates], kind="stable")]
+    mandatory = np.repeat(np.arange(x.size), floors)
+    stations = np.concatenate([mandatory, order])
+    slot_cost = np.concatenate([np.full(mandatory.size, -1.0),
+                                -0.5 ** (np.arange(order.size) + 2.0)])
+    match = _assign_slots(np.where(feas.reach[:, stations], slot_cost, np.inf))
+    if match is None or np.count_nonzero(match[1] < mandatory.size) < mandatory.size:
+        raise InfeasibleTargetError(
+            "no matchable rounding exists; the input split was not admissible"
+        )
+    return np.bincount(stations[match[1]], minlength=x.size)

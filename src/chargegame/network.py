@@ -34,14 +34,10 @@ class RoadNetwork:
         self.node_ids = np.asarray(self.node_ids, dtype=int)
         self.coords = np.asarray(self.coords, dtype=float)
         self.edges = np.asarray(self.edges, dtype=float)
-        self._index = {int(nid): k for k, nid in enumerate(self.node_ids)}
 
     @property
     def n_nodes(self) -> int:
         return self.node_ids.size
-
-    def index_of(self, node_id: int) -> int:
-        return self._index[int(node_id)]
 
     def _graph(self) -> csr_matrix:
         n = self.n_nodes

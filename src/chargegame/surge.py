@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linprog
 
 from .errors import InfeasibleTargetError, ZeroGainError
-from .feasible import FeasibilityStructure, hall_condition
+from .feasible import FeasibilityStructure, _assign_slots, hall_condition
 
 DEFAULT_MARGIN = 1e-6
 _STRICT_EPS = 1e-7
@@ -83,9 +83,6 @@ class SurgeSolution:
     mode: str                       # "equal-price" or "per-vehicle"
     solver_info: str = ""
 
-    def station_counts(self, n_stations: int) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=n_stations)
-
 
 @dataclass
 class VerifyResult:
@@ -102,43 +99,22 @@ def fleet_feasibility(drivers: list[DriverParams], n_stations: int) -> Feasibili
 
 
 def assign_vehicles(target: np.ndarray, feas: FeasibilityStructure) -> np.ndarray:
-    """Many-to-one matching hitting exactly ``target[j]`` vehicles per station.
+    """Station per vehicle, with exactly ``target[j]`` vehicles at station j.
 
-    Augmenting-path search over stations with capacities; guaranteed to
-    fill every slot when the marriage condition holds.
+    One assignment solve of the vehicles onto the target's slots; raises
+    ``InfeasibleTargetError`` when no such matching exists, including when
+    the target does not sum to the fleet size.
     """
     target = np.asarray(target, dtype=int)
-    if not hall_condition(target, feas):
-        raise InfeasibleTargetError("target violates the matching condition")
-    m = feas.n_stations
     n_v = feas.n_vehicles
-    counts = np.zeros(m, dtype=int)
-    assigned = np.full(n_v, -1, dtype=int)
-    at_station: list[list[int]] = [[] for _ in range(m)]
-
-    def augment(v: int, seen: set[int]) -> bool:
-        # place v at a station outside `seen`, relocating occupants if needed
-        for j in sorted(feas.vehicle_stations[v]):
-            if j in seen:
-                continue
-            seen.add(j)
-            if counts[j] < target[j]:
-                counts[j] += 1
-                at_station[j].append(v)
-                assigned[v] = j
-                return True
-            for u in list(at_station[j]):
-                if augment(u, seen):
-                    at_station[j].remove(u)
-                    at_station[j].append(v)
-                    assigned[v] = j
-                    return True
-        return False
-
-    order = sorted(range(n_v), key=lambda v: (len(feas.vehicle_stations[v]), v))
-    for v in order:
-        if not augment(v, set()):
-            raise RuntimeError("matching failed despite a satisfied marriage condition")
+    if np.any(target < 0) or int(target.sum()) != n_v:
+        raise InfeasibleTargetError("target does not split the fleet")
+    slots = np.repeat(np.arange(feas.n_stations), target)
+    match = _assign_slots(np.where(feas.reach[:, slots], 0.0, np.inf))
+    if match is None:
+        raise InfeasibleTargetError("target violates the matching condition")
+    assigned = np.empty(n_v, dtype=int)
+    assigned[match[0]] = slots[match[1]]
     return assigned
 
 
@@ -306,11 +282,10 @@ def _equal_price_assignment(target, drivers, prices, rho_min,
     cost = np.where(reach, a, np.inf)
 
     slots = np.repeat(np.arange(m), target)
-    try:
-        _, cols = linear_sum_assignment(cost[:, slots])
-    except ValueError:          # no assignment hits the target
+    match = _assign_slots(cost[:, slots])
+    if match is None:           # no assignment hits the target
         return None
-    station = slots[cols]
+    station = slots[match[1]]
 
     rows = np.arange(n)
     advantage = a[rows, station][:, None] - cost   # -inf where unreachable
@@ -459,21 +434,21 @@ def two_step(target: np.ndarray, drivers: list[DriverParams],
 
     Always returns a zero tracking cost for matchable targets, at the
     expense of individualized surge prices when the shared vector cannot
-    split identical drivers.
+    split identical drivers. Raises ``InfeasibleTargetError`` up front when
+    no matching of the drivers onto the target exists.
     """
     prices = np.asarray(prices, dtype=float)
     if rho_min is None:
         rho_min = np.zeros(prices.size)
     rho_min = np.asarray(rho_min, dtype=float)
-    feas = fleet_feasibility(drivers, prices.size)
-    if not hall_condition(np.asarray(target, dtype=int), feas):
-        raise InfeasibleTargetError("target violates the matching condition")
+    target = np.asarray(target, dtype=int)
+    # the one matchability decision: raises InfeasibleTargetError
+    assignment = assign_vehicles(target, fleet_feasibility(drivers, prices.size))
 
     eq = equal_price_solve(target, drivers, prices, rho_min,
                            budget=equal_budget, seed=seed)
-    if eq.j_m == 0.0 and verify_zero_cost(eq, target, drivers, prices):
+    if eq.j_m == 0.0 and _hits_target(eq, target, drivers, prices):
         return eq
-    assignment = assign_vehicles(np.asarray(target, dtype=int), feas)
     return per_vehicle_prices(assignment, drivers, prices, rho_min, margin)
 
 
@@ -482,16 +457,20 @@ def verify_zero_cost(solution: SurgeSolution, target: np.ndarray,
     """Recompute every best response and compare the aggregate to the target."""
     target = np.asarray(target, dtype=int)
     prices = np.asarray(prices, dtype=float)
-    m = prices.size
-    feas = fleet_feasibility(drivers, m)
+    feas = fleet_feasibility(drivers, prices.size)
     if not hall_condition(target, feas):
         return VerifyResult(False, infeasible_target=True)
+    return VerifyResult(_hits_target(solution, target, drivers, prices))
+
+
+def _hits_target(solution: SurgeSolution, target: np.ndarray,
+                 drivers: list[DriverParams], prices: np.ndarray) -> bool:
+    """Do the drivers' best responses to the solution's surge give the target?"""
     mu = np.array([
         driver_best_response(d, solution.surge[v], prices)
         for v, d in enumerate(drivers)
     ])
-    sigma = np.bincount(mu, minlength=m)
-    return VerifyResult(bool(np.array_equal(sigma, target)))
+    return bool(np.array_equal(np.bincount(mu, minlength=prices.size), target))
 
 
 def surge_price_rows(solutions: list[SurgeSolution]):

@@ -11,7 +11,6 @@ import pytest
 
 from chargegame.equilibrium import (default_start, lambda_max_closed_form,
                                     solve_nash, step_size_bound)
-from chargegame.feasible import FeasibilityStructure, hall_condition
 from chargegame.harness import (ExperimentConfig, fixed_price_nash,
                                 grid_search, run_pipeline)
 from chargegame.model import (aggregate, government_cost, reduced_cost,
@@ -22,7 +21,7 @@ from chargegame.surge import driver_best_response, two_step
 
 from conftest import dense_f1, random_simplex
 from test_equilibrium import make_instance, qp_oracle
-from test_feasible import maxflow_feasible, random_fleet
+from test_feasible import hall_oracle_disagreements
 from test_surge import make_driver, random_feasible_target
 
 
@@ -119,18 +118,10 @@ def test_criterion_4_step_bound_and_monotonicity(ref_game):
 
 
 def test_criterion_5_hall_equals_maxflow():
-    rng = np.random.default_rng(12)
-    disagreements = 0
-    for _ in range(1000):
-        m = int(rng.integers(2, 5))
-        n_v = int(rng.integers(1, 9))
-        reach = random_fleet(rng, n_v, m)
-        feas = FeasibilityStructure.from_matrix(reach)
-        target = rng.multinomial(n_v, np.ones(m) / m)
-        if hall_condition(target, feas) != maxflow_feasible(target, reach):
-            disagreements += 1
-    assert disagreements == 0
-    _report(5, "1000 random instances, subset check == max-flow oracle")
+    subset_bad, maxflow_bad = hall_oracle_disagreements(np.random.default_rng(12))
+    assert (subset_bad, maxflow_bad) == (0, 0)
+    _report(5, "1000 random instances, targets summing to n, n - 1 and n + 1: "
+               "assignment check == subset-enumeration oracle == max-flow oracle")
 
 
 def test_criterion_6_surge_tracking_always_exact():

@@ -1,0 +1,25 @@
+"""Smoke runs of the demos that reach rounding and matching."""
+
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def run_demo(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_surge_pricing_demo(tmp_path, monkeypatch, capsys):
+    out = run_demo("03_surge_pricing.py", tmp_path, monkeypatch, capsys)
+    assert out.count("responses verified: True") == 3
+    assert "surge_prices.csv preview" in out
+
+
+def test_full_pipeline_demo(tmp_path, monkeypatch, capsys):
+    out = run_demo("05_full_pipeline.py", tmp_path, monkeypatch, capsys)
+    written = {p.name for p in (tmp_path / "out" / "demo_run").iterdir()}
+    assert {"allocation.csv", "snapshot.csv", "surge_prices.csv"} <= written
+    assert "lower level tracking cost per company: [0.0, 0.0, 0.0]" in out

@@ -45,8 +45,9 @@ class TestAssignVehicles:
 
     def test_infeasible_target_raises(self):
         feas = FeasibilityStructure(2, (frozenset([0]), frozenset([0])))
-        with pytest.raises(InfeasibleTargetError):
-            assign_vehicles(np.array([1, 1]), feas)
+        for target in ([1, 1], [1, 0], [3, 0]):     # unmatchable, short, over
+            with pytest.raises(InfeasibleTargetError):
+                assign_vehicles(np.array(target), feas)
 
     def test_500_random_instances(self):
         rng = np.random.default_rng(0)
