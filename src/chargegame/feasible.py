@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateFleetError, EmptyPolytopeError, InfeasibleTargetError
 from .qp import PolytopeProjector
@@ -124,8 +124,9 @@ class AdmissiblePolytope:
 
     Rows of ``g_mat``/``h`` hold the proper-subset caps followed by the
     nonnegativity rows; membership additionally requires the entries to sum
-    to one. ``feasible_point`` is None when the set is empty (degenerate
-    fleet state); every other operation refuses to run on an empty set.
+    to one. ``projector`` is built with the polytope and decides emptiness
+    (degenerate fleet state); every other operation refuses to run on an
+    empty set.
     """
 
     n_stations: int
@@ -133,35 +134,21 @@ class AdmissiblePolytope:
     subset_masks: np.ndarray       # bitmask per subset row
     g_mat: np.ndarray              # (n_sub + n_stations, n_stations)
     h: np.ndarray
-    feasible_point: np.ndarray | None
-    _projector: PolytopeProjector | None = field(default=None, repr=False)
+    projector: PolytopeProjector = field(repr=False)
 
     @property
     def is_empty(self) -> bool:
-        return self.feasible_point is None
+        return self.projector.is_empty
 
     @property
     def forced_zero(self) -> np.ndarray:
         """Stations whose allocation is pinned to zero by a zero subset cap."""
-        out = np.zeros(self.n_stations, dtype=bool)
-        n_sub = self.subset_masks.shape[0]
-        for row in range(n_sub):
-            if self.h[row] <= 1e-15:
-                for j in range(self.n_stations):
-                    if self.subset_masks[row] >> j & 1:
-                        out[j] = True
-        return out
+        zero = self.subset_masks[self.h[:self.subset_masks.size] <= 1e-15]
+        return (zero[:, None] >> np.arange(self.n_stations) & 1).astype(bool).any(axis=0)
 
     def _require_nonempty(self):
         if self.is_empty:
             raise EmptyPolytopeError("admissible allocation set is empty")
-
-    @property
-    def projector(self) -> PolytopeProjector:
-        self._require_nonempty()
-        if self._projector is None:
-            self._projector = PolytopeProjector(self.g_mat, self.h, self.feasible_point)
-        return self._projector
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -171,17 +158,13 @@ class AdmissiblePolytope:
             return False
         return bool(np.all(self.g_mat @ x <= self.h + tol))
 
-    def project(self, y: np.ndarray) -> np.ndarray:
+    def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         self._require_nonempty()
-        return self.projector.project(y)
+        return self.projector.project(y, weights)
 
     def project_batch(self, y_rows: np.ndarray) -> np.ndarray:
         self._require_nonempty()
         return self.projector.project_batch(y_rows)
-
-    def project_weighted(self, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        self._require_nonempty()
-        return self.projector.project(y, weights=weights)
 
 
 def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> AdmissiblePolytope:
@@ -212,12 +195,7 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
 
     g_mat = np.vstack([rows, -np.eye(m)]) if masks.size else -np.eye(m)
     h = np.concatenate([rhs, np.zeros(m)]) if masks.size else np.zeros(m)
-
-    res = linprog(np.zeros(m), A_ub=g_mat, b_ub=h,
-                  A_eq=np.ones((1, m)), b_eq=[1.0],
-                  bounds=[(None, None)] * m, method="highs")
-    feasible_point = res.x if res.status == 0 else None
-    return AdmissiblePolytope(m, fleet_size, masks, g_mat, h, feasible_point)
+    return AdmissiblePolytope(m, fleet_size, masks, g_mat, h, PolytopeProjector(g_mat, h))
 
 
 def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np.ndarray:

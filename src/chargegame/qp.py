@@ -1,59 +1,39 @@
-"""Small dense quadratic-programming kernels.
+"""Exact weighted projection onto allocation polytopes.
 
 Everything in this module solves instances of
 
     min_x  1/2 (x - y)^T W (x - y)    s.t.   1^T x = s,   G x <= h,
 
-with W a positive diagonal weight matrix. Euclidean projection onto an
+with W a positive diagonal weight matrix and every row of G the indicator
+of a station subset, or its negation. Euclidean projection onto an
 allocation polytope is the W = I special case; per-company best responses
 of the pricing game reduce to the weighted case because their Hessians are
 diagonal.
 
 `PolytopeProjector.project_batch` is the one entry point; a single
-projection, weighted or not, is a batch of one row. It has two paths,
-chosen once per polytope when the projector is built:
+projection, weighted or not, is a batch of one row. It has two exact
+paths, chosen once per polytope when the projector is built:
 
 * Lower-bounded simplex. When the rows of G x <= h only restate
   x >= l (nonnegativity rows, caps on all stations but one, and rows the
-  simplex {1^T x = s, x >= l} already implies), the projection is exact
-  and closed form: a sort of the breakpoints w (y - l) per row (Duchi et
-  al., ICML 2008; Condat, Math. Prog. 2016). Full-reach fleets give such
-  polytopes.
-* Everything else runs a textbook primal active-set loop. Problem sizes
-  are tiny (a handful of variables, a few dozen constraints), so every
-  working-set change costs one small dense solve of the normal equations
-
-      B W^-1 B^T nu = B y - [s; h_W],      x = y - W^-1 B^T nu,
-
-  where B stacks the equality row on top of the active inequality rows.
-  Rows that share a working set share the solve, so thousands of rows
-  (grid searches, robustness sweeps) amortize each factorization.
+  simplex {1^T x = s, x >= l} already implies), the projection is a sort
+  of the breakpoints w (y - l) per row (Duchi et al., ICML 2008; Condat,
+  Math. Prog. 2016). Full-reach fleets give such polytopes.
+* Every other polytope is the base polytope of its rank vector
+  f(S) = max{x(S) : x in P}, computed once by one LP per station subset
+  and certified submodular. The projection then follows a chain of tight
+  sets: with g = f - y and W(S) = sum of 1/w_j over S, the chain walks
+  the lower convex hull of the points (W(S), g(S)) from the empty set to
+  all stations, and each block B it adds gets x_B = y_B + slope / w_B
+  (Fujishige, *Submodular Functions and Optimization*, 2nd ed. 2005,
+  sections 3 and 8.2; Bach, *Learning with Submodular Functions*,
+  FnT ML 2013, section 9). At most m rounds, each over all 2^m subsets.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_CONV_TOL = 1e-11      # step considered zero below this
-_MULT_TOL = 1e-10      # multiplier considered nonnegative above -this
-_BLOCK_TOL = 1e-13     # direction considered to approach a constraint
-
-
-def _solve_kkt(b_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (B B^T) nu = rhs for one or many right-hand sides.
-
-    Weighted projections pass B W^-1/2, so that B B^T is the weighted
-    normal matrix B W^-1 B^T.
-
-    Falls back to least squares when the active rows are linearly
-    dependent (e.g. a subset constraint together with its complement and
-    the simplex equality).
-    """
-    k_mat = b_mat @ b_mat.T
-    try:
-        return np.linalg.solve(k_mat, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(k_mat, rhs, rcond=None)[0]
+from scipy.optimize import linprog
 
 
 def _simplex_lower_bound(g_mat: np.ndarray, h: np.ndarray, total: float) -> np.ndarray | None:
@@ -83,18 +63,63 @@ def _simplex_lower_bound(g_mat: np.ndarray, h: np.ndarray, total: float) -> np.n
     return lower
 
 
-class PolytopeProjector:
-    """Projector onto ``{x : sum(x) = total, G x <= h}`` with batch support."""
+def _rank_vector(g_mat: np.ndarray, h: np.ndarray, total: float,
+                 members: np.ndarray) -> np.ndarray | None:
+    """f(S) = max{x(S) : x in P} for every subset S (row of ``members``).
 
-    def __init__(self, g_mat: np.ndarray, h: np.ndarray, feasible_point: np.ndarray,
-                 total: float = 1.0):
+    Returns None when P is empty. Refuses a polytope that is not the base
+    polytope of a submodular f: a row of G that is not a subset indicator
+    (or its negation), an unbounded P, or a failed local submodularity test
+    f(S+i) + f(S+j) >= f(S+i+j) + f(S).
+    """
+    if not np.all(np.isin(g_mat, (0.0, 1.0)).all(axis=1) | np.isin(g_mat, (0.0, -1.0)).all(axis=1)):
+        raise ValueError("every row of G must be a station-subset indicator or its negation")
+    n = g_mat.shape[1]
+    rank = np.zeros(members.shape[0])
+    for mask in range(1, members.shape[0]):
+        res = linprog(-1.0 * members[mask], A_ub=g_mat, b_ub=h, A_eq=np.ones((1, n)),
+                      b_eq=[total], bounds=[(None, None)] * n, method="highs")
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise ValueError(f"rank LP failed on subset {mask}: {res.message}")
+        rank[mask] = -res.fun
+    masks = np.arange(members.shape[0])
+    # HiGHS returns vertex values to within rounding, far below this slack
+    slack = 1e-9 * max(1.0, abs(total))
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = masks[(masks >> i & 1 == 0) & (masks >> j & 1 == 0)]
+            si, sj = s | 1 << i, s | 1 << j
+            if np.any(rank[si] + rank[sj] < rank[si | 1 << j] + rank[s] - slack):
+                raise ValueError("the polytope is not a submodular base polytope: "
+                                 f"its rank vector fails the exchange test at stations {i}, {j}")
+    return rank
+
+
+class PolytopeProjector:
+    """Projector onto ``{x : sum(x) = total, G x <= h}`` with batch support.
+
+    ``lower`` is set when the polytope is a lower-bounded simplex; otherwise
+    ``rank`` holds f over all 2^n subsets (bit j of the index is station
+    j), or is None when the polytope is empty.
+    """
+
+    def __init__(self, g_mat: np.ndarray, h: np.ndarray, total: float = 1.0):
         self.g_mat = np.asarray(g_mat, dtype=float)
         self.h = np.asarray(h, dtype=float)
-        self.feasible_point = np.asarray(feasible_point, dtype=float)
         self.total = float(total)
         self.n = self.g_mat.shape[1]
-        self._ones = np.ones(self.n)
         self.lower = _simplex_lower_bound(self.g_mat, self.h, self.total)
+        self.members = self.rank = None
+        if self.lower is None:
+            masks = np.arange(1 << self.n)
+            self.members = (masks[:, None] >> np.arange(self.n) & 1).astype(bool)
+            self.rank = _rank_vector(self.g_mat, self.h, self.total, self.members)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.lower is None and self.rank is None
 
     def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -104,89 +129,48 @@ class PolytopeProjector:
                       weights: np.ndarray | None = None) -> np.ndarray:
         """Project every row of ``y_rows``.
 
-        A lower-bounded simplex (``lower`` set) is projected in closed form;
-        otherwise rows sharing an active-set working set share solves.
-
         ``weights`` (positive, one per variable, shared by all rows) turns
         the Euclidean distance into ``1/2 sum(w * (x - y)**2)``.
         """
         y_rows = np.asarray(y_rows, dtype=float)
-        n_rows, n = y_rows.shape
-        g_mat, h = self.g_mat, self.h
-        n_ineq = g_mat.shape[0]
-        w = self._ones if weights is None else np.asarray(weights, dtype=float)
+        w = np.ones(self.n) if weights is None else np.asarray(weights, dtype=float)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
+        if self.is_empty:
+            raise ValueError("cannot project onto an empty polytope")
         if self.lower is not None:
             return self._project_simplex(y_rows, w)
-        w_inv_sqrt = np.sqrt(1.0 / w)
+        return self._project_chain(y_rows, w)
 
-        x = np.broadcast_to(self.feasible_point, (n_rows, n)).copy()
-        active = np.abs(x @ g_mat.T - h[None, :]) <= 1e-10
-        done = np.zeros(n_rows, dtype=bool)
-        out = np.empty_like(y_rows)
+    def _project_chain(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Exact projection onto the base polytope of ``rank``.
 
-        max_sweeps = 50 * (n + n_ineq + 1)
-        for _ in range(max_sweeps):
-            todo = np.flatnonzero(~done)
-            if todo.size == 0:
-                return out
-            # group rows by identical working sets
-            keys = np.packbits(active[todo], axis=1)
-            order = np.lexsort(keys.T[::-1])
-            todo = todo[order]
-            keys = keys[order]
-            boundaries = np.flatnonzero(np.any(np.diff(keys, axis=0) != 0, axis=1)) + 1
-            groups = np.split(todo, boundaries)
-
-            for rows in groups:
-                idx = np.flatnonzero(active[rows[0]])
-                b_mat = np.vstack([self._ones[None, :], g_mat[idx]])
-                rhs = y_rows[rows] @ b_mat.T - np.concatenate(([self.total], h[idx]))[None, :]
-                nu = _solve_kkt(b_mat * w_inv_sqrt, rhs.T).T
-                x_hat = y_rows[rows] - nu @ (b_mat / w)
-                p = x_hat - x[rows]
-                small = np.abs(p).max(axis=1) <= _CONV_TOL
-
-                # converged candidates: accept or drop the worst multiplier
-                conv_rows = rows[small]
-                if conv_rows.size:
-                    mu = nu[small][:, 1:]
-                    if mu.shape[1] == 0:
-                        out[conv_rows] = x_hat[small]
-                        done[conv_rows] = True
-                    else:
-                        worst = np.argmin(mu, axis=1)
-                        ok = mu[np.arange(mu.shape[0]), worst] >= -_MULT_TOL
-                        acc = conv_rows[ok]
-                        out[acc] = x_hat[small][ok]
-                        done[acc] = True
-                        rej = conv_rows[~ok]
-                        active[rej, idx[worst[~ok]]] = False
-
-                # stepping rows: move until a blocking constraint activates
-                step_rows = rows[~small]
-                if step_rows.size:
-                    p_s = p[~small]
-                    inact = ~active[step_rows[0]]
-                    cols = np.flatnonzero(inact)
-                    alpha = np.ones(step_rows.size)
-                    block = np.full(step_rows.size, -1, dtype=int)
-                    if cols.size:
-                        g_p = p_s @ g_mat[cols].T
-                        slack = np.maximum(h[cols][None, :] - x[step_rows] @ g_mat[cols].T, 0.0)
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            ratios = np.where(g_p > _BLOCK_TOL, slack / g_p, np.inf)
-                        j = np.argmin(ratios, axis=1)
-                        best = ratios[np.arange(step_rows.size), j]
-                        hit = best < alpha
-                        alpha[hit] = best[hit]
-                        block[hit] = cols[j[hit]]
-                    x[step_rows] = x[step_rows] + alpha[:, None] * p_s
-                    add = block >= 0
-                    active[step_rows[add], block[add]] = True
-
-        raise RuntimeError("batched active-set projection did not converge")
+        Each round moves every row from its tight set S to the superset T
+        of least slope (g(T) - g(S)) / (W(T) - W(S)), the largest W on
+        ties, and gives the new block T \\ S the multiplier w_j (x_j - y_j)
+        equal to that slope. Rows are independent; they share the rounds.
+        """
+        members = self.members
+        g = self.rank[None, :] - y_rows @ members.T        # (rows, 2^n)
+        width = members @ (1.0 / w)                         # W(S)
+        masks = np.arange(members.shape[0])
+        full = masks[-1]
+        tight = np.zeros(y_rows.shape[0], dtype=int)
+        slope = np.zeros_like(y_rows)
+        live = np.arange(y_rows.shape[0])
+        while live.size:
+            s = tight[live]
+            superset = ((masks[None, :] & s[:, None]) == s[:, None]) & (masks[None, :] != s[:, None])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rise = np.where(superset, (g[live] - g[live, s][:, None])
+                                / (width[None, :] - width[s][:, None]), np.inf)
+            least = rise.min(axis=1)
+            nxt = np.argmax(np.where(rise == least[:, None], width[None, :], -np.inf), axis=1)
+            block = members[nxt] & ~members[s]
+            slope[live] = np.where(block, least[:, None], slope[live])
+            tight[live] = nxt
+            live = live[nxt != full]
+        return y_rows + slope / w
 
     def _project_simplex(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Exact projection onto {sum(x) = total, x >= lower}.

@@ -192,7 +192,7 @@ def best_response_gap(instance: GameInstance, x: np.ndarray) -> np.ndarray:
         sigma_others = sigma - n_i * blocks[i]
         hess = n_i**2 * w
         lin = n_i * w * sigma_others + n_i * instance.government.linear
-        best = poly.project_weighted(-lin / hess, hess)
+        best = poly.project(-lin / hess, weights=hess)
         gaps[i] = (reduced_cost(instance, i, blocks[i], sigma_others)
                    - reduced_cost(instance, i, best, sigma_others))
     return gaps

@@ -4,9 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from chargegame import qp
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
-from chargegame.qp import PolytopeProjector
+from chargegame.qp import PolytopeProjector, _rank_vector
 
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
@@ -62,7 +64,7 @@ def kkt_residual(x, y, g_mat, h, weights=None):
 
 
 def test_simplex_projection_matches_hand_value():
-    proj = PolytopeProjector(-np.eye(2), np.zeros(2), np.array([0.5, 0.5]))
+    proj = PolytopeProjector(-np.eye(2), np.zeros(2))
     out = proj.project(np.array([2.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
 
@@ -70,7 +72,7 @@ def test_simplex_projection_matches_hand_value():
 def test_idempotence_inside_point():
     rng = np.random.default_rng(0)
     poly = random_polytope(rng, 3)
-    inside = poly.feasible_point
+    inside = poly.project(rng.normal(0, 1.5, 3))
     assert np.allclose(poly.project(inside), inside, atol=1e-9)
 
 
@@ -139,7 +141,7 @@ def test_weighted_projection_matches_oracle():
         ys = rng.normal(0, 2, (50, m))
         w = rng.uniform(0.5, 4.0, m)
         got = poly.projector.project_batch(ys, w)
-        assert np.allclose(poly.project_weighted(ys[0], w), got[0], atol=1e-9)
+        assert np.allclose(poly.project(ys[0], weights=w), got[0], atol=1e-9)
         for y, x in zip(ys, got):
             want = oracle_project(y, poly.g_mat, poly.h, weights=w)
             assert np.linalg.norm(x - want) <= 1e-7
@@ -149,7 +151,7 @@ def test_weighted_rejects_nonpositive_weights():
     rng = np.random.default_rng(7)
     poly = random_polytope(rng, 3)
     with pytest.raises(ValueError):
-        poly.project_weighted(np.zeros(3), np.array([1.0, -1.0, 1.0]))
+        poly.project(np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
 
 
 def lower_bounded_simplex(rng, m, tight=False, with_zero=False):
@@ -177,14 +179,16 @@ def lower_bounded_simplex(rng, m, tight=False, with_zero=False):
             rhs.append(lower[subset].sum() + slack + rng.choice([0.0, 0.25]))
     g_mat = np.vstack(rows + [-np.eye(m)])
     h = np.concatenate([rhs, np.zeros(m)])
-    return g_mat, h, lower, lower + slack / m
+    return g_mat, h, lower
 
 
-def active_set_projector(proj):
-    """The same polytope, forced onto the general active-set path."""
-    general = PolytopeProjector(proj.g_mat, proj.h, proj.feasible_point)
-    general.lower = None
-    return general
+def chain_projector(proj):
+    """The same polytope, forced onto the chain-of-tight-sets path."""
+    chain = PolytopeProjector(proj.g_mat, proj.h, proj.total)
+    chain.lower = None
+    chain.members = (np.arange(1 << chain.n)[:, None] >> np.arange(chain.n) & 1).astype(bool)
+    chain.rank = _rank_vector(chain.g_mat, chain.h, chain.total, chain.members)
+    return chain
 
 
 class TestLowerBoundedSimplex:
@@ -194,8 +198,8 @@ class TestLowerBoundedSimplex:
         rng = np.random.default_rng(11 + 2 * tight + with_zero)
         for trial in range(8):
             m = int(rng.integers(2, 5))
-            g_mat, h, lower, inside = lower_bounded_simplex(rng, m, tight, with_zero)
-            proj = PolytopeProjector(g_mat, h, inside)
+            g_mat, h, lower = lower_bounded_simplex(rng, m, tight, with_zero)
+            proj = PolytopeProjector(g_mat, h)
             assert np.array_equal(proj.lower, lower)
             ys = rng.normal(0, 1.5, (8, m))
             for w in (None, rng.uniform(0.5, 4.0, m)):
@@ -203,8 +207,8 @@ class TestLowerBoundedSimplex:
                 if tight:   # the set is the point l
                     assert np.array_equal(fast, np.tile(lower, (8, 1)))
                 else:
-                    general = active_set_projector(proj).project_batch(ys, w)
-                    assert np.abs(fast - general).max() <= 1e-10, f"trial {trial}"
+                    chain = chain_projector(proj).project_batch(ys, w)
+                    assert np.abs(fast - chain).max() <= 1e-10, f"trial {trial}"
                     assert np.all(fast >= lower)
                     assert np.abs(fast.sum(axis=1) - 1.0).max() <= 1e-12
                 for y, x in zip(ys, fast):
@@ -213,10 +217,8 @@ class TestLowerBoundedSimplex:
                     want = oracle_project(y, g_mat, h, weights=w)
                     assert np.abs(x - want).max() <= 1e-10, f"trial {trial}"
 
-    @pytest.mark.xfail(raises=RuntimeError, strict=True,
-                       reason="the active-set loop cycles on a single-point set "
-                              "where every cap is tight")
-    def test_active_set_on_single_point_set(self):
+    def test_chain_on_single_point_set(self):
+        # every cap is tight at l, the set's only point
         g_mat, h = [], []
         lower = np.array([0.0, 3.0, 29.0]) / 32
         for mask, slack in zip(range(1, 7), (0, 0, 0, 0.25, 0, 0)):
@@ -225,10 +227,10 @@ class TestLowerBoundedSimplex:
             h.append(lower[subset].sum() + slack)
         g_mat = np.vstack(g_mat + [-np.eye(3)])
         h = np.concatenate([h, np.zeros(3)])
-        general = active_set_projector(PolytopeProjector(g_mat, h, lower))
+        chain = chain_projector(PolytopeProjector(g_mat, h))
         y = np.array([-0.4036594304354752, 0.40560184483093675, -1.0132865658167611])
         w = np.array([0.9835799018839195, 1.3233156479422865, 1.5986567703183105])
-        assert np.abs(general.project(y, w) - lower).max() <= 1e-10
+        assert np.abs(chain.project(y, w) - lower).max() <= 1e-12
 
     def test_accepts_demo_fleet_polytopes(self, demo_build):
         for poly in demo_build.instance.polytopes:
@@ -247,9 +249,83 @@ class TestLowerBoundedSimplex:
         # x0 + x1 <= 1/2 cuts the simplex {x >= 0}; projection must honour it
         g_mat = np.vstack([[1.0, 1.0, 0.0, 0.0], -np.eye(4)])
         h = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
-        proj = PolytopeProjector(g_mat, h, np.full(4, 0.25))
+        proj = PolytopeProjector(g_mat, h)
         assert proj.lower is None
+        assert proj.rank is not None    # certified submodular
         y = np.array([0.9, 0.6, -0.2, 0.1])
         x = proj.project(y)
         assert x[0] + x[1] <= 0.5 + 1e-12
         assert np.abs(x - oracle_project(y, g_mat, h)).max() <= 1e-10
+
+
+def first_order_gap(x, y, w, g_mat, h):
+    """min over z in P of <w (x - y), z - x>; x is the projection iff >= 0."""
+    c = w * (x - y)
+    res = linprog(c, A_ub=g_mat, b_ub=h, A_eq=np.ones((1, x.size)), b_eq=[1.0],
+                  bounds=[(None, None)] * x.size, method="highs")
+    assert res.status == 0
+    return res.fun - c @ x
+
+
+class TestChainOfTightSets:
+    @pytest.mark.parametrize("seed,row", [(229, 0), (49, 11)])
+    def test_weighted_partial_reach_regression(self, seed, row):
+        # a primal active-set loop ran out of sweeps on exactly these inputs
+        rng = np.random.default_rng(seed)
+        reach = rng.random((30, 5)) < 0.4
+        reach[~reach.any(1), 0] = True
+        poly = admissible_polytope(FeasibilityStructure.from_matrix(reach), 30)
+        w = rng.uniform(0.5, 4, 5)
+        y = rng.normal(0, 1.5, (20, 5))[row]
+        x = poly.project(y, weights=w)
+        assert poly.projector.lower is None
+        assert poly.contains(x, tol=1e-12)
+        assert first_order_gap(x, y, w, poly.g_mat, poly.h) >= -1e-10
+
+    def test_certifies_random_partial_reach_polytopes(self):
+        # two stations always give a lower-bounded simplex, so m runs 3..7
+        rng = np.random.default_rng(17)
+        certified = 0
+        while certified < 100:
+            m = 3 + certified % 5
+            n_v = int(rng.integers(8 * m, 16 * m))
+            reach = rng.random((n_v, m)) < 0.3
+            reach[~reach.any(axis=1), rng.integers(0, m)] = True
+            poly = admissible_polytope(FeasibilityStructure.from_matrix(reach), n_v)
+            if poly.is_empty or poly.projector.lower is not None:
+                continue
+            proj = poly.projector
+            y = rng.normal(0, 1.5, m)
+            w = rng.uniform(0.5, 4.0, m)
+            x = proj.project(y, w)
+            assert poly.contains(x, tol=1e-10)
+            assert first_order_gap(x, y, w, poly.g_mat, poly.h) >= -1e-10
+            certified += 1
+
+    def test_refuses_non_submodular_caps(self):
+        # f({0,1}) + f({1,2}) = 0.6 < f({0,1,2}) + f({1}) = 0.9
+        g_mat = np.vstack([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], -np.eye(4)])
+        h = np.array([0.3, 0.3, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="submodular"):
+            PolytopeProjector(g_mat, h)
+
+    def test_refuses_non_subset_rows(self):
+        g_mat = np.vstack([[1.0, 2.0, 0.0], -np.eye(3)])
+        with pytest.raises(ValueError, match="indicator"):
+            PolytopeProjector(g_mat, np.array([0.5, 0.0, 0.0, 0.0]))
+
+    def test_empty_polytope_is_reported(self):
+        # x0 + x1 <= 0.2 and x2 <= 0.3 leave no room for a unit of mass
+        g_mat = np.vstack([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], -np.eye(3)])
+        proj = PolytopeProjector(g_mat, np.array([0.2, 0.3, 0.0, 0.0, 0.0]))
+        assert proj.is_empty
+        with pytest.raises(ValueError, match="empty"):
+            proj.project(np.zeros(3))
+
+    def test_simplex_builds_without_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a lower-bounded simplex needs no LP")
+        monkeypatch.setattr(qp, "linprog", no_lp)
+        poly = admissible_polytope(FeasibilityStructure.full(20, 4), 20)
+        assert poly.projector.lower is not None
+        assert not poly.is_empty
