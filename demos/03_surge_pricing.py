@@ -10,7 +10,7 @@ import numpy as np
 
 from chargegame import (build_game, demo_scenario, discretize, solve_nash,
                         system_optimal_prices, two_step, verify_zero_cost)
-from chargegame.surge import fleet_feasibility, surge_price_rows
+from chargegame.surge import surge_price_rows
 
 build = build_game(demo_scenario())
 instance = build.instance
@@ -24,8 +24,7 @@ for i in range(instance.n_companies):
     sigma_others = report.sigma - instance.fleet_sizes[i] * x_i
     prices = system_optimal_prices(instance, i, x_i, sigma_others)
     drivers = build.drivers[i]
-    feas = fleet_feasibility(drivers, instance.n_stations)
-    target = discretize(x_i, feas, instance.companies[i].fleet_size)
+    target = discretize(x_i, build.feas[i], instance.companies[i].fleet_size)
 
     solution = two_step(target, drivers, prices, seed=100 + i)
     solutions.append(solution)

@@ -78,12 +78,8 @@ def game_map(instance: GameInstance, perturbation=None, prices: np.ndarray | Non
     outer = np.outer(n_vec, n_vec)
 
     if prices is not None:
-        prices = np.asarray(prices, dtype=float)
         f1 = instance.stations.queue_weight[:, None, None] * (outer + np.diag(n_vec**2))
-        f2 = np.concatenate([
-            c.lin + c.demand * prices + c.revenue for c in instance.companies
-        ])
-        return f1, f2
+        return f1, fixed_price_f2(instance, prices)
 
     f1 = instance.government.weight[:, None, None] * outer
     f2 = np.concatenate([n_i * instance.government.linear for n_i in n_vec])
@@ -93,6 +89,22 @@ def game_map(instance: GameInstance, perturbation=None, prices: np.ndarray | Non
         f1 = f1 + phi_l1
         f2 = f2 + phi_l2
     return f1, f2
+
+
+def fixed_price_f2(instance: GameInstance, price_rows,
+                   demand_rows=None) -> np.ndarray:
+    """F2 of the fixed-price game, stack_i((lin_i + revenue_i) + prices * demand_i).
+
+    ``price_rows`` is one price vector (m,) or one per row (rows, m);
+    ``demand_rows`` replaces the companies' demand diagonals, as one
+    (mc, m) array or one per row (rows, mc, m). The result is stacked like
+    x, with the leading row axis when either input has one.
+    """
+    base = np.stack([c.lin + c.revenue for c in instance.companies])
+    demand = (np.stack([c.demand for c in instance.companies])
+              if demand_rows is None else np.asarray(demand_rows, dtype=float))
+    f2 = base + np.asarray(price_rows, dtype=float)[..., None, :] * demand
+    return f2.reshape(*f2.shape[:-2], -1)
 
 
 def perturbation_map(instance: GameInstance, perturbation):

@@ -21,7 +21,6 @@ picks the matchable floor/ceil point that keeps the largest remainders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,52 +31,38 @@ from .qp import PolytopeProjector
 MAX_STATIONS_FOR_SUBSETS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityStructure:
     """Which vehicles can reach which stations, for one company.
 
-    ``vehicle_stations[v]`` is the set of station indices vehicle ``v``
-    can reach. ``reach`` is the same relation as a read-only boolean
-    (n_vehicles, n_stations) matrix; the station-side view (set of
-    vehicles that can reach a station) is read from it.
+    ``reach`` is a read-only boolean (n_vehicles, n_stations) matrix:
+    ``reach[v, j]`` says vehicle ``v`` can reach station ``j``. It is the
+    only stored form of the relation; every vehicle reaches some station.
     """
 
-    n_stations: int
-    vehicle_stations: tuple[frozenset[int], ...]
-    reach: np.ndarray = field(init=False, repr=False, compare=False)
+    reach: np.ndarray
 
     def __post_init__(self):
-        for v, omega in enumerate(self.vehicle_stations):
-            if not omega:
-                raise DegenerateFleetError(f"vehicle {v} cannot reach any station")
-            if min(omega) < 0 or max(omega) >= self.n_stations:
-                raise ValueError(f"vehicle {v} has out-of-range station index")
-        sizes = [len(omega) for omega in self.vehicle_stations]
-        reach = np.zeros((len(sizes), self.n_stations), dtype=bool)
-        reach[np.repeat(np.arange(len(sizes)), sizes),
-              np.fromiter(chain.from_iterable(self.vehicle_stations), dtype=int)] = True
+        reach = np.array(self.reach, dtype=bool)
+        if reach.ndim != 2:
+            raise ValueError("reach must be a (n_vehicles, n_stations) matrix")
+        dead = np.flatnonzero(~reach.any(axis=1))
+        if dead.size:
+            raise DegenerateFleetError(f"vehicle {dead[0]} cannot reach any station")
         reach.flags.writeable = False
         object.__setattr__(self, "reach", reach)
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.vehicle_stations)
+        return self.reach.shape[0]
 
-    def station_vehicles(self, j: int) -> frozenset[int]:
-        """Vehicles able to reach station ``j``."""
-        return frozenset(np.flatnonzero(self.reach[:, j]).tolist())
+    @property
+    def n_stations(self) -> int:
+        return self.reach.shape[1]
 
     @classmethod
     def full(cls, n_vehicles: int, n_stations: int) -> "FeasibilityStructure":
-        omega = frozenset(range(n_stations))
-        return cls(n_stations, tuple(omega for _ in range(n_vehicles)))
-
-    @classmethod
-    def from_matrix(cls, reachable: np.ndarray) -> "FeasibilityStructure":
-        """Build from a boolean (n_vehicles, n_stations) reachability matrix."""
-        reachable = np.asarray(reachable, dtype=bool)
-        sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in reachable)
-        return cls(reachable.shape[1], sets)
+        return cls(np.ones((n_vehicles, n_stations), dtype=bool))
 
 
 def _check_subset_count(n_stations: int):

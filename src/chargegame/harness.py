@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibrium, robustness, scenario as scenario_mod, surge
-from .equilibrium import (SolveReport, game_map, solve_nash, solve_nash_batch,
-                          step_bound)
+from .equilibrium import (SolveReport, fixed_price_f2, game_map, solve_nash,
+                          solve_nash_batch, step_bound)
 from .errors import PipelineStageError
 from .feasible import discretize
 from .model import GameInstance, government_cost, system_optimal_prices
@@ -145,12 +145,7 @@ def _evaluate_price_rows(instance: GameInstance, price_rows: np.ndarray,
                          tol: float) -> np.ndarray:
     """Authority loss at the fixed-price equilibrium for every price row."""
     rows = price_rows.shape[0]
-    m = instance.n_stations
-    f2 = np.empty((rows, instance.n_companies * m))
-    for i, comp in enumerate(instance.companies):
-        block = comp.lin + comp.revenue
-        f2[:, i * m:(i + 1) * m] = block[None, :] + price_rows * comp.demand[None, :]
-    out = solve_nash_batch(instance, f2, f1=f1,
+    out = solve_nash_batch(instance, fixed_price_f2(instance, price_rows), f1=f1,
                            gammas=np.full(rows, gamma),
                            max_iter=max_iter, tol=tol)
     return government_cost(out["sigma_final"], instance.government)
@@ -175,12 +170,17 @@ class PipelineResult:
     files: dict[str, Path] = field(default_factory=dict)
 
 
-def _stage(name: str):
+def _stage(name: str, seconds: dict[str, float]):
+    """Run one pipeline stage: add its wall time to ``seconds[name]`` and
+    tag any failure with the stage name."""
     def wrap(fn, *args, **kwargs):
+        t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         except Exception as exc:  # tag the failing stage for the CLI
             raise PipelineStageError(name, exc) from exc
+        finally:
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
     return wrap
 
 
@@ -190,31 +190,32 @@ def run_pipeline(config: ExperimentConfig,
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
+    seconds: dict[str, float] = {}     # wall time per stage
 
     if scenario is None:
         if config.scenario_path is None:
             scenario = scenario_mod.demo_scenario()
         else:
-            scenario = _stage("load-scenario")(load_scenario, config.scenario_path)
+            scenario = _stage("load-scenario", seconds)(load_scenario, config.scenario_path)
     if config.seed is not None:
         scenario.seed = config.seed
 
-    build = _stage("simulate-and-estimate")(build_game, scenario)
+    build = _stage("simulate-and-estimate", seconds)(build_game, scenario)
     instance = build.instance
     _write(files, out_dir, "snapshot.csv", scenario_mod.snapshot_rows(build.snapshot))
 
     t0 = time.perf_counter()
     if config.mechanism == "rsg":
-        upper = _stage("solve-upper")(
+        upper = _stage("solve-upper", seconds)(
             solve_nash, instance, max_iter=config.max_iter, tol=config.tol)
     elif config.mechanism == "fixed-price":
         price = config.fixed_price
         if price is None:
             price = DEFAULT_FLAT_PRICE[: instance.n_stations]
-        upper = _stage("solve-upper")(
+        upper = _stage("solve-upper", seconds)(
             fixed_price_nash, instance, price, config.max_iter, config.tol)
     else:
-        grid_res = _stage("grid-search")(
+        grid_res = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
             config.refine, config.max_iter, config.tol)
         upper = grid_res.report
@@ -224,9 +225,9 @@ def run_pipeline(config: ExperimentConfig,
     comparison: dict[str, tuple[float, np.ndarray]] = {}
     if config.mechanism == "rsg" and config.compare:
         base_price = DEFAULT_FLAT_PRICE[: instance.n_stations]
-        base = _stage("baseline")(fixed_price_nash, instance, base_price,
-                                  config.max_iter, config.tol)
-        grid_result = _stage("grid-search")(
+        base = _stage("baseline", seconds)(fixed_price_nash, instance, base_price,
+                                           config.max_iter, config.tol)
+        grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
             config.refine, config.max_iter, config.tol)
         comparison = {
@@ -245,11 +246,10 @@ def run_pipeline(config: ExperimentConfig,
     for i in range(instance.n_companies):
         sigma_others = sigma - instance.fleet_sizes[i] * blocks[i]
         prices_at_eq.append(system_optimal_prices(instance, i, blocks[i], sigma_others))
-        feas = surge.fleet_feasibility(build.drivers[i], instance.n_stations)
-        target = _stage("discretize")(discretize, blocks[i], feas,
-                                      instance.companies[i].fleet_size)
+        target = _stage("discretize", seconds)(discretize, blocks[i], build.feas[i],
+                                               instance.companies[i].fleet_size)
         targets.append(target)
-        sol = _stage("solve-lower")(
+        sol = _stage("solve-lower", seconds)(
             surge.two_step, target, build.drivers[i], prices_at_eq[i],
             seed=scenario.seed + 100 + i)
         surge_solutions.append(sol)
@@ -270,7 +270,7 @@ def run_pipeline(config: ExperimentConfig,
             for name, price in REFERENCE_GRID_PRICES.items()
         }
         baselines["base"] = DEFAULT_FLAT_PRICE[: instance.n_stations]
-        sweep = _stage("robustness")(
+        sweep = _stage("robustness", seconds)(
             robustness.robustness_sweep, instance, config.alphas, config.samples,
             baselines, scenario.seed, config.max_iter, config.tol)
         _write(files, out_dir, "robustness.csv", sweep.to_csv_rows())
@@ -282,6 +282,8 @@ def run_pipeline(config: ExperimentConfig,
         "converged": upper.converged,
         "j_g": upper.j_g,
         "charging_fleet": [int(c.fleet_size) for c in instance.companies],
+        "stage_seconds": seconds,
+        "projector_paths": [p.projector.path for p in instance.polytopes],
         "surge_modes": [{"mode": sol.mode, "solver_info": sol.solver_info}
                         for sol in surge_solutions],
     }

@@ -121,6 +121,11 @@ class PolytopeProjector:
     def is_empty(self) -> bool:
         return self.lower is None and self.rank is None
 
+    @property
+    def path(self) -> str:
+        """The exact projection that runs: "simplex" (a sort) or "chain"."""
+        return "simplex" if self.lower is not None else "chain"
+
     def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return self.project_batch(y[None, :], weights)[0]

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (apply_map, game_map, perturbation_map, solve_nash,
-                          solve_nash_batch, step_bound)
+from .equilibrium import (apply_map, fixed_price_f2, game_map,
+                          perturbation_map, solve_nash, solve_nash_batch,
+                          step_bound)
 from .model import (GameInstance, aggregate, government_cost,
                     pseudo_inverse_diag)
 
@@ -295,12 +296,9 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
                 gap_o[a_idx, s] = gb.observed
                 eps_obs[a_idx, s] = float(best_response_gap(instance, out["x"][s]).max())
 
+        estimates = np.array([pert.demand_estimate for pert in perts])
         for name, price in baseline_prices.items():
-            price = np.asarray(price, dtype=float)
-            f2_base = np.empty((n_samples, n))
-            for s, pert in enumerate(perts):
-                shifted = instance.with_demand(pert.demand_estimate)
-                _, f2_base[s] = game_map(shifted, prices=price)
+            f2_base = fixed_price_f2(instance, price, estimates)
             base_out = solve_nash_batch(instance, f2_base, f1=f1_fixed_true,
                                         gammas=g_fixed, max_iter=max_iter, tol=tol)
             j_base = government_cost(base_out["sigma_final"], instance.government)

@@ -227,38 +227,36 @@ def compute_feasibility(snapshot: FleetSnapshot, scenario: Scenario):
     s - (100 / max_range) * distance > 0. Raises when some charging
     vehicle cannot reach any station.
     """
-    dist = scenario.network.distances_km()  # node -> node
-    station_idx = np.asarray(scenario.station_nodes, dtype=int)
-    structures = []
-    dead = []
-    for i in range(scenario.n_companies):
-        sel = np.flatnonzero(snapshot.needs_charge & (snapshot.company == i))
-        reach = np.zeros((sel.size, scenario.n_stations), dtype=bool)
-        for r, v in enumerate(sel):
-            d_vk = dist[snapshot.node[v], station_idx]
-            reach[r] = snapshot.battery[v] - (100.0 / snapshot.max_range_km[v]) * d_vk > 0
-            if not reach[r].any():
-                dead.append(int(v))
-        if dead:
+    return _feasibility(_charging_demand(snapshot, scenario))
+
+
+def _feasibility(passes) -> list[FeasibilityStructure]:
+    """One structure per company from its reach mask; the first company
+    with a vehicle that reaches no station raises, naming those vehicles."""
+    for sel, _, reach, _ in passes:
+        dead = sel[~reach.any(axis=1)]
+        if dead.size:
             raise DegenerateFleetError(
-                f"vehicles {dead} cannot reach any charging station")
-        structures.append(FeasibilityStructure.from_matrix(reach)
-                          if sel.size else FeasibilityStructure(scenario.n_stations, ()))
-    return structures
+                f"vehicles {dead.tolist()} cannot reach any charging station")
+    return [FeasibilityStructure(reach) for _, _, reach, _ in passes]
 
 
-def _charging_demand(snapshot: FleetSnapshot, scenario: Scenario, company: int):
-    """Per-vehicle charging demand at each station, with the reach mask."""
+def _charging_demand(snapshot: FleetSnapshot, scenario: Scenario):
+    """Per company: the charging vehicles, their distance to each station,
+    the reach mask and the per-vehicle charging demand at each station."""
     dist = scenario.network.distances_km()
     station_idx = np.asarray(scenario.station_nodes, dtype=int)
-    sel = np.flatnonzero(snapshot.needs_charge & (snapshot.company == company))
-    d_vk = dist[snapshot.node[sel]][:, station_idx]
-    batt = snapshot.battery[sel][:, None]
-    rng_km = snapshot.max_range_km[sel][:, None]
-    reach = batt - (100.0 / rng_km) * d_vk > 0
-    beta = snapshot.charge_per_pct[sel][:, None]
-    demand = beta * (100.0 - (batt - (100.0 / rng_km) * d_vk))
-    return sel, d_vk, reach, demand
+    passes = []
+    for i in range(scenario.n_companies):
+        sel = np.flatnonzero(snapshot.needs_charge & (snapshot.company == i))
+        d_vk = dist[snapshot.node[sel]][:, station_idx]
+        batt = snapshot.battery[sel][:, None]
+        rng_km = snapshot.max_range_km[sel][:, None]
+        reach = batt - (100.0 / rng_km) * d_vk > 0
+        beta = snapshot.charge_per_pct[sel][:, None]
+        demand = beta * (100.0 - (batt - (100.0 / rng_km) * d_vk))
+        passes.append((sel, d_vk, reach, demand))
+    return passes
 
 
 def estimate_company_params(snapshot: FleetSnapshot, scenario: Scenario,
@@ -271,6 +269,12 @@ def estimate_company_params(snapshot: FleetSnapshot, scenario: Scenario,
     cost to each station with the expected regional profit, which carries
     a seeded uniform noise term.
     """
+    return _company_params(_charging_demand(snapshot, scenario), scenario,
+                           share, seed)
+
+
+def _company_params(passes, scenario: Scenario, share: np.ndarray,
+                    seed: int | None):
     p = scenario.params
     rng = np.random.default_rng(scenario.seed + 1 if seed is None else seed)
     share = np.asarray(share, dtype=float)
@@ -279,8 +283,7 @@ def estimate_company_params(snapshot: FleetSnapshot, scenario: Scenario,
 
     companies = []
     extras = []
-    for i in range(scenario.n_companies):
-        sel, d_vk, reach, demand = _charging_demand(snapshot, scenario, i)
+    for sel, d_vk, reach, demand in passes:
         n_i = sel.size
         mean_demand = np.zeros(scenario.n_stations)
         mean_dist = np.zeros(scenario.n_stations)
@@ -306,56 +309,56 @@ def estimate_driver_params(snapshot: FleetSnapshot, scenario: Scenario,
     """Per-vehicle cost data for the surge game, one list per company.
 
     The drivers of a company share one read-only revenue vector and one
-    read-only surge-gain vector, their demand vectors are rows of one
-    read-only array, and drivers with the same reach share its set.
+    read-only surge-gain vector, and their demand vectors are rows of one
+    read-only array, zero exactly where the vehicle cannot reach.
     """
+    return _driver_params(_charging_demand(snapshot, scenario), scenario, extras)
+
+
+def _driver_params(passes, scenario: Scenario, extras: list[dict]):
     p = scenario.params
     occupancy = np.asarray(p.occupancy, dtype=float)
     out = []
-    for i in range(scenario.n_companies):
-        sel, _, reach, demand = _charging_demand(snapshot, scenario, i)
-        g_v = extras[i]["e_arr"] - (p.driver_hours / p.daily_hours) * extras[i]["e_pro"]
+    for (_, _, reach, demand), ex in zip(passes, extras):
+        g_v = ex["e_arr"] - (p.driver_hours / p.daily_hours) * ex["e_pro"]
         surge_gain = p.driver_hours * p.speed_estimate * occupancy
         d_rows = np.where(reach, demand, 0.0)
         for arr in (g_v, surge_gain, d_rows):
             arr.flags.writeable = False
-        reach_sets: dict[bytes, frozenset[int]] = {}
-        drivers = []
-        for r in range(sel.size):
-            key = reach[r].tobytes()
-            if key not in reach_sets:
-                reach_sets[key] = frozenset(np.flatnonzero(reach[r]).tolist())
-            drivers.append(DriverParams(
-                demand=d_rows[r],
-                base_revenue=g_v,
-                surge_gain=surge_gain,
-                reachable=reach_sets[key],
-                horizon=p.driver_hours,
-            ))
-        out.append(drivers)
+        out.append([DriverParams(row, g_v, surge_gain) for row in d_rows])
     return out
 
 
 @dataclass
 class GameBuild:
-    """Game instance plus the scenario-side data the lower level needs."""
+    """Game instance plus the scenario-side data the lower level needs.
+
+    ``feas[i]`` is company i's reach matrix, the one its polytope, rounding
+    and matching read.
+    """
 
     instance: GameInstance
     drivers: list[list[DriverParams]]
     share: np.ndarray
     snapshot: FleetSnapshot
     extras: list[dict]
+    feas: list[FeasibilityStructure]
 
 
 def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None,
                seed: int | None = None) -> GameBuild:
-    """Simulate (if needed), estimate all parameters, and assemble the game."""
+    """Simulate (if needed), estimate all parameters, and assemble the game.
+
+    One charging-demand pass per company feeds the reach matrices, the
+    company parameters and the driver data.
+    """
     if snapshot is None:
         snapshot = simulate_period(scenario)
     share = demand_share(scenario)
-    feas = compute_feasibility(snapshot, scenario)
-    companies, extras = estimate_company_params(snapshot, scenario, share, seed)
-    drivers = estimate_driver_params(snapshot, scenario, extras)
+    passes = _charging_demand(snapshot, scenario)
+    feas = _feasibility(passes)
+    companies, extras = _company_params(passes, scenario, share, seed)
+    drivers = _driver_params(passes, scenario, extras)
 
     polytopes = tuple(
         admissible_polytope(f, c.fleet_size) for f, c in zip(feas, companies)
@@ -366,7 +369,7 @@ def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None,
     government = GovernmentObjective.from_distribution(weight, counts, share)
     instance = GameInstance(scenario.stations, government, tuple(companies),
                             polytopes)
-    return GameBuild(instance, drivers, share, snapshot, extras)
+    return GameBuild(instance, drivers, share, snapshot, extras, feas)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +531,6 @@ def reference_game(seed: int = 0, generous: bool = True) -> GameInstance:
         else:
             reach = rng.random((n_i, 4)) < 0.8
             reach[~reach.any(axis=1), 0] = True
-            feas = FeasibilityStructure.from_matrix(reach)
+            feas = FeasibilityStructure(reach)
         polytopes.append(admissible_polytope(feas, int(n_i)))
     return GameInstance(stations, government, tuple(companies), tuple(polytopes))

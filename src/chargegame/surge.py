@@ -44,18 +44,16 @@ _STRICT_EPS = 1e-7
 class DriverParams:
     """One driver's station-choice cost data.
 
-    ``demand[k]`` is the vehicle's charging demand if it picks station k
-    (zero exactly on unreachable stations), ``base_revenue`` the negative
-    expected revenue of operating near each station, ``surge_gain[k]``
-    the extra profit per unit of surge price there, and ``horizon`` the
-    number of operating hours the revenue terms were scaled for.
+    ``demand[k]`` is the vehicle's charging demand if it picks station k;
+    it is positive exactly on the stations the vehicle can reach, which
+    is how ``reachable`` is read. ``base_revenue`` is the negative
+    expected revenue of operating near each station and ``surge_gain[k]``
+    the extra profit per unit of surge price there.
     """
 
     demand: np.ndarray
     base_revenue: np.ndarray
     surge_gain: np.ndarray
-    reachable: frozenset[int]
-    horizon: float = 2.0
 
     def __post_init__(self):
         d = np.asarray(self.demand, dtype=float)
@@ -65,12 +63,14 @@ class DriverParams:
             raise ValueError("driver vectors must share one shape")
         if np.any(h < 0):
             raise ValueError("surge gains must be nonnegative")
-        for k in range(d.size):
-            if (d[k] > 0) != (k in self.reachable):
-                raise ValueError("demand must be positive exactly on reachable stations")
         object.__setattr__(self, "demand", d)
         object.__setattr__(self, "base_revenue", g)
         object.__setattr__(self, "surge_gain", h)
+
+    @property
+    def reachable(self) -> frozenset[int]:
+        """Stations the driver can reach: those with positive demand."""
+        return frozenset(np.flatnonzero(self.demand > 0).tolist())
 
 
 @dataclass
@@ -93,9 +93,29 @@ class VerifyResult:
         return self.ok
 
 
+def _stack(drivers: list[DriverParams], prices: np.ndarray):
+    """The fleet as three (n_vehicles, n_stations) arrays: the base cost
+    ``a = demand * prices + base_revenue``, the surge gains, and the reach
+    (positive demand)."""
+    m = prices.size
+    demand = np.array([d.demand for d in drivers], dtype=float).reshape(-1, m)
+    base = np.array([d.base_revenue for d in drivers], dtype=float).reshape(-1, m)
+    gains = np.array([d.surge_gain for d in drivers], dtype=float).reshape(-1, m)
+    return demand * prices + base, gains, demand > 0
+
+
+def _best_responses(a, gains, reach, surge) -> np.ndarray:
+    """Each driver's cheapest reachable station, ties to the lowest index.
+
+    Driver v pays ``a[v, k] - gains[v, k] * surge[k]`` at a reachable
+    station k; ``surge`` is one shared vector or one row per driver.
+    """
+    return np.argmin(np.where(reach, a - gains * surge, np.inf), axis=1)
+
+
 def fleet_feasibility(drivers: list[DriverParams], n_stations: int) -> FeasibilityStructure:
-    """Reachability structure induced by the drivers' reachable sets."""
-    return FeasibilityStructure(n_stations, tuple(d.reachable for d in drivers))
+    """Reachability structure induced by the drivers' positive demand."""
+    return FeasibilityStructure(_stack(drivers, np.zeros(n_stations))[2])
 
 
 def assign_vehicles(target: np.ndarray, feas: FeasibilityStructure) -> np.ndarray:
@@ -118,24 +138,13 @@ def assign_vehicles(target: np.ndarray, feas: FeasibilityStructure) -> np.ndarra
     return assigned
 
 
-def driver_choice_costs(driver: DriverParams, surge: np.ndarray,
-                        prices: np.ndarray) -> np.ndarray:
-    """Cost of each station for a driver; unreachable stations read +inf."""
-    surge = np.asarray(surge, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    costs = driver.demand * prices + driver.base_revenue - driver.surge_gain * surge
-    out = np.full(costs.shape, np.inf)
-    idx = sorted(driver.reachable)
-    out[idx] = costs[idx]
-    return out
-
-
 def driver_best_response(driver: DriverParams, surge: np.ndarray,
                          prices: np.ndarray) -> int:
     """Cost-minimizing station; ties broken toward the lowest index."""
-    if not driver.reachable:
+    a, gains, reach = _stack([driver], np.asarray(prices, dtype=float))
+    if not reach.any():
         raise ValueError("driver has no reachable station")
-    return int(np.argmin(driver_choice_costs(driver, surge, prices)))
+    return int(_best_responses(a, gains, reach, np.asarray(surge, dtype=float))[0])
 
 
 def per_vehicle_prices(assignment: np.ndarray, drivers: list[DriverParams],
@@ -146,36 +155,32 @@ def per_vehicle_prices(assignment: np.ndarray, drivers: list[DriverParams],
     Off-target stations sit at the per-station floor; the target entry is
     lifted just past the level at which the target becomes the strict
     best response. Drivers that already prefer their target at the floor
-    keep the floor vector unchanged.
+    keep the floor vector unchanged. The first vehicle that cannot reach
+    its target, or needs a lift at a zero gain, raises.
     """
     prices = np.asarray(prices, dtype=float)
     rho_min = np.asarray(rho_min, dtype=float)
-    n_v = len(drivers)
-    m = prices.size
-    surge = np.tile(rho_min, (n_v, 1))
-
-    for v, driver in enumerate(drivers):
-        t = int(assignment[v])
-        if t not in driver.reachable:
+    a, gains, reach = _stack(drivers, prices)
+    target = np.asarray(assignment, dtype=int)
+    rows = np.arange(len(drivers))
+    unreachable = ~reach[rows, target]
+    lift = _best_responses(a, gains, reach, rho_min) != target
+    bad = np.flatnonzero(unreachable | (lift & (gains[rows, target] <= 0)))
+    if bad.size:
+        v = int(bad[0])
+        if unreachable[v]:
             raise InfeasibleTargetError(f"vehicle {v} cannot reach its target station")
-        if driver_best_response(driver, surge[v], prices) == t:
-            continue
-        gain_t = driver.surge_gain[t]
-        if gain_t <= 0:
-            raise ZeroGainError(
-                f"vehicle {v} has zero surge gain at station {t}")
-        costs = driver.demand * prices + driver.base_revenue
-        needed = -np.inf
-        for j in driver.reachable:
-            if j == t:
-                continue
-            # want: costs[t] - gain_t * rho_t <= costs[j] - gain_j * rho_min_j
-            level = (costs[t] - costs[j] + driver.surge_gain[j] * rho_min[j]) / gain_t
-            needed = max(needed, level)
-        surge[v, t] = max(rho_min[t], needed + margin)
+        raise ZeroGainError(f"vehicle {v} has zero surge gain at station {target[v]}")
 
-    return SurgeSolution(np.asarray(assignment, dtype=int), surge, 0.0,
-                         "per-vehicle", "floor-plus-threshold construction")
+    surge = np.tile(rho_min, (len(drivers), 1))
+    v, t = np.flatnonzero(lift), target[lift]
+    # want: a[v, t] - gain_t * rho_t <= a[v, j] - gain_j * rho_min_j, j != t
+    level = (a[v, t][:, None] - a[v] + gains[v] * rho_min) / gains[v, t][:, None]
+    level[~reach[v]] = -np.inf
+    level[np.arange(v.size), t] = -np.inf
+    surge[v, t] = np.maximum(rho_min[t], level.max(axis=1) + margin)
+    return SurgeSolution(target, surge, 0.0, "per-vehicle",
+                         "floor-plus-threshold construction")
 
 
 def _driver_class_key(driver: DriverParams) -> tuple:
@@ -210,8 +215,9 @@ def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
     target = np.asarray(target, dtype=int)
     prices = np.asarray(prices, dtype=float)
     rho_min = np.asarray(rho_min, dtype=float)
+    fleet = _stack(drivers, prices)
 
-    sol = _equal_price_assignment(target, drivers, prices, rho_min, rho_cap)
+    sol = _equal_price_assignment(target, *fleet, rho_min, rho_cap)
     if sol is not None:
         return sol
 
@@ -229,29 +235,15 @@ def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
             break
 
     if n_candidates <= budget:
-        sol = _equal_price_exact(target, drivers, members, reach_sets, prices,
-                                 rho_min, rho_cap)
+        sol = _equal_price_exact(target, fleet, members, reach_sets, rho_min,
+                                 rho_cap)
         if sol is not None:
             return sol
 
-    return _equal_price_search(target, drivers, prices, rho_min, budget, seed,
-                               rho_cap)
+    return _equal_price_search(target, fleet, rho_min, budget, seed, rho_cap)
 
 
-def _shared_gain(drivers: list[DriverParams]) -> np.ndarray | None:
-    """The surge-gain vector all drivers share, if it is strictly positive."""
-    if not drivers:
-        return None
-    gain = drivers[0].surge_gain
-    if not np.all(gain > 0):
-        return None
-    for d in drivers[1:]:
-        if d.surge_gain is not gain and not np.array_equal(d.surge_gain, gain):
-            return None
-    return gain
-
-
-def _equal_price_assignment(target, drivers, prices, rho_min,
+def _equal_price_assignment(target, a, gains, reach, rho_min,
                             rho_cap) -> SurgeSolution | None:
     """Least shared vector supporting the min-cost target assignment, or None.
 
@@ -270,15 +262,11 @@ def _equal_price_assignment(target, drivers, prices, rho_min,
     gains are not shared and positive, no assignment hits the target, a
     cycle exists, or the least vector exceeds ``rho_cap``.
     """
-    gain = _shared_gain(drivers)
-    n, m = len(drivers), prices.size
-    if gain is None or np.any(target < 0) or int(target.sum()) != n:
+    n, m = a.shape
+    if (n == 0 or not np.all(gains[0] > 0) or not np.all(gains == gains[0])
+            or np.any(target < 0) or int(target.sum()) != n):
         return None
-    reach = np.zeros((n, m), dtype=bool)
-    for v, d in enumerate(drivers):
-        reach[v, list(d.reachable)] = True
-    a = (np.stack([d.demand for d in drivers]) * prices
-         + np.stack([d.base_revenue for d in drivers]))
+    gain = gains[0]
     cost = np.where(reach, a, np.inf)
 
     slots = np.repeat(np.arange(m), target)
@@ -306,23 +294,19 @@ def _equal_price_assignment(target, drivers, prices, rho_min,
     if rho_cap is not None and np.any(rho > rho_cap):
         return None             # the least vector already breaks the cap
 
-    mu = np.argmin(cost - gain * rho, axis=1)
+    mu = _best_responses(a, gains, reach, rho)
     if not np.array_equal(np.bincount(mu, minlength=m), target):
         return None
     return SurgeSolution(mu, np.tile(rho, (n, 1)), 0.0, "equal-price",
                          "least vector of the min-cost assignment")
 
 
-def _class_costs(drivers, members, prices):
-    reps = [drivers[rows[0]] for rows in members]
-    return [rep.demand * prices + rep.base_revenue for rep in reps], reps
-
-
-def _equal_price_exact(target, drivers, members, reach_sets, prices, rho_min,
+def _equal_price_exact(target, fleet, members, reach_sets, rho_min,
                        rho_cap) -> SurgeSolution | None:
     """Enumerate class-to-station choices; keep the best feasible aggregate."""
-    m = prices.size
-    alphas, reps = _class_costs(drivers, members, prices)
+    a, gains, _ = fleet
+    n, m = a.shape
+    reps = [rows[0] for rows in members]
     sizes = np.array([len(rows) for rows in members])
 
     best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
@@ -333,8 +317,8 @@ def _equal_price_exact(target, drivers, members, reach_sets, prices, rho_min,
         j_m = 0.5 * float(np.sum((sigma - target) ** 2))
         if best is not None and j_m >= best[0]:
             continue
-        rho = _common_rho_feasible(choice, reps, alphas, reach_sets, rho_min,
-                                   rho_cap)
+        rho = _common_rho_feasible(choice, a[reps], gains[reps], reach_sets,
+                                   rho_min, rho_cap)
         if rho is None:
             continue
         best = (j_m, rho, choice)
@@ -344,28 +328,30 @@ def _equal_price_exact(target, drivers, members, reach_sets, prices, rho_min,
     if best is None:
         return None
     j_m, rho, choice = best
-    assignment = np.empty(len(drivers), dtype=int)
+    assignment = np.empty(n, dtype=int)
     for c, rows in enumerate(members):
         assignment[rows] = choice[c]
-    surge = np.tile(rho, (len(drivers), 1))
+    surge = np.tile(rho, (n, 1))
     return SurgeSolution(assignment, surge, j_m, "equal-price",
                          "exact class enumeration")
 
 
-def _common_rho_feasible(choice, reps, alphas, reach_sets, rho_min, rho_cap):
-    """Linear feasibility: does a shared vector induce these class choices?"""
+def _common_rho_feasible(choice, alphas, gains, reach_sets, rho_min, rho_cap):
+    """Linear feasibility: does a shared vector induce these class choices?
+
+    ``alphas`` and ``gains`` hold one row per class representative.
+    """
     m = rho_min.size
     rows_a, rows_b = [], []
     for c, j_c in enumerate(choice):
-        rep = reps[c]
         alpha = alphas[c]
         for j in reach_sets[c]:
             if j == j_c:
                 continue
             # cost(j_c) <= cost(j) (strict if j has tie-break priority)
             row = np.zeros(m)
-            row[j] = rep.surge_gain[j]
-            row[j_c] -= rep.surge_gain[j_c]
+            row[j] = gains[c, j]
+            row[j_c] -= gains[c, j_c]
             slack = alpha[j] - alpha[j_c]
             if j < j_c:
                 slack -= _STRICT_EPS
@@ -379,31 +365,22 @@ def _common_rho_feasible(choice, reps, alphas, reach_sets, rho_min, rho_cap):
     return res.x if res.status == 0 else None
 
 
-def _equal_price_search(target, drivers, prices, rho_min, budget, seed,
+def _equal_price_search(target, fleet, rho_min, budget, seed,
                         rho_cap) -> SurgeSolution:
     """Seeded stochastic local search over a shared surge vector."""
     rng = np.random.default_rng(seed)
-    m = prices.size
-    alphas = np.stack([d.demand * prices + d.base_revenue for d in drivers])
-    gains = np.stack([d.surge_gain for d in drivers])
-    blocked = np.stack([
-        np.array([k not in d.reachable for k in range(m)]) for d in drivers
-    ])
-
-    def responses(rho):
-        costs = alphas - gains * rho[None, :]
-        costs = np.where(blocked, np.inf, costs)
-        return np.argmin(costs, axis=1)
+    a, gains, reach = fleet
+    m = a.shape[1]
 
     def evaluate(rho):
-        mu = responses(rho)
+        mu = _best_responses(a, gains, reach, rho)
         sigma = np.bincount(mu, minlength=m)
         return 0.5 * float(np.sum((sigma - target) ** 2)), mu
 
     rho = rho_min.copy()
     j_m, mu = evaluate(rho)
     best = (j_m, rho.copy(), mu)
-    step = 1.0 + float(np.abs(alphas).max() / max(gains.max(), 1e-9)) / 10.0
+    step = 1.0 + float(np.abs(a).max() / max(gains.max(), 1e-9)) / 10.0
     for it in range(budget):
         if best[0] == 0.0:
             break
@@ -421,7 +398,7 @@ def _equal_price_search(target, drivers, prices, rho_min, budget, seed,
             step = max(step * 0.7, 1e-3)
 
     j_m, rho, mu = best
-    surge = np.tile(rho, (len(drivers), 1))
+    surge = np.tile(rho, (a.shape[0], 1))
     return SurgeSolution(mu, surge, j_m, "equal-price",
                          f"local search ({budget} evaluations)")
 
@@ -442,12 +419,13 @@ def two_step(target: np.ndarray, drivers: list[DriverParams],
         rho_min = np.zeros(prices.size)
     rho_min = np.asarray(rho_min, dtype=float)
     target = np.asarray(target, dtype=int)
+    fleet = _stack(drivers, prices)
     # the one matchability decision: raises InfeasibleTargetError
-    assignment = assign_vehicles(target, fleet_feasibility(drivers, prices.size))
+    assignment = assign_vehicles(target, FeasibilityStructure(fleet[2]))
 
     eq = equal_price_solve(target, drivers, prices, rho_min,
                            budget=equal_budget, seed=seed)
-    if eq.j_m == 0.0 and _hits_target(eq, target, drivers, prices):
+    if eq.j_m == 0.0 and _hits_target(eq.surge, target, *fleet):
         return eq
     return per_vehicle_prices(assignment, drivers, prices, rho_min, margin)
 
@@ -456,21 +434,16 @@ def verify_zero_cost(solution: SurgeSolution, target: np.ndarray,
                      drivers: list[DriverParams], prices: np.ndarray) -> VerifyResult:
     """Recompute every best response and compare the aggregate to the target."""
     target = np.asarray(target, dtype=int)
-    prices = np.asarray(prices, dtype=float)
-    feas = fleet_feasibility(drivers, prices.size)
-    if not hall_condition(target, feas):
+    fleet = _stack(drivers, np.asarray(prices, dtype=float))
+    if not hall_condition(target, FeasibilityStructure(fleet[2])):
         return VerifyResult(False, infeasible_target=True)
-    return VerifyResult(_hits_target(solution, target, drivers, prices))
+    return VerifyResult(_hits_target(solution.surge, target, *fleet))
 
 
-def _hits_target(solution: SurgeSolution, target: np.ndarray,
-                 drivers: list[DriverParams], prices: np.ndarray) -> bool:
-    """Do the drivers' best responses to the solution's surge give the target?"""
-    mu = np.array([
-        driver_best_response(d, solution.surge[v], prices)
-        for v, d in enumerate(drivers)
-    ])
-    return bool(np.array_equal(np.bincount(mu, minlength=prices.size), target))
+def _hits_target(surge, target, a, gains, reach) -> bool:
+    """Do the drivers' best responses to ``surge`` give the target counts?"""
+    mu = _best_responses(a, gains, reach, surge)
+    return bool(np.array_equal(np.bincount(mu, minlength=a.shape[1]), target))
 
 
 def surge_price_rows(solutions: list[SurgeSolution]):

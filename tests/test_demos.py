@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that reach rounding and matching."""
+"""Smoke runs of every demo."""
 
 import runpy
 from pathlib import Path
@@ -10,6 +10,21 @@ def run_demo(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     return capsys.readouterr().out
+
+
+def test_pricing_equilibrium_demo(tmp_path, monkeypatch, capsys):
+    out = run_demo("01_pricing_equilibrium.py", tmp_path, monkeypatch, capsys)
+    assert "feedback prices reach loss" in out
+
+
+def test_fleet_simulation_demo(tmp_path, monkeypatch, capsys):
+    out = run_demo("02_fleet_simulation.py", tmp_path, monkeypatch, capsys)
+    assert "drivers carrying surge-game data:" in out
+
+
+def test_robustness_demo(tmp_path, monkeypatch, capsys):
+    out = run_demo("04_robustness.py", tmp_path, monkeypatch, capsys)
+    assert "loss-gap bound held on every such sample: True" in out
 
 
 def test_surge_pricing_demo(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
-from chargegame.equilibrium import (apply_map, default_start, game_map,
+from chargegame.equilibrium import (apply_map, default_start, fixed_price_f2,
+                                    game_map,
                                     lambda_max_closed_form, nash_residual,
                                     pseudo_gradient, solve_nash, step_bound,
                                     step_size_bound)
@@ -95,6 +96,23 @@ class TestGameMap:
         per_row = np.broadcast_to(f1, (5,) + f1.shape)
         assert np.allclose(apply_map(per_row, xs), want, rtol=1e-12, atol=scale)
         assert np.allclose(apply_map(f1, xs[0]), want[0], rtol=1e-12, atol=scale)
+
+    def test_fixed_price_f2_rows(self, ref_game):
+        # one row per price vector, optionally with replaced demand, equal to
+        # the per-company formula on a demand-replaced instance
+        rng = np.random.default_rng(3)
+        prices = rng.uniform(0.0, 5.0, (6, 4))
+        demand = rng.uniform(1e3, 1e4, (6, 3, 4))
+        rows = fixed_price_f2(ref_game, prices, demand)
+        assert rows.shape == (6, 12)
+        for r in range(6):
+            want = np.concatenate([
+                c.lin + c.demand * prices[r] + c.revenue
+                for c in ref_game.with_demand(demand[r]).companies])
+            assert np.allclose(rows[r], want, rtol=1e-14, atol=0.0)
+            assert np.array_equal(fixed_price_f2(ref_game, prices[r], demand[r]), rows[r])
+        _, f2 = game_map(ref_game, prices=prices[0])
+        assert np.array_equal(f2, fixed_price_f2(ref_game, prices[:1])[0])
 
     def test_blocks_match_finite_differences(self, ref_game):
         rng = np.random.default_rng(0)

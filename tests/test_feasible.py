@@ -95,7 +95,7 @@ def hall_oracle_disagreements(rng, n_instances=1000):
         m = int(rng.integers(2, 5))
         n_v = int(rng.integers(1, 9))
         reach = random_fleet(rng, n_v, m)
-        feas = FeasibilityStructure.from_matrix(reach)
+        feas = FeasibilityStructure(reach)
         targets = [rng.multinomial(n_v, np.ones(m) / m)]
         targets += [extra.multinomial(total, np.ones(m) / m)
                     for total in (n_v - 1, n_v + 1)]
@@ -147,11 +147,11 @@ def largest_remainder(x, fleet_size):
 
 class TestHallCondition:
     def test_two_vehicles_one_station(self):
-        feas = FeasibilityStructure(2, (frozenset([0]), frozenset([0])))
+        feas = FeasibilityStructure(np.array([[True, False], [True, False]]))
         assert hall_condition(np.array([2, 0]), feas)
 
     def test_unreachable_station_demand(self):
-        feas = FeasibilityStructure(2, (frozenset([0]), frozenset([0])))
+        feas = FeasibilityStructure(np.array([[True, False], [True, False]]))
         assert not hall_condition(np.array([1, 1]), feas)
 
     def test_agrees_with_maxflow_on_1000_random_instances(self):
@@ -164,7 +164,7 @@ class TestHallCondition:
         for _ in range(20):
             n_v = int(rng.integers(20, 50))
             reach = sparse_fleet(rng, n_v, m)
-            feas = FeasibilityStructure.from_matrix(reach)
+            feas = FeasibilityStructure(reach)
             counts = np.bincount(matched_choice(rng, reach), minlength=m)
             unit = np.eye(m, dtype=int)[rng.choice(np.flatnonzero(counts))]
             targets = [counts, rng.multinomial(n_v, np.ones(m) / m),
@@ -201,7 +201,7 @@ class TestHallCondition:
             y[0] += 1.0 / n_v
             y[1:] -= 1.0 / (n_v * (m - 1))
             with pytest.raises(InfeasibleTargetError):
-                discretize(y, FeasibilityStructure.from_matrix(blocked), n_v)
+                discretize(y, FeasibilityStructure(blocked), n_v)
         # both answers occur at every target sum but n_v + 1, always False
         assert outcomes == {(-1, True), (-1, False), (0, True), (0, False),
                             (1, False)}
@@ -239,7 +239,7 @@ class TestAdmissiblePolytope:
         # pins x_2 = 0, and the complement cap leaves no room for the rest,
         # so the whole fleet state is degenerate
         reach = np.array([[True, False], [True, False], [True, False]])
-        feas = FeasibilityStructure.from_matrix(reach)
+        feas = FeasibilityStructure(reach)
         poly = admissible_polytope(feas, 3)
         assert poly.forced_zero.tolist() == [False, True]
         row = int(np.flatnonzero(poly.subset_masks == 0b10)[0])
@@ -248,7 +248,7 @@ class TestAdmissiblePolytope:
 
     def test_empty_polytope_detected(self):
         # two stations, one vehicle: every singleton cap is 0, so no mass fits
-        feas = FeasibilityStructure(2, (frozenset([0, 1]),))
+        feas = FeasibilityStructure(np.array([[True, True]]))
         poly = admissible_polytope(feas, 1)
         assert poly.is_empty
         with pytest.raises(EmptyPolytopeError):
@@ -263,7 +263,7 @@ class TestAdmissiblePolytope:
 
     def test_degenerate_vehicle_rejected(self):
         with pytest.raises(DegenerateFleetError):
-            FeasibilityStructure(2, (frozenset(),))
+            FeasibilityStructure(np.zeros((1, 2), dtype=bool))
 
 
 class TestProject:
@@ -276,10 +276,13 @@ class TestProject:
     def test_station_consistency_both_views(self):
         rng = np.random.default_rng(1)
         reach = random_fleet(rng, 7, 3)
-        feas = FeasibilityStructure.from_matrix(reach)
-        for j in range(3):
-            for v in range(7):
-                assert (v in feas.station_vehicles(j)) == (j in feas.vehicle_stations[v])
+        feas = FeasibilityStructure(reach)
+        assert feas.n_vehicles == 7 and feas.n_stations == 3
+        assert np.array_equal(feas.reach, reach)
+        with pytest.raises(ValueError):
+            feas.reach[0, 0] = not feas.reach[0, 0]
+        reach[0] = ~reach[0]        # the structure keeps its own copy
+        assert not np.array_equal(feas.reach, reach)
 
 
 class TestDiscretize:
@@ -301,7 +304,7 @@ class TestDiscretize:
             m = int(rng.integers(2, 5))
             n_v = int(rng.integers(m, 12))
             reach = random_fleet(rng, n_v, m)
-            feas = FeasibilityStructure.from_matrix(reach)
+            feas = FeasibilityStructure(reach)
             poly = admissible_polytope(feas, n_v)
             if poly.is_empty:
                 continue
@@ -327,7 +330,7 @@ class TestDiscretize:
         # 1 then needs two of the others. [0, 2, 1] and [1, 1, 1] match;
         # [0, 2, 1] keeps the largest remainder (station 1, 0.8)
         reach = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
-        feas = FeasibilityStructure.from_matrix(reach)
+        feas = FeasibilityStructure(reach)
         x = np.array([0.2, 0.6, 0.2])
         assert largest_remainder(x, 3).tolist() == [1, 2, 0]
         assert discretize(x, feas, 3).tolist() == [0, 2, 1]
@@ -339,7 +342,7 @@ class TestDiscretize:
             m = int(rng.integers(2, 7))
             n_v = int(rng.integers(1, 10))
             reach = random_fleet(rng, n_v, m)
-            feas = FeasibilityStructure.from_matrix(reach)
+            feas = FeasibilityStructure(reach)
             x = rng.dirichlet(np.full(m, 0.7))
             scaled = n_v * x
             floors = np.floor(scaled + 1e-9).astype(int)

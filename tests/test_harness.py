@@ -105,6 +105,14 @@ class TestPipeline:
             company, *_, mode = row.split(",")
             assert mode == modes[int(company)]["mode"]
 
+    def test_run_meta_telemetry(self, pipe):
+        meta = json.loads((pipe.out_dir / "run_meta.json").read_text())
+        stages = meta["stage_seconds"]
+        assert set(stages) == {"simulate-and-estimate", "solve-upper", "baseline",
+                               "grid-search", "discretize", "solve-lower"}
+        assert all(t > 0 for t in stages.values())
+        assert meta["projector_paths"] == ["simplex"] * pipe.build.instance.n_companies
+
     def test_upper_converged_to_floor(self, pipe):
         trace = pipe.upper.j_g_trace
         assert trace[-1] <= 1e-6

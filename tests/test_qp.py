@@ -45,7 +45,7 @@ def random_polytope(rng, m):
         n_v = int(rng.integers(2 * m, 6 * m + 2))
         reach = rng.random((n_v, m)) < 0.85
         reach[~reach.any(axis=1), rng.integers(0, m)] = True
-        feas = FeasibilityStructure.from_matrix(reach)
+        feas = FeasibilityStructure(reach)
         poly = admissible_polytope(feas, n_v)
         if not poly.is_empty:
             return poly
@@ -274,7 +274,7 @@ class TestChainOfTightSets:
         rng = np.random.default_rng(seed)
         reach = rng.random((30, 5)) < 0.4
         reach[~reach.any(1), 0] = True
-        poly = admissible_polytope(FeasibilityStructure.from_matrix(reach), 30)
+        poly = admissible_polytope(FeasibilityStructure(reach), 30)
         w = rng.uniform(0.5, 4, 5)
         y = rng.normal(0, 1.5, (20, 5))[row]
         x = poly.project(y, weights=w)
@@ -291,7 +291,7 @@ class TestChainOfTightSets:
             n_v = int(rng.integers(8 * m, 16 * m))
             reach = rng.random((n_v, m)) < 0.3
             reach[~reach.any(axis=1), rng.integers(0, m)] = True
-            poly = admissible_polytope(FeasibilityStructure.from_matrix(reach), n_v)
+            poly = admissible_polytope(FeasibilityStructure(reach), n_v)
             if poly.is_empty or poly.projector.lower is not None:
                 continue
             proj = poly.projector

@@ -1,5 +1,7 @@
 """Congestion law, battery model, simulation, parameter estimation, I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,19 +110,18 @@ class TestFeasibility:
                              snap.max_range_km, snap.threshold,
                              snap.needs_charge, snap.charge_per_pct)
         for feas in compute_feasibility(boosted, demo):
-            for omega in feas.vehicle_stations:
-                assert len(omega) == demo.n_stations
+            assert feas.reach.all()
 
     def test_reach_formula_example(self):
         # battery 10, range 300 km, distance 31 km: 10 - 10.33 < 0
         assert 10.0 - (100.0 / 300.0) * 31.0 < 0
         assert 10.0 - (100.0 / 300.0) * 29.0 > 0
 
-    def test_views_consistent(self, demo, demo_snapshot):
-        for feas in compute_feasibility(demo_snapshot, demo):
-            for j in range(feas.n_stations):
-                for v in feas.station_vehicles(j):
-                    assert j in feas.vehicle_stations[v]
+    def test_views_consistent(self, demo, demo_build):
+        feas = compute_feasibility(demo_build.snapshot, demo)
+        for f, drivers in zip(feas, demo_build.drivers):
+            assert [frozenset(np.flatnonzero(row).tolist()) for row in f.reach] \
+                == [d.reachable for d in drivers]
 
     def test_more_battery_never_shrinks_reach(self, demo, demo_snapshot):
         snap = demo_snapshot
@@ -131,8 +132,19 @@ class TestFeasibility:
         base = compute_feasibility(snap, demo)
         more = compute_feasibility(boosted, demo)
         for f0, f1 in zip(base, more):
-            for o0, o1 in zip(f0.vehicle_stations, f1.vehicle_stations):
-                assert o0 <= o1
+            assert np.all(f0.reach <= f1.reach)
+
+    @pytest.mark.parametrize("fleet_seed", [None, 1000, 1013, 1039])
+    def test_build_carries_one_reach_matrix(self, demo, demo_build, fleet_seed):
+        build = (demo_build if fleet_seed is None
+                 else build_game(dataclasses.replace(demo, seed=fleet_seed)))
+        expected = compute_feasibility(build.snapshot, demo)
+        assert len(build.feas) == len(build.drivers) == demo.n_companies
+        for feas, want, drivers in zip(build.feas, expected, build.drivers):
+            assert not feas.reach.flags.writeable
+            assert np.array_equal(feas.reach, want.reach)
+            demand = np.array([d.demand for d in drivers])
+            assert np.array_equal(feas.reach, demand > 0)
 
     def test_degenerate_fleet_detected(self, demo, demo_snapshot):
         snap = demo_snapshot

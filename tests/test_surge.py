@@ -20,8 +20,7 @@ def make_driver(rng, m, reachable=None, gain_range=(5.0, 20.0)):
     demand = np.zeros(m)
     for j in reachable:
         demand[j] = rng.uniform(20, 80)
-    return DriverParams(demand, rng.normal(0, 25, m),
-                        rng.uniform(*gain_range, m), frozenset(reachable))
+    return DriverParams(demand, rng.normal(0, 25, m), rng.uniform(*gain_range, m))
 
 
 def random_feasible_target(rng, drivers, m):
@@ -39,12 +38,12 @@ class TestAssignVehicles:
         assert np.bincount(out, minlength=2).tolist() == [2, 1]
 
     def test_forced_unique_matching(self):
-        feas = FeasibilityStructure(2, (frozenset([0]), frozenset([0, 1])))
+        feas = FeasibilityStructure(np.array([[True, False], [True, True]]))
         out = assign_vehicles(np.array([1, 1]), feas)
         assert out.tolist() == [0, 1]
 
     def test_infeasible_target_raises(self):
-        feas = FeasibilityStructure(2, (frozenset([0]), frozenset([0])))
+        feas = FeasibilityStructure(np.array([[True, False], [True, False]]))
         for target in ([1, 1], [1, 0], [3, 0]):     # unmatchable, short, over
             with pytest.raises(InfeasibleTargetError):
                 assign_vehicles(np.array(target), feas)
@@ -65,18 +64,15 @@ class TestAssignVehicles:
 
 class TestDriverBestResponse:
     def test_single_station(self):
-        d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2),
-                         frozenset([0]))
+        d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2))
         assert driver_best_response(d, np.zeros(2), np.array([1.0, 1.0])) == 0
 
     def test_surge_dominates_identical_stations(self):
-        d = DriverParams(np.array([5.0, 5.0]), np.zeros(2), np.ones(2),
-                         frozenset([0, 1]))
+        d = DriverParams(np.array([5.0, 5.0]), np.zeros(2), np.ones(2))
         assert driver_best_response(d, np.array([0.0, 1.0]), np.ones(2)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        d = DriverParams(np.array([5.0, 5.0]), np.zeros(2), np.ones(2),
-                         frozenset([0, 1]))
+        d = DriverParams(np.array([5.0, 5.0]), np.zeros(2), np.ones(2))
         assert driver_best_response(d, np.zeros(2), np.ones(2)) == 0
 
     def test_matches_enumeration(self):
@@ -93,6 +89,21 @@ class TestDriverBestResponse:
                                - d.surge_gain[k] * rho[k], k),
             )
             assert got == by_hand
+
+
+def loop_thresholds(assignment, drivers, prices, rho_min, margin=DEFAULT_MARGIN):
+    """Reference surge rows, one driver at a time: the floor, with the
+    target entry lifted past every other reachable station's cost."""
+    surge = np.tile(rho_min, (len(drivers), 1))
+    for v, d in enumerate(drivers):
+        t = int(assignment[v])
+        if driver_best_response(d, surge[v], prices) == t:
+            continue
+        costs = d.demand * prices + d.base_revenue
+        needed = max((costs[t] - costs[j] + d.surge_gain[j] * rho_min[j]) / d.surge_gain[t]
+                     for j in d.reachable if j != t)
+        surge[v, t] = max(rho_min[t], needed + margin)
+    return surge
 
 
 class TestPerVehiclePrices:
@@ -113,7 +124,7 @@ class TestPerVehiclePrices:
         # two stations, driver prefers 1 by a cost gap of 5, unit gains,
         # target 2: the lift lands exactly at gap + margin
         d = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
-                         np.array([1.0, 1.0]), frozenset([0, 1]))
+                         np.array([1.0, 1.0]))
         sol = per_vehicle_prices(np.array([1]), [d], np.zeros(2), np.zeros(2))
         assert sol.surge[0, 1] == pytest.approx(5.0 + DEFAULT_MARGIN)
         assert driver_best_response(d, sol.surge[0], np.zeros(2)) == 1
@@ -134,9 +145,38 @@ class TestPerVehiclePrices:
 
     def test_zero_gain_error(self):
         d = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
-                         np.array([1.0, 0.0]), frozenset([0, 1]))
+                         np.array([1.0, 0.0]))
         with pytest.raises(ZeroGainError):
             per_vehicle_prices(np.array([1]), [d], np.zeros(2), np.zeros(2))
+
+    def test_thresholds_match_per_driver_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            m = int(rng.integers(2, 6))
+            drivers = [make_driver(rng, m) for _ in range(int(rng.integers(1, 30)))]
+            target = random_feasible_target(rng, drivers, m)
+            assignment = assign_vehicles(target, fleet_feasibility(drivers, m))
+            prices = rng.uniform(0, 4, m)
+            rho_min = rng.uniform(0.0, 0.5, m)
+            sol = per_vehicle_prices(assignment, drivers, prices, rho_min)
+            assert np.array_equal(sol.surge,
+                                  loop_thresholds(assignment, drivers, prices, rho_min))
+
+    def test_first_failing_vehicle_raises(self):
+        # every driver prefers station 0 at zero surge; vehicle 2 needs a
+        # lift at a zero gain and vehicle 4 cannot reach its target
+        reaches_both = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
+                                    np.ones(2))
+        zero_gain = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
+                                 np.array([1.0, 0.0]))
+        stranded = DriverParams(np.array([1.0, 0.0]), np.zeros(2), np.ones(2))
+        assignment = np.array([0, 1, 1, 0, 1])
+        drivers = [reaches_both, reaches_both, zero_gain, reaches_both, stranded]
+        with pytest.raises(ZeroGainError, match="vehicle 2 "):
+            per_vehicle_prices(assignment, drivers, np.zeros(2), np.zeros(2))
+        drivers[2], drivers[4] = stranded, zero_gain
+        with pytest.raises(InfeasibleTargetError, match="vehicle 2 "):
+            per_vehicle_prices(assignment, drivers, np.zeros(2), np.zeros(2))
 
     def test_floor_respected_and_margin_monotone(self):
         rng = np.random.default_rng(4)
@@ -172,7 +212,7 @@ class TestEqualPrice:
 
     def test_two_identical_drivers_cannot_split(self):
         d = DriverParams(np.array([10.0, 10.0]), np.zeros(2),
-                         np.array([1.0, 1.0]), frozenset([0, 1]))
+                         np.array([1.0, 1.0]))
         sol = equal_price_solve(np.array([1, 1]), [d, d], np.zeros(2),
                                 np.zeros(2))
         # both drivers follow the same response: aggregate (2,0) or (0,2)
@@ -263,7 +303,7 @@ def shared_gain_fleet(rng, m, n_v, n_distinct):
     for _ in range(n_distinct):
         reach = frozenset([int(rng.integers(m))]) if rng.random() < 0.25 else None
         d = make_driver(rng, m, reachable=reach)
-        distinct.append(DriverParams(d.demand, d.base_revenue, gain, d.reachable))
+        distinct.append(DriverParams(d.demand, d.base_revenue, gain))
     copies = [distinct[int(rng.integers(n_distinct))] for _ in range(n_v - n_distinct)]
     return [(distinct + copies)[v] for v in rng.permutation(n_v)]
 
@@ -347,12 +387,12 @@ class TestEqualPriceAssignment:
 
         gain = proto.surge_gain.copy()
         gain[0] = 0.0
-        zero = DriverParams(proto.demand, proto.base_revenue, gain, proto.reachable)
+        zero = DriverParams(proto.demand, proto.base_revenue, gain)
         sol = equal_price_solve(target, [zero] * 5, np.zeros(m), np.zeros(m))
         assert sol.solver_info == "exact class enumeration"
 
         unshared = [DriverParams(proto.demand, proto.base_revenue,
-                                 proto.surge_gain * (1.0 + 0.01 * v), proto.reachable)
+                                 proto.surge_gain * (1.0 + 0.01 * v))
                     for v in range(5)]
         sol = equal_price_solve(target, unshared, np.zeros(m), np.zeros(m))
         assert sol.solver_info == "exact class enumeration"
@@ -395,7 +435,7 @@ class TestTwoStep:
 
     def test_falls_back_to_per_vehicle(self):
         d = DriverParams(np.array([10.0, 10.0]), np.zeros(2),
-                         np.array([1.0, 1.0]), frozenset([0, 1]))
+                         np.array([1.0, 1.0]))
         sol = two_step(np.array([1, 1]), [d, d], np.zeros(2))
         assert sol.mode == "per-vehicle"
         assert sol.j_m == 0.0
@@ -416,8 +456,7 @@ class TestTwoStep:
             assert check.ok and not check.infeasible_target
 
     def test_propagates_infeasible_target(self):
-        d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2),
-                         frozenset([0]))
+        d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2))
         with pytest.raises(InfeasibleTargetError):
             two_step(np.array([0, 1]), [d], np.zeros(2))
 
@@ -425,15 +464,14 @@ class TestTwoStep:
 class TestVerifyZeroCost:
     def test_detects_reduced_surge(self):
         d = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
-                         np.array([1.0, 1.0]), frozenset([0, 1]))
+                         np.array([1.0, 1.0]))
         sol = per_vehicle_prices(np.array([1]), [d], np.zeros(2), np.zeros(2))
         assert verify_zero_cost(sol, np.array([0, 1]), [d], np.zeros(2))
         sol.surge[0, 1] = 4.0  # below the preference threshold
         assert not verify_zero_cost(sol, np.array([0, 1]), [d], np.zeros(2))
 
     def test_infeasible_target_flagged(self):
-        d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2),
-                         frozenset([0]))
+        d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2))
         sol = per_vehicle_prices(np.array([0]), [d], np.zeros(2), np.zeros(2))
         check = verify_zero_cost(sol, np.array([0, 1]), [d], np.zeros(2))
         assert not check
@@ -442,7 +480,7 @@ class TestVerifyZeroCost:
 
 def test_surge_csv_rows_nonzero_only():
     d = DriverParams(np.array([1.0, 1.0]), np.array([0.0, 5.0]),
-                     np.array([1.0, 1.0]), frozenset([0, 1]))
+                     np.array([1.0, 1.0]))
     sol = per_vehicle_prices(np.array([1]), [d], np.zeros(2), np.zeros(2))
     rows = list(surge_price_rows([sol, sol]))
     assert rows[0] == "company,vehicle_id,station,rho,mode"
