@@ -26,7 +26,7 @@ for i in range(instance.n_companies):
     drivers = build.drivers[i]
     target = discretize(x_i, build.feas[i], instance.companies[i].fleet_size)
 
-    solution = two_step(target, drivers, prices, seed=100 + i)
+    solution = two_step(target, drivers, prices)
     solutions.append(solution)
     check = verify_zero_cost(solution, target, drivers, prices)
     nonzero = solution.surge[solution.surge > 0]

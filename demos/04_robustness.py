@@ -23,10 +23,13 @@ sweep = robustness_sweep(instance, alphas, 30, baselines, seed=5)
 print("unperturbed optimum:", f"{sweep.j_star:.2e}")
 print("deviation-gain bound (any company, any sample):",
       f"{epsilon_bound(instance):.3g}")
-print("\n  alpha |  feedback |        p1 |        p2")
+print("\nmeans over converged solves; unconverged ones are excluded")
+print("\n  alpha |  feedback |        p1 |        p2 | excluded (feedback/p1/p2)")
+excluded = {name: sweep.excluded(name) for name in ("rsg", "p1", "p2")}
 for k, alpha in enumerate(alphas):
     print(f"  {alpha:5.2f} | {sweep.mean('rsg')[k]:9.3f}"
-          f" | {sweep.mean('p1')[k]:9.1f} | {sweep.mean('p2')[k]:9.1f}")
+          f" | {sweep.mean('p1')[k]:9.1f} | {sweep.mean('p2')[k]:9.1f}"
+          f" | {excluded['rsg'][k]}/{excluded['p1'][k]}/{excluded['p2'][k]}")
 
 ok = sweep.assumption_ok
 print("\nconvexity assumption held on "

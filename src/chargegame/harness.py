@@ -13,6 +13,7 @@ bytes depend only on the configured seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -92,6 +93,7 @@ class GridSearchResult:
     report: SolveReport
     evaluated_prices: np.ndarray   # (n_evaluated, n_stations)
     evaluated_j_g: np.ndarray
+    evaluated_converged: np.ndarray  # bool: the row's solve met its tolerance
 
     @property
     def j_g(self) -> float:
@@ -116,13 +118,15 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
     axes = [np.linspace(0.0, p_max, resolution) for _ in range(m)]
     all_prices: list[np.ndarray] = []
     all_j: list[np.ndarray] = []
+    all_conv: list[np.ndarray] = []
     best_price, best_j = None, np.inf
 
     for sweep in range(refine + 1):
         grid = np.array(list(product(*axes)))
-        j_vals = _evaluate_price_rows(instance, grid, f1, gamma, max_iter, tol)
+        j_vals, conv = _evaluate_price_rows(instance, grid, f1, gamma, max_iter, tol)
         all_prices.append(grid)
         all_j.append(j_vals)
+        all_conv.append(conv)
         k = int(np.argmin(j_vals))
         if j_vals[k] < best_j:
             best_j = float(j_vals[k])
@@ -136,19 +140,20 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
             ]
 
     report = fixed_price_nash(instance, best_price, max_iter=max_iter, tol=tol)
-    return GridSearchResult(best_price, report,
-                            np.vstack(all_prices), np.concatenate(all_j))
+    return GridSearchResult(best_price, report, np.vstack(all_prices),
+                            np.concatenate(all_j), np.concatenate(all_conv))
 
 
 def _evaluate_price_rows(instance: GameInstance, price_rows: np.ndarray,
                          f1: np.ndarray, gamma: float, max_iter: int,
-                         tol: float) -> np.ndarray:
-    """Authority loss at the fixed-price equilibrium for every price row."""
+                         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Authority loss at the fixed-price equilibrium for every price row,
+    and whether each row's solve converged."""
     rows = price_rows.shape[0]
     out = solve_nash_batch(instance, fixed_price_f2(instance, price_rows), f1=f1,
                            gammas=np.full(rows, gamma),
                            max_iter=max_iter, tol=tol)
-    return government_cost(out["sigma_final"], instance.government)
+    return government_cost(out["sigma_final"], instance.government), out["converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +202,15 @@ def run_pipeline(config: ExperimentConfig,
             scenario = scenario_mod.demo_scenario()
         else:
             scenario = _stage("load-scenario", seconds)(load_scenario, config.scenario_path)
-    if config.seed is not None:
-        scenario.seed = config.seed
+    if config.seed is not None:     # a copy: the caller's scenario keeps its seed
+        scenario = dataclasses.replace(scenario, seed=config.seed)
 
     build = _stage("simulate-and-estimate", seconds)(build_game, scenario)
     instance = build.instance
     _write(files, out_dir, "snapshot.csv", scenario_mod.snapshot_rows(build.snapshot))
 
     t0 = time.perf_counter()
+    grid_result = None
     if config.mechanism == "rsg":
         upper = _stage("solve-upper", seconds)(
             solve_nash, instance, max_iter=config.max_iter, tol=config.tol)
@@ -215,13 +221,12 @@ def run_pipeline(config: ExperimentConfig,
         upper = _stage("solve-upper", seconds)(
             fixed_price_nash, instance, price, config.max_iter, config.tol)
     else:
-        grid_res = _stage("grid-search", seconds)(
+        grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
             config.refine, config.max_iter, config.tol)
-        upper = grid_res.report
+        upper = grid_result.report
     upper_seconds = time.perf_counter() - t0
 
-    grid_result = None
     comparison: dict[str, tuple[float, np.ndarray]] = {}
     if config.mechanism == "rsg" and config.compare:
         base_price = DEFAULT_FLAT_PRICE[: instance.n_stations]
@@ -250,8 +255,7 @@ def run_pipeline(config: ExperimentConfig,
                                                instance.companies[i].fleet_size)
         targets.append(target)
         sol = _stage("solve-lower", seconds)(
-            surge.two_step, target, build.drivers[i], prices_at_eq[i],
-            seed=scenario.seed + 100 + i)
+            surge.two_step, target, build.drivers[i], prices_at_eq[i])
         surge_solutions.append(sol)
 
     _write(files, out_dir, "prices_table.csv",
@@ -287,6 +291,9 @@ def run_pipeline(config: ExperimentConfig,
         "surge_modes": [{"mode": sol.mode, "solver_info": sol.solver_info}
                         for sol in surge_solutions],
     }
+    if grid_result is not None:
+        meta["grid_rows"] = int(grid_result.evaluated_converged.size)
+        meta["grid_unconverged"] = int(np.sum(~grid_result.evaluated_converged))
     if sweep is not None:
         meta["robustness_rows"] = len(sweep.rows)
         meta["robustness_unconverged"] = sum(not r.converged for r in sweep.rows)

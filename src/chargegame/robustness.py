@@ -225,12 +225,21 @@ class SweepResult:
     j_star: float
 
     def mean(self, mechanism: str) -> np.ndarray:
-        out = np.zeros(self.alphas.size)
+        """Mean J_G per alpha over the mechanism's converged rows only; NaN
+        where none converged (``excluded`` counts the rows left out)."""
+        out = np.full(self.alphas.size, np.nan)
         for a_idx, alpha in enumerate(self.alphas):
-            vals = [r.j_g for r in self.rows
-                    if r.mechanism == mechanism and r.alpha == alpha]
-            out[a_idx] = float(np.mean(vals))
+            vals = [r.j_g for r in self.rows if r.mechanism == mechanism
+                    and r.alpha == alpha and r.converged]
+            if vals:
+                out[a_idx] = float(np.mean(vals))
         return out
+
+    def excluded(self, mechanism: str) -> np.ndarray:
+        """Unconverged rows per alpha, left out of ``mean``."""
+        return np.array([sum(r.mechanism == mechanism and r.alpha == alpha
+                             and not r.converged for r in self.rows)
+                         for alpha in self.alphas])
 
     def to_csv_rows(self):
         yield "alpha,sample_id,mechanism,j_g,assumption_ok,converged"

@@ -12,13 +12,14 @@ a tracking error) and, if the target is missed, falls back to per-vehicle
 surge vectors, which always achieve the target exactly whenever the
 target is matchable at all.
 
-When every driver has the same strictly positive surge gain, the shared
+When every driver has the same (nonnegative) surge gain, the shared
 vector is an assignment-market question (Shapley & Shubik, 1971): a
 vector making every driver strictly prefer its own station exists iff it
 supports the min-cost assignment of drivers to the target's slots, and
 the least such vector solves a system of difference constraints
-(Bellman-Ford). That path is exact and polynomial; other fleets take a
-class enumeration or a seeded local search.
+(Bellman-Ford). That path is exact and polynomial. Fleets whose drivers
+have different gains get the floor vector and its tracking cost, so they
+go straight to per-vehicle vectors.
 
 Tie-breaking everywhere is deterministic: the lowest station index among
 minimizers. A small strictness margin is added to binding surge prices so
@@ -28,16 +29,13 @@ the intended choice survives floating-point noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleTargetError, ZeroGainError
 from .feasible import FeasibilityStructure, _assign_slots, hall_condition
 
 DEFAULT_MARGIN = 1e-6
-_STRICT_EPS = 1e-7
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,68 +181,41 @@ def per_vehicle_prices(assignment: np.ndarray, drivers: list[DriverParams],
                          "floor-plus-threshold construction")
 
 
-def _driver_class_key(driver: DriverParams) -> tuple:
-    return (tuple(np.round(driver.demand, 12)),
-            tuple(np.round(driver.base_revenue, 12)),
-            tuple(np.round(driver.surge_gain, 12)),
-            tuple(sorted(driver.reachable)))
-
-
 def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
-                      prices: np.ndarray, rho_min: np.ndarray,
-                      budget: int = 100_000, seed: int = 0,
-                      rho_cap: float | None = None) -> SurgeSolution:
-    """Best single surge vector shared by every driver.
+                      prices: np.ndarray, rho_min: np.ndarray) -> SurgeSolution:
+    """Single surge vector shared by every driver.
 
-    When every driver has the same surge-gain vector, strictly positive on
-    every station, the solver first returns the componentwise-least vector
-    (at or above ``rho_min``) that makes every driver prefer the station
-    of the min-cost target assignment by at least ``DEFAULT_MARGIN``, with
-    zero tracking cost (see ``_equal_price_assignment``). This path is
-    exact: it finds a vector whenever one exists with that margin and
-    within ``rho_cap``.
+    When every driver has the same surge-gain vector, the solver returns
+    the componentwise-least vector (at or above ``rho_min``) that makes
+    every driver prefer the station of the min-cost target assignment by
+    at least ``DEFAULT_MARGIN``, with zero tracking cost (see
+    ``_least_shared_vector``). This is exact: it finds a vector whenever
+    one exists with that margin.
 
-    Otherwise, or when no such vector exists: identical drivers react
-    identically to a shared vector, so reachable aggregates are determined
-    by a station choice per driver class. When the class-choice space fits
-    the budget the solver enumerates it and checks each candidate with a
-    linear feasibility program (exact); otherwise it falls back to a
-    seeded local search over surge vectors. The optimum may be a strictly
-    positive tracking cost. ``solver_info`` names the path that ran.
+    Otherwise (the gains differ between drivers, or no such vector
+    exists) it returns the floor vector ``rho_min`` with the drivers'
+    responses to it and their tracking cost. ``solver_info`` names which
+    of these happened.
     """
     target = np.asarray(target, dtype=int)
-    prices = np.asarray(prices, dtype=float)
     rho_min = np.asarray(rho_min, dtype=float)
-    fleet = _stack(drivers, prices)
-
-    sol = _equal_price_assignment(target, *fleet, rho_min, rho_cap)
-    if sol is not None:
-        return sol
-
-    classes: dict[tuple, list[int]] = {}
-    for v, d in enumerate(drivers):
-        classes.setdefault(_driver_class_key(d), []).append(v)
-    keys = sorted(classes.keys())
-    members = [classes[k] for k in keys]
-    reach_sets = [sorted(set(k[3])) for k in keys]
-
-    n_candidates = 1
-    for r in reach_sets:
-        n_candidates *= len(r)
-        if n_candidates > budget:
-            break
-
-    if n_candidates <= budget:
-        sol = _equal_price_exact(target, fleet, members, reach_sets, rho_min,
-                                 rho_cap)
-        if sol is not None:
-            return sol
-
-    return _equal_price_search(target, fleet, rho_min, budget, seed, rho_cap)
+    a, gains, reach = _stack(drivers, np.asarray(prices, dtype=float))
+    n, m = a.shape
+    shared = n > 0 and bool(np.all(gains == gains[0]))
+    rho = _least_shared_vector(target, a, gains[0], reach, rho_min) if shared else None
+    if rho is not None:
+        mu = _best_responses(a, gains, reach, rho)
+        if np.array_equal(np.bincount(mu, minlength=m), target):
+            return SurgeSolution(mu, np.tile(rho, (n, 1)), 0.0, "equal-price",
+                                 "least vector of the min-cost assignment")
+    mu = _best_responses(a, gains, reach, rho_min)
+    j_m = 0.5 * float(np.sum((np.bincount(mu, minlength=m) - target) ** 2))
+    reason = "no supporting vector" if shared else "surge gains differ"
+    return SurgeSolution(mu, np.tile(rho_min, (n, 1)), j_m, "equal-price",
+                         f"floor vector: {reason}")
 
 
-def _equal_price_assignment(target, a, gains, reach, rho_min,
-                            rho_cap) -> SurgeSolution | None:
+def _least_shared_vector(target, a, gain, reach, rho_min) -> np.ndarray | None:
     """Least shared vector supporting the min-cost target assignment, or None.
 
     With one gain vector, driver v pays ``a[v, k] - pi_k`` at station k,
@@ -258,15 +229,15 @@ def _equal_price_assignment(target, a, gains, reach, rho_min,
     largest advantage of k over j among the drivers at j that reach k.
     Relaxing them upward from the floor gives the least solution in at
     most m - 1 rounds; a change in round m means a positive cycle, so no
-    vector exists (Bellman-Ford; CLRS 24.4). Returns None whenever the
-    gains are not shared and positive, no assignment hits the target, a
-    cycle exists, or the least vector exceeds ``rho_cap``.
+    vector exists (Bellman-Ford; CLRS 24.4). A zero-gain station keeps
+    pi_k = 0 whatever its price, so it stays at its floor, and a least
+    solution that lifts it has no admissible vector above it. Returns
+    None whenever no assignment hits the target, a cycle exists, or a
+    zero-gain station would be lifted.
     """
     n, m = a.shape
-    if (n == 0 or not np.all(gains[0] > 0) or not np.all(gains == gains[0])
-            or np.any(target < 0) or int(target.sum()) != n):
+    if np.any(target < 0) or int(target.sum()) != n:
         return None
-    gain = gains[0]
     cost = np.where(reach, a, np.inf)
 
     slots = np.repeat(np.arange(m), target)
@@ -290,123 +261,16 @@ def _equal_price_assignment(target, a, gains, reach, rho_min,
         pi = lifted
     else:
         return None             # positive cycle: no vector with this margin
-    rho = np.maximum(pi / gain, rho_min)
-    if rho_cap is not None and np.any(rho > rho_cap):
-        return None             # the least vector already breaks the cap
-
-    mu = _best_responses(a, gains, reach, rho)
-    if not np.array_equal(np.bincount(mu, minlength=m), target):
-        return None
-    return SurgeSolution(mu, np.tile(rho, (n, 1)), 0.0, "equal-price",
-                         "least vector of the min-cost assignment")
-
-
-def _equal_price_exact(target, fleet, members, reach_sets, rho_min,
-                       rho_cap) -> SurgeSolution | None:
-    """Enumerate class-to-station choices; keep the best feasible aggregate."""
-    a, gains, _ = fleet
-    n, m = a.shape
-    reps = [rows[0] for rows in members]
-    sizes = np.array([len(rows) for rows in members])
-
-    best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
-    for choice in product(*reach_sets):
-        sigma = np.zeros(m)
-        for c, j in enumerate(choice):
-            sigma[j] += sizes[c]
-        j_m = 0.5 * float(np.sum((sigma - target) ** 2))
-        if best is not None and j_m >= best[0]:
-            continue
-        rho = _common_rho_feasible(choice, a[reps], gains[reps], reach_sets,
-                                   rho_min, rho_cap)
-        if rho is None:
-            continue
-        best = (j_m, rho, choice)
-        if j_m == 0.0:
-            break
-
-    if best is None:
-        return None
-    j_m, rho, choice = best
-    assignment = np.empty(n, dtype=int)
-    for c, rows in enumerate(members):
-        assignment[rows] = choice[c]
-    surge = np.tile(rho, (n, 1))
-    return SurgeSolution(assignment, surge, j_m, "equal-price",
-                         "exact class enumeration")
-
-
-def _common_rho_feasible(choice, alphas, gains, reach_sets, rho_min, rho_cap):
-    """Linear feasibility: does a shared vector induce these class choices?
-
-    ``alphas`` and ``gains`` hold one row per class representative.
-    """
-    m = rho_min.size
-    rows_a, rows_b = [], []
-    for c, j_c in enumerate(choice):
-        alpha = alphas[c]
-        for j in reach_sets[c]:
-            if j == j_c:
-                continue
-            # cost(j_c) <= cost(j) (strict if j has tie-break priority)
-            row = np.zeros(m)
-            row[j] = gains[c, j]
-            row[j_c] -= gains[c, j_c]
-            slack = alpha[j] - alpha[j_c]
-            if j < j_c:
-                slack -= _STRICT_EPS
-            rows_a.append(row)
-            rows_b.append(slack)
-    bounds = [(float(rho_min[k]), rho_cap) for k in range(m)]
-    if not rows_a:
-        return rho_min.copy()
-    res = linprog(np.zeros(m), A_ub=np.array(rows_a), b_ub=np.array(rows_b),
-                  bounds=bounds, method="highs")
-    return res.x if res.status == 0 else None
-
-
-def _equal_price_search(target, fleet, rho_min, budget, seed,
-                        rho_cap) -> SurgeSolution:
-    """Seeded stochastic local search over a shared surge vector."""
-    rng = np.random.default_rng(seed)
-    a, gains, reach = fleet
-    m = a.shape[1]
-
-    def evaluate(rho):
-        mu = _best_responses(a, gains, reach, rho)
-        sigma = np.bincount(mu, minlength=m)
-        return 0.5 * float(np.sum((sigma - target) ** 2)), mu
-
-    rho = rho_min.copy()
-    j_m, mu = evaluate(rho)
-    best = (j_m, rho.copy(), mu)
-    step = 1.0 + float(np.abs(a).max() / max(gains.max(), 1e-9)) / 10.0
-    for it in range(budget):
-        if best[0] == 0.0:
-            break
-        k = int(rng.integers(m))
-        cand = rho.copy()
-        cand[k] = max(rho_min[k], cand[k] + rng.normal(0.0, step))
-        if rho_cap is not None:
-            cand[k] = min(cand[k], rho_cap)
-        j_c, mu_c = evaluate(cand)
-        if j_c <= j_m:
-            rho, j_m, mu = cand, j_c, mu_c
-            if j_c < best[0]:
-                best = (j_c, cand.copy(), mu_c)
-        if it % 500 == 499:
-            step = max(step * 0.7, 1e-3)
-
-    j_m, rho, mu = best
-    surge = np.tile(rho, (a.shape[0], 1))
-    return SurgeSolution(mu, surge, j_m, "equal-price",
-                         f"local search ({budget} evaluations)")
+    pinned = gain == 0
+    if np.any(pi[pinned] > 0):
+        return None             # a zero-gain station cannot be lifted
+    rho = np.divide(pi, gain, out=rho_min.copy(), where=~pinned)
+    return np.maximum(rho, rho_min)
 
 
 def two_step(target: np.ndarray, drivers: list[DriverParams],
              prices: np.ndarray, rho_min: np.ndarray | None = None,
-             margin: float = DEFAULT_MARGIN, equal_budget: int = 20_000,
-             seed: int = 0) -> SurgeSolution:
+             margin: float = DEFAULT_MARGIN) -> SurgeSolution:
     """Shared surge vector first; per-vehicle vectors if the target is missed.
 
     Always returns a zero tracking cost for matchable targets, at the
@@ -423,8 +287,7 @@ def two_step(target: np.ndarray, drivers: list[DriverParams],
     # the one matchability decision: raises InfeasibleTargetError
     assignment = assign_vehicles(target, FeasibilityStructure(fleet[2]))
 
-    eq = equal_price_solve(target, drivers, prices, rho_min,
-                           budget=equal_budget, seed=seed)
+    eq = equal_price_solve(target, drivers, prices, rho_min)
     if eq.j_m == 0.0 and _hits_target(eq.surge, target, *fleet):
         return eq
     return per_vehicle_prices(assignment, drivers, prices, rho_min, margin)

@@ -1,5 +1,6 @@
 """Baselines, grid search, pipeline artifacts, and the CLI surface."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -29,7 +30,6 @@ class TestFixedPriceNash:
         # price only adds a constant per company, so the split is unchanged
         inst = reference_game(seed=3)
         flat = inst.with_demand([np.full(4, 50.0) for _ in inst.companies])
-        import dataclasses
         comps = tuple(dataclasses.replace(c, revenue=np.zeros(4))
                       for c in flat.companies)
         flat = dataclasses.replace(flat, companies=comps)
@@ -112,6 +112,9 @@ class TestPipeline:
                                "grid-search", "discretize", "solve-lower"}
         assert all(t > 0 for t in stages.values())
         assert meta["projector_paths"] == ["simplex"] * pipe.build.instance.n_companies
+        converged = pipe.grid_result.evaluated_converged
+        assert meta["grid_rows"] == converged.size == 2 * 3**4
+        assert meta["grid_unconverged"] == int(np.sum(~converged)) == 0
 
     def test_upper_converged_to_floor(self, pipe):
         trace = pipe.upper.j_g_trace
@@ -138,6 +141,19 @@ class TestPipeline:
             a = (pipe.out_dir / name).read_bytes()
             b = (res2.out_dir / name).read_bytes()
             assert a == b, name
+
+    def test_seed_override_leaves_scenario_unchanged(self, tmp_path):
+        scenario = small_scenario()
+        seed = scenario.seed
+        cfg = ExperimentConfig(compare=False, seed=seed + 1,
+                               out_dir=str(tmp_path / "override"))
+        res = run_pipeline(cfg, scenario)
+        assert scenario.seed == seed
+        same = run_pipeline(ExperimentConfig(compare=False, out_dir=str(tmp_path / "copy")),
+                            dataclasses.replace(scenario, seed=seed + 1))
+        assert set(res.files) == set(same.files)
+        for name, path in res.files.items():
+            assert path.read_bytes() == same.files[name].read_bytes(), name
 
 
 def test_experiment_config_from_json(tmp_path):

@@ -241,6 +241,21 @@ class TestSweep:
         b = robustness_sweep(ref_game, baseline_prices={"base": np.full(4, 3.0)}, **kw)
         assert list(a.to_csv_rows()) == list(b.to_csv_rows())
 
+    def test_mean_over_converged_rows_only(self, ref_game):
+        # at alpha = 0.1 some solves stop at max_iter = 600 and all at 100
+        kw = dict(alphas=(0.0, 0.1), n_samples=5, seed=11, check_bounds=False)
+        sweep = robustness_sweep(ref_game, max_iter=600, **kw)
+        rows = [r for r in sweep.rows if r.alpha == 0.1]
+        kept = [r.j_g for r in rows if r.converged]
+        assert 0 < len(kept) < len(rows)
+        assert sweep.mean("rsg")[1] == np.mean(kept)
+        assert sweep.excluded("rsg").tolist() == [0, len(rows) - len(kept)]
+
+        none = robustness_sweep(ref_game, max_iter=100, **kw)
+        assert none.excluded("rsg").tolist() == [0, 5]
+        assert np.isnan(none.mean("rsg")[1])
+        assert none.mean("rsg")[0] == sweep.mean("rsg")[0]
+
     def test_baseline_losses_vary_with_perturbed_demand(self, ref_game):
         # fixed prices stay fixed; the equilibria (and losses) move with the
         # sampled demand

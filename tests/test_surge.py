@@ -218,46 +218,11 @@ class TestEqualPrice:
         # both drivers follow the same response: aggregate (2,0) or (0,2)
         assert sol.j_m == pytest.approx(1.0)
 
-    def test_exact_matches_exhaustive_enumeration(self):
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            m = int(rng.integers(2, 4))
-            n_v = int(rng.integers(2, 8))
-            drivers = [make_driver(rng, m) for _ in range(n_v)]
-            prices = rng.uniform(0, 3, m)
-            target = random_feasible_target(rng, drivers, m)
-            sol = equal_price_solve(target, drivers, prices, np.zeros(m))
 
-            # oracle: enumerate every per-driver choice combination and keep
-            # the best aggregate inducible by some shared vector
-            best = np.inf
-            for combo in product(*[sorted(d.reachable) for d in drivers]):
-                sigma = np.bincount(np.array(combo), minlength=m)
-                j_m = 0.5 * float(np.sum((sigma - target) ** 2))
-                if j_m >= best:
-                    continue
-                if _inducible(drivers, combo, prices, m):
-                    best = j_m
-            assert sol.j_m == pytest.approx(best)
-
-    def test_local_search_not_better_than_exact(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            m = 3
-            drivers = [make_driver(rng, m) for _ in range(6)]
-            prices = rng.uniform(0, 3, m)
-            target = random_feasible_target(rng, drivers, m)
-            exact = equal_price_solve(target, drivers, prices, np.zeros(m))
-            search = _forced_search(target, drivers, prices, m, seed=0)
-            assert search.j_m >= exact.j_m - 1e-9
-
-
-def _inducible(drivers, combo, prices, m, margin=None, objective=None):
-    """LP feasibility of a shared vector inducing the given choices.
-
-    Without ``margin`` a tie only needs breaking against lower-indexed
-    stations; with it every alternative must be worse by ``margin``. With
-    an ``objective`` the LP optimum is returned (None when infeasible).
+def _inducible(drivers, combo, prices, m, objective=None):
+    """LP feasibility of a shared vector inducing the given choices, every
+    alternative worse by the margin. With an ``objective`` the LP optimum
+    is returned (None when infeasible).
     """
     from scipy.optimize import linprog
 
@@ -270,12 +235,8 @@ def _inducible(drivers, combo, prices, m, margin=None, objective=None):
             row = np.zeros(m)
             row[j] = d.surge_gain[j]
             row[j_c] -= d.surge_gain[j_c]
-            if margin is None:
-                slack = alpha[j] - alpha[j_c] - (1e-7 if j < j_c else 0.0)
-            else:
-                slack = alpha[j] - alpha[j_c] - margin
             rows.append(row)
-            rhs.append(slack)
+            rhs.append(alpha[j] - alpha[j_c] - DEFAULT_MARGIN)
     c = np.zeros(m) if objective is None else objective
     if not rows:
         return True if objective is None else 0.0
@@ -286,19 +247,16 @@ def _inducible(drivers, combo, prices, m, margin=None, objective=None):
     return res.fun if res.status == 0 else None
 
 
-def _forced_search(target, drivers, prices, m, seed):
-    """Run the stochastic path by making every driver its own class budget-buster."""
-    return equal_price_solve(target, drivers, prices, np.zeros(m), budget=1,
-                             seed=seed)
-
-
 ASSIGNMENT_PATH = "least vector of the min-cost assignment"
 
 
-def shared_gain_fleet(rng, m, n_v, n_distinct):
+def shared_gain_fleet(rng, m, n_v, n_distinct, zero_gain=False):
     """``n_v`` drivers sharing one gain vector, copies of ``n_distinct``
-    distinct drivers, some of which reach a single station."""
+    distinct drivers, some of which reach a single station. With
+    ``zero_gain`` one or more stations of the shared vector gain nothing."""
     gain = rng.uniform(5.0, 20.0, m)
+    if zero_gain:
+        gain[rng.choice(m, int(rng.integers(1, m)), replace=False)] = 0.0
     distinct = []
     for _ in range(n_distinct):
         reach = frozenset([int(rng.integers(m))]) if rng.random() < 0.25 else None
@@ -314,7 +272,7 @@ def brute_force_vector(drivers, target, prices, m):
     for combo in product(*[sorted(d.reachable) for d in drivers]):
         if not np.array_equal(np.bincount(np.array(combo), minlength=m), target):
             continue
-        if _inducible(drivers, combo, prices, m, margin=DEFAULT_MARGIN):
+        if _inducible(drivers, combo, prices, m):
             return combo
     return None
 
@@ -322,12 +280,13 @@ def brute_force_vector(drivers, target, prices, m):
 class TestEqualPriceAssignment:
     def test_matches_brute_force_on_shared_gain_fleets(self):
         rng = np.random.default_rng(11)
-        found = 0
-        for case in range(90):
+        found = zero_found = 0
+        for case in range(120):
             m = int(rng.integers(2, 5))
             n_v = int(rng.integers(1, 9 if m < 4 else 7))
             n_distinct = int(rng.integers(1, n_v + 1))
-            drivers = shared_gain_fleet(rng, m, n_v, n_distinct)
+            zero_gain = case % 4 == 3
+            drivers = shared_gain_fleet(rng, m, n_v, n_distinct, zero_gain)
             prices = rng.uniform(0, 3, m)
             if case % 3:
                 target = random_feasible_target(rng, drivers, m)
@@ -339,8 +298,11 @@ class TestEqualPriceAssignment:
             combo = brute_force_vector(drivers, target, prices, m)
             assert (sol.solver_info == ASSIGNMENT_PATH) == (combo is not None)
             if combo is None:
+                assert sol.solver_info == "floor vector: no supporting vector"
+                assert np.all(sol.surge == 0.0)
                 continue
             found += 1
+            zero_found += zero_gain
             assert sol.j_m == 0.0 and sol.mode == "equal-price"
             rho = sol.surge[0]
             assert np.all(sol.surge == rho[None, :])
@@ -349,12 +311,13 @@ class TestEqualPriceAssignment:
             assert induced == list(combo) == sol.assignment.tolist()
             assert verify_zero_cost(sol, target, drivers, prices)
             for k in range(m):
-                lp_min = _inducible(drivers, combo, prices, m,
-                                    margin=DEFAULT_MARGIN, objective=np.eye(m)[k])
+                lp_min = _inducible(drivers, combo, prices, m, objective=np.eye(m)[k])
                 assert rho[k] <= lp_min + 1e-9
-        assert min(found, 90 - found) >= 10    # both outcomes are exercised
+        # both outcomes are exercised, with and without zero gains
+        assert min(found, 120 - found) >= 10
+        assert min(zero_found, 30 - zero_found) >= 5
 
-    def test_floor_and_cap(self):
+    def test_floor_respected(self):
         rng = np.random.default_rng(12)
         m = 3
         drivers = shared_gain_fleet(rng, m, 6, 6)
@@ -372,33 +335,38 @@ class TestEqualPriceAssignment:
         assert np.all(floored.surge[0] >= rho_min)
         assert verify_zero_cost(floored, target, drivers, prices)
 
-        capped = equal_price_solve(target, drivers, prices, np.zeros(m),
-                                   rho_cap=0.5 * float(np.max(free.surge[0])))
-        assert capped.solver_info != ASSIGNMENT_PATH
-
-    def test_zero_or_unshared_gain_takes_previous_path(self):
+    def test_zero_gain_shares_and_unshared_gain_floors(self):
         rng = np.random.default_rng(13)
         m = 3
         proto = make_driver(rng, m, reachable=frozenset(range(m)))
-        drivers = [proto] * 5
         target = np.array([0, 5, 0])
-        shared = equal_price_solve(target, drivers, np.zeros(m), np.zeros(m))
+        shared = equal_price_solve(target, [proto] * 5, np.zeros(m), np.zeros(m))
         assert shared.solver_info == ASSIGNMENT_PATH
 
-        gain = proto.surge_gain.copy()
-        gain[0] = 0.0
-        zero = DriverParams(proto.demand, proto.base_revenue, gain)
-        sol = equal_price_solve(target, [zero] * 5, np.zeros(m), np.zeros(m))
-        assert sol.solver_info == "exact class enumeration"
+        # station 0 gains nothing, so it stays at its floor: drivers can be
+        # lifted to station 1 but never pulled back to station 0
+        zero = DriverParams(np.ones(2), np.array([0.0, 5.0]), np.array([0.0, 1.0]))
+        floor = np.array([0.25, 0.0])
+        to_one = equal_price_solve(np.array([0, 3]), [zero] * 3, np.zeros(2), floor)
+        assert to_one.solver_info == ASSIGNMENT_PATH and to_one.j_m == 0.0
+        assert to_one.surge[0].tolist() == [0.25, 5.0 + DEFAULT_MARGIN]
+        back = DriverParams(np.ones(2), np.array([5.0, 0.0]), np.array([0.0, 1.0]))
+        to_zero = equal_price_solve(np.array([3, 0]), [back] * 3, np.zeros(2), floor)
+        assert to_zero.solver_info == "floor vector: no supporting vector"
+        assert to_zero.assignment.tolist() == [1, 1, 1] and to_zero.j_m == 9.0
 
+        rho_min = np.array([0.25, 0.0, 0.0])
         unshared = [DriverParams(proto.demand, proto.base_revenue,
                                  proto.surge_gain * (1.0 + 0.01 * v))
                     for v in range(5)]
-        sol = equal_price_solve(target, unshared, np.zeros(m), np.zeros(m))
-        assert sol.solver_info == "exact class enumeration"
-        sol = equal_price_solve(target, unshared, np.zeros(m), np.zeros(m),
-                                budget=1)
-        assert sol.solver_info == "local search (1 evaluations)"
+        prices = np.zeros(m)
+        sol = equal_price_solve(target, unshared, prices, rho_min)
+        assert sol.solver_info == "floor vector: surge gains differ"
+        assert np.all(sol.surge == rho_min)
+        responses = [driver_best_response(d, rho_min, prices) for d in unshared]
+        assert sol.assignment.tolist() == responses
+        sigma = np.bincount(responses, minlength=m)
+        assert sol.j_m == 0.5 * float(np.sum((sigma - target) ** 2))
 
     def test_demo_companies_take_assignment_path(self, demo_build):
         from chargegame.equilibrium import solve_nash
@@ -449,8 +417,8 @@ class TestTwoStep:
             drivers = [make_driver(rng, m) for _ in range(n_v)]
             target = random_feasible_target(rng, drivers, m)
             prices = rng.uniform(0, 4, m)
-            sol = two_step(target, drivers, prices, seed=int(rng.integers(10_000)),
-                           equal_budget=500)
+            rng.integers(10_000)    # unused draw: keeps the generated fleets
+            sol = two_step(target, drivers, prices)
             assert sol.j_m == 0.0
             check = verify_zero_cost(sol, target, drivers, prices)
             assert check.ok and not check.infeasible_target
