@@ -8,13 +8,13 @@ aggregate straight to the target counts.
 
 import numpy as np
 
-from chargegame import (fixed_price_nash, reference_game, solve_nash,
-                        step_size_bound, system_optimal_prices)
+from chargegame import (game_map, reference_game, solve_nash, step_bound,
+                        system_optimal_prices)
 
 game = reference_game(seed=0)
 print("stations:", game.n_stations, "| companies:", game.n_companies)
 print("target counts per station:", game.government.set_point)
-print("admissible step sizes: (0, %.3e)" % step_size_bound(game))
+print("admissible step sizes: (0, %.3e)" % step_bound(game_map(game)[0]))
 
 report = solve_nash(game)
 print(f"\nconverged in {report.iterations} iterations "
@@ -30,7 +30,7 @@ for i in range(game.n_companies):
     prices = system_optimal_prices(game, i, x_i, sigma_others)
     print(f"  company {i + 1}: x = {np.round(x_i, 3)}  p = {np.round(prices, 2)}")
 
-flat = fixed_price_nash(game, np.full(4, 3.0))
+flat = solve_nash(game, prices=np.full(4, 3.0))
 print("\nflat 3.0 price for comparison: loss",
       f"{flat.j_g:.1f} at aggregate {np.round(flat.sigma, 1)}")
 print("feedback prices reach loss", f"{report.j_g:.2e}")

@@ -24,9 +24,9 @@ from .model import (AllocationProfile, CompanyParams, GameInstance,
                     pseudo_inverse_diag, queuing_cost, reduced_cost,
                     setpoint_from_distribution, system_optimal_prices,
                     approximate_prices)
-from .equilibrium import (SolveReport, default_start, game_map,
-                          lambda_max_closed_form, nash_residual,
-                          pseudo_gradient, solve_nash, step_size_bound)
+from .equilibrium import (SolveReport, apply_map, default_start, game_map,
+                          lambda_max_closed_form, nash_residual, solve_nash,
+                          step_bound)
 from .robustness import (GapBound, Perturbation, SweepResult,
                          best_response_gap, build_perturbation,
                          check_convexity_assumption, epsilon_bound,
@@ -36,11 +36,11 @@ from .surge import (DriverParams, SurgeSolution, assign_vehicles,
                     driver_best_response, equal_price_solve,
                     per_vehicle_prices, two_step, verify_zero_cost)
 from .scenario import (FleetSnapshot, Scenario, ScenarioParams, build_game,
-                       compute_feasibility, demo_scenario, discharge_step,
+                       compute_feasibility, demo_scenario, discharge,
                        estimate_company_params, estimate_driver_params,
                        mfd_speed, reference_game, simulate_period)
 from .network import RoadNetwork, grid_network, read_network, write_network
-from .harness import (ExperimentConfig, GridSearchResult, fixed_price_nash,
-                      grid_search, run_pipeline)
+from .harness import (ExperimentConfig, GridSearchResult, grid_search,
+                      run_pipeline)
 
 __version__ = "0.1.0"

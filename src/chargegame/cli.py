@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible scenario (degenerate
-fleet, empty allocation set, unmatchable target), 4 numerical failure.
+fleet, empty allocation set, unmatchable target), 4 numerical failure,
+including an upper-level solve that stopped at ``--max-iter`` unconverged.
 """
 
 from __future__ import annotations
@@ -113,6 +114,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def _exit_code(res) -> int:
+    """Exit code of a finished pipeline run: an unconverged upper solve is
+    a numerical failure."""
+    return 0 if res.upper.converged else EXIT_NUMERICAL
+
+
 def _dispatch(args) -> int:
     if args.command == "make-demo":
         path = write_scenario(demo_scenario(args.seed), args.out)
@@ -139,7 +146,7 @@ def _dispatch(args) -> int:
         res = run_pipeline(cfg)
         print(f"j_g={res.upper.j_g!r} iterations={res.upper.iterations} "
               f"converged={res.upper.converged} seconds={res.upper_seconds:.2f}")
-        return 0 if res.upper.converged else EXIT_NUMERICAL
+        return _exit_code(res)
 
     if args.command == "solve-lower":
         cfg = _config_from_args(args, compare=False)
@@ -147,21 +154,21 @@ def _dispatch(args) -> int:
         total = sum(sol.j_m for sol in res.surge_solutions)
         print(f"tracking cost across companies: {total!r} "
               f"modes={[sol.mode for sol in res.surge_solutions]}")
-        return 0
+        return _exit_code(res)
 
     if args.command == "baseline":
         price = _parse_price(args.price)
         cfg = _config_from_args(args, mechanism="fixed-price", fixed_price=price)
         res = run_pipeline(cfg)
         print(f"j_g={res.upper.j_g!r}")
-        return 0 if res.upper.converged else EXIT_NUMERICAL
+        return _exit_code(res)
 
     if args.command == "grid-search":
         cfg = _config_from_args(args, mechanism="grid-search", p_max=args.p_max,
                                 resolution=args.resolution, refine=args.refine)
         res = run_pipeline(cfg)
         print(f"j_g={res.upper.j_g!r}")
-        return 0
+        return _exit_code(res)
 
     if args.command == "robustness":
         alphas = tuple(float(v) for v in args.alphas.split(","))
@@ -171,7 +178,7 @@ def _dispatch(args) -> int:
         means = {name: res.sweep.mean(name).tolist()
                  for name in ("rsg", "p1", "p2", "base")}
         print(json.dumps(means))
-        return 0
+        return _exit_code(res)
 
     if args.command == "pipeline":
         cfg = _config_from_args(args, resolution=args.resolution,
@@ -181,7 +188,7 @@ def _dispatch(args) -> int:
         total = sum(sol.j_m for sol in res.surge_solutions)
         print(f"j_g={res.upper.j_g!r} tracking={total!r} "
               f"artifacts={sorted(res.files)}")
-        return 0 if res.upper.converged else EXIT_NUMERICAL
+        return _exit_code(res)
 
     raise ValueError(f"unknown command {args.command!r}")
 

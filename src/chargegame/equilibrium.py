@@ -17,8 +17,11 @@ so the iteration runs with the information pattern of a decentralized
 scheme; updates within a round are synchronous, making the result
 independent of company evaluation order.
 
-A batched front end iterates many game variants at once (price grids,
-perturbation sweeps); it is the exact same update applied row-wise.
+One engine, `solve_nash_batch`, runs this update row-wise over many game
+variants at once (price grids, perturbation sweeps) and owns the one step
+rule: 0.9 times each row's `step_bound` unless a step inside the bound is
+given. `solve_nash` is its one-row case with the iterate trace kept, and
+`nash_residual` its first-round residual.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class SolveReport:
     residuals: np.ndarray            # fixed-point residual per iteration
     j_g_trace: np.ndarray            # authority loss per iterate (incl. start)
     sigma_trace: np.ndarray          # aggregate per iterate (incl. start)
-    iterates: np.ndarray | None = None   # optional (iterations+1, n) trace
+    iterates: np.ndarray             # (iterations+1, n) iterate trace
 
     @property
     def blocks(self) -> np.ndarray:
@@ -98,12 +101,16 @@ def fixed_price_f2(instance: GameInstance, price_rows,
     ``price_rows`` is one price vector (m,) or one per row (rows, m);
     ``demand_rows`` replaces the companies' demand diagonals, as one
     (mc, m) array or one per row (rows, mc, m). The result is stacked like
-    x, with the leading row axis when either input has one.
+    x, with the leading row axis when either input has one. Prices must be
+    nonnegative.
     """
+    prices = np.asarray(price_rows, dtype=float)
+    if np.any(prices < 0):
+        raise ValueError("prices must be nonnegative")
     base = np.stack([c.lin + c.revenue for c in instance.companies])
     demand = (np.stack([c.demand for c in instance.companies])
               if demand_rows is None else np.asarray(demand_rows, dtype=float))
-    f2 = base + np.asarray(price_rows, dtype=float)[..., None, :] * demand
+    f2 = base + prices[..., None, :] * demand
     return f2.reshape(*f2.shape[:-2], -1)
 
 
@@ -146,17 +153,6 @@ def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def pseudo_gradient(instance: GameInstance, x: np.ndarray, perturbation=None,
-                    prices: np.ndarray | None = None) -> np.ndarray:
-    """Stacked per-company gradients of own cost at the stacked point x."""
-    x = np.asarray(x, dtype=float)
-    n = instance.n_companies * instance.n_stations
-    if x.shape != (n,):
-        raise ValueError(f"expected stacked vector of length {n}")
-    f1, f2 = game_map(instance, perturbation, prices)
-    return apply_map(f1, x) + f2
-
-
 def lambda_max_closed_form(instance: GameInstance) -> float:
     """Largest eigenvalue of the aligned F1: ||N||^2 max weight."""
     n_vec = instance.fleet_sizes
@@ -182,12 +178,6 @@ def step_bound(f1: np.ndarray):
     return float(bound) if f1.ndim == 3 else bound
 
 
-def step_size_bound(instance: GameInstance, perturbation=None,
-                    prices: np.ndarray | None = None) -> float:
-    """Supremum of admissible step sizes, 2 / lambda_max, of one game."""
-    return step_bound(game_map(instance, perturbation, prices)[0])
-
-
 def default_start(instance: GameInstance) -> np.ndarray:
     """Uniform over each company's usable stations, projected to admissibility."""
     blocks = []
@@ -203,116 +193,98 @@ def default_start(instance: GameInstance) -> np.ndarray:
 def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
                gamma: float | None = None, max_iter: int = 1000,
                tol: float = 1e-8, perturbation=None,
-               prices: np.ndarray | None = None,
-               record_iterates: bool = False) -> SolveReport:
+               prices: np.ndarray | None = None) -> SolveReport:
     """Averaged projected-gradient iteration to the Nash equilibrium.
 
-    Stops when the fixed-point residual ||x - project(x - gamma F(x))||
-    drops below ``tol`` or after ``max_iter`` rounds. ``gamma`` defaults
-    to 0.9 times the admissible supremum.
+    One row of ``solve_nash_batch`` with its iterates kept: stops when the
+    fixed-point residual ||x - project(x - gamma F(x))|| drops below
+    ``tol`` or after ``max_iter`` rounds, with ``gamma`` defaulting to the
+    engine's step.
     """
     f1, f2 = game_map(instance, perturbation, prices)
-    gamma_max = step_bound(f1)
-    if gamma is None:
-        gamma = 0.9 * gamma_max
-    if not 0.0 < gamma < gamma_max:
-        raise ValueError(f"step size must lie in (0, {gamma_max:.3e})")
-
-    if x0 is None:
-        x0 = default_start(instance)
-    x0 = np.asarray(x0, dtype=float)
-
-    out = _iterate_batch(
-        instance, f1, x0[None, :], f2[None, :], np.array([gamma]),
-        max_iter=max_iter, tol=tol, record_iterates=record_iterates,
-        record_trace=True,
-    )
+    out = solve_nash_batch(
+        instance, f2[None, :], f1=f1, gammas=gamma, x0=x0,
+        max_iter=max_iter, tol=tol, record_iterates=True)
+    iterates = out["iterates"][:, 0, :]
+    sigma_trace = aggregates(instance, iterates)
     return SolveReport(
         x=out["x"][0],
-        gamma=float(gamma),
+        gamma=float(out["gammas"][0]),
         iterations=int(out["iterations"][0]),
         converged=bool(out["converged"][0]),
         residuals=out["residuals"][:, 0],
-        j_g_trace=out["j_g"][:, 0],
-        sigma_trace=out["sigma"][:, 0, :],
-        iterates=out["iterates"][:, 0, :] if record_iterates else None,
+        j_g_trace=government_cost(sigma_trace, instance.government),
+        sigma_trace=sigma_trace,
+        iterates=iterates,
     )
 
 
 def nash_residual(instance: GameInstance, x: np.ndarray, gamma: float | None = None,
                   perturbation=None, prices: np.ndarray | None = None) -> float:
-    """Fixed-point residual; zero exactly at a Nash equilibrium."""
-    if gamma is None:
-        gamma = 0.9 * step_size_bound(instance, perturbation, prices)
-    x = np.asarray(x, dtype=float)
-    g = pseudo_gradient(instance, x, perturbation, prices)
-    m = instance.n_stations
-    proj = np.concatenate([
-        poly.project(x[i * m:(i + 1) * m] - gamma * g[i * m:(i + 1) * m])
-        for i, poly in enumerate(instance.polytopes)
-    ])
-    return float(np.linalg.norm(proj - x))
+    """Fixed-point residual; zero exactly at a Nash equilibrium.
+
+    The first-round residual of a one-round solve started at x.
+    """
+    f1, f2 = game_map(instance, perturbation, prices)
+    out = solve_nash_batch(instance, f2[None, :], f1=f1, gammas=gamma, x0=x,
+                           max_iter=1)
+    return float(out["residual"][0])
+
+
+def aggregates(instance: GameInstance, x: np.ndarray) -> np.ndarray:
+    """sigma = sum_i N_i x^i for every stacked row of x (rows, mc*m)."""
+    mc, m = instance.n_companies, instance.n_stations
+    return x.reshape(-1, mc, m).transpose(0, 2, 1) @ instance.fleet_sizes
 
 
 def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
                      f1: np.ndarray | None = None,
                      f1_rows: np.ndarray | None = None,
-                     gammas: np.ndarray | None = None,
-                     x0: np.ndarray | None = None, max_iter: int = 1000,
-                     tol: float = 1e-8, record_iterates: bool = False) -> dict:
-    """Solve many variants of the game that share polytopes and fleet sizes.
+                     gammas: float | np.ndarray | None = None,
+                     x0: np.ndarray | None = None,
+                     max_iter: int = 1000, tol: float = 1e-8,
+                     record_iterates: bool = False) -> dict:
+    """The equilibrium engine: averaged projected-gradient rounds over
+    many variants of the game that share polytopes and fleet sizes.
 
     Either a shared blocked ``f1`` (m, mc, mc) or per-row ``f1_rows``
-    (rows, m, mc, mc) must be given; ``f2_rows`` is (rows, n). Used by the
-    price grid search (shared F1, per-price F2) and the perturbation sweep
-    (per-sample F1).
+    (rows, m, mc, mc) must be given; ``f2_rows`` is (rows, n). Row r steps
+    with ``gammas[r]`` (a scalar is shared), which must lie in
+    (0, step_bound) of its map and defaults to 0.9 times that bound; ``x0``
+    is one start for every row or one per row, ``default_start`` if
+    omitted. Rows stop moving once their residual drops to ``tol``; only
+    live rows are projected. ``record_iterates`` keeps every round's
+    iterate (start included) and residual.
+
+    Returns ``x``, ``iterations``, ``converged``, the final ``residual``,
+    ``sigma_final``, the ``gammas`` used and, when recorded, ``iterates``
+    (rounds+1, rows, n) and ``residuals`` (rounds, rows).
     """
     if (f1 is None) == (f1_rows is None):
         raise ValueError("pass exactly one of f1 or f1_rows")
+    f1 = f1 if f1 is not None else f1_rows
+    rows = f2_rows.shape[0]
+    bound = np.broadcast_to(step_bound(f1), (rows,))
     if gammas is None:
-        raise ValueError("gammas required")
+        gammas = 0.9 * bound
+    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (rows,))
+    bad = ~((gammas > 0.0) & (gammas < bound))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError(f"step size of row {r} must lie in (0, {bound[r]:.3e})")
     if x0 is None:
-        x0 = np.broadcast_to(default_start(instance), f2_rows.shape).copy()
-    return _iterate_batch(instance, f1 if f1 is not None else f1_rows,
-                          x0, f2_rows, np.asarray(gammas, dtype=float),
-                          max_iter=max_iter, tol=tol,
-                          record_iterates=record_iterates, record_trace=False)
-
-
-def _iterate_batch(instance: GameInstance, f1: np.ndarray, x0: np.ndarray,
-                   f2: np.ndarray, gammas: np.ndarray, max_iter: int, tol: float,
-                   record_iterates: bool, record_trace: bool) -> dict:
-    """Shared engine: averaged projected-gradient rounds over row batches.
-
-    Rows stop moving once their residual drops to ``tol``; only live rows
-    are projected. ``record_trace`` keeps the per-round residual, sigma
-    and authority loss of every row.
-    """
-    rows = x0.shape[0]
+        x0 = default_start(instance)
     m = instance.n_stations
-    mc = instance.n_companies
-    fleet = instance.fleet_sizes
-    gov = instance.government
 
-    x = x0.astype(float).copy()
+    x = np.broadcast_to(np.asarray(x0, dtype=float), f2_rows.shape).copy()
     live = np.ones(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
     residual = np.full(rows, np.inf)
+    iter_hist: list[np.ndarray] = [x] if record_iterates else []
     residual_hist: list[np.ndarray] = []
-    j_hist: list[np.ndarray] = []
-    sigma_hist: list[np.ndarray] = []
-    iter_hist: list[np.ndarray] = [x.copy()] if record_iterates else []
-
-    def sigma_of(xr):
-        return xr.reshape(rows, mc, m).transpose(0, 2, 1) @ fleet
-
-    if record_trace:
-        sig = sigma_of(x)
-        sigma_hist.append(sig)
-        j_hist.append(government_cost(sig, gov))
 
     for k in range(max_iter):
-        grad = apply_map(f1, x) + f2
+        grad = apply_map(f1, x) + f2_rows
         proj = x.copy()
         for i, poly in enumerate(instance.polytopes):
             sl = slice(i * m, (i + 1) * m)
@@ -322,25 +294,22 @@ def _iterate_batch(instance: GameInstance, f1: np.ndarray, x0: np.ndarray,
         x = 0.5 * (x + proj)    # exact no-op on stopped rows, where proj == x
         iterations[live] = k + 1
         residual[live] = res[live]
-        if record_trace:
-            sig = sigma_of(x)
-            sigma_hist.append(sig)
-            j_hist.append(government_cost(sig, gov))
+        if record_iterates:     # x is rebound each round, never written in place
+            iter_hist.append(x)
             residual_hist.append(res)
-        if record_iterates:
-            iter_hist.append(x.copy())
         live &= res > tol
         if not live.any():
             break
 
-    return {
+    out = {
         "x": x,
         "iterations": iterations,
         "converged": residual <= tol,
         "residual": residual,
-        "residuals": np.array(residual_hist).reshape(-1, rows) if record_trace else None,
-        "j_g": np.array(j_hist) if record_trace else None,
-        "sigma": np.array(sigma_hist) if record_trace else None,
-        "sigma_final": sigma_of(x),
-        "iterates": np.array(iter_hist) if record_iterates else None,
+        "sigma_final": aggregates(instance, x),
+        "gammas": gammas,
     }
+    if record_iterates:
+        out["iterates"] = np.array(iter_hist)
+        out["residuals"] = np.array(residual_hist).reshape(-1, rows)
+    return out

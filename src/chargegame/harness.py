@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import equilibrium, robustness, scenario as scenario_mod, surge
+from . import robustness, scenario as scenario_mod, surge
 from .equilibrium import (SolveReport, fixed_price_f2, game_map, solve_nash,
-                          solve_nash_batch, step_bound)
+                          solve_nash_batch)
 from .errors import PipelineStageError
 from .feasible import discretize
 from .model import GameInstance, government_cost, system_optimal_prices
@@ -70,21 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mechanism == "grid-search" and self.resolution < 2:
             raise ValueError("grid search needs at least 2 points per axis")
-
-
-def fixed_price_nash(instance: GameInstance, prices: np.ndarray,
-                     max_iter: int = 1000, tol: float = 1e-8,
-                     x0: np.ndarray | None = None) -> SolveReport:
-    """Equilibrium of the game with a committed price vector.
-
-    Each company's cost keeps its quadratic queuing part, so the game map
-    stays strongly monotone and the same averaged projected-gradient
-    scheme applies with the fixed-price step bound.
-    """
-    prices = np.asarray(prices, dtype=float)
-    if np.any(prices < 0):
-        raise ValueError("prices must be nonnegative")
-    return solve_nash(instance, prices=prices, max_iter=max_iter, tol=tol, x0=x0)
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -113,7 +100,6 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
         raise ValueError("p_max must be positive")
     m = instance.n_stations
     f1, _ = game_map(instance, prices=np.zeros(m))
-    gamma = 0.9 * step_bound(f1)
 
     axes = [np.linspace(0.0, p_max, resolution) for _ in range(m)]
     all_prices: list[np.ndarray] = []
@@ -123,10 +109,12 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
 
     for sweep in range(refine + 1):
         grid = np.array(list(product(*axes)))
-        j_vals, conv = _evaluate_price_rows(instance, grid, f1, gamma, max_iter, tol)
+        out = solve_nash_batch(instance, fixed_price_f2(instance, grid), f1=f1,
+                               max_iter=max_iter, tol=tol)
+        j_vals = government_cost(out["sigma_final"], instance.government)
         all_prices.append(grid)
         all_j.append(j_vals)
-        all_conv.append(conv)
+        all_conv.append(out["converged"])
         k = int(np.argmin(j_vals))
         if j_vals[k] < best_j:
             best_j = float(j_vals[k])
@@ -139,21 +127,9 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
                 for d in range(m)
             ]
 
-    report = fixed_price_nash(instance, best_price, max_iter=max_iter, tol=tol)
+    report = solve_nash(instance, prices=best_price, max_iter=max_iter, tol=tol)
     return GridSearchResult(best_price, report, np.vstack(all_prices),
                             np.concatenate(all_j), np.concatenate(all_conv))
-
-
-def _evaluate_price_rows(instance: GameInstance, price_rows: np.ndarray,
-                         f1: np.ndarray, gamma: float, max_iter: int,
-                         tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Authority loss at the fixed-price equilibrium for every price row,
-    and whether each row's solve converged."""
-    rows = price_rows.shape[0]
-    out = solve_nash_batch(instance, fixed_price_f2(instance, price_rows), f1=f1,
-                           gammas=np.full(rows, gamma),
-                           max_iter=max_iter, tol=tol)
-    return government_cost(out["sigma_final"], instance.government), out["converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +195,8 @@ def run_pipeline(config: ExperimentConfig,
         if price is None:
             price = DEFAULT_FLAT_PRICE[: instance.n_stations]
         upper = _stage("solve-upper", seconds)(
-            fixed_price_nash, instance, price, config.max_iter, config.tol)
+            solve_nash, instance, prices=price, max_iter=config.max_iter,
+            tol=config.tol)
     else:
         grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
@@ -230,8 +207,8 @@ def run_pipeline(config: ExperimentConfig,
     comparison: dict[str, tuple[float, np.ndarray]] = {}
     if config.mechanism == "rsg" and config.compare:
         base_price = DEFAULT_FLAT_PRICE[: instance.n_stations]
-        base = _stage("baseline", seconds)(fixed_price_nash, instance, base_price,
-                                           config.max_iter, config.tol)
+        base = _stage("baseline", seconds)(solve_nash, instance, prices=base_price,
+                                           max_iter=config.max_iter, tol=config.tol)
         grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
             config.refine, config.max_iter, config.tol)
@@ -284,6 +261,7 @@ def run_pipeline(config: ExperimentConfig,
         "upper_solve_seconds": upper_seconds,
         "iterations": upper.iterations,
         "converged": upper.converged,
+        "residual": float(upper.residuals[-1]),
         "j_g": upper.j_g,
         "charging_fleet": [int(c.fleet_size) for c in instance.companies],
         "stage_seconds": seconds,

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (apply_map, fixed_price_f2, game_map,
-                          perturbation_map, solve_nash, solve_nash_batch,
-                          step_bound)
+from .equilibrium import (aggregates, apply_map, fixed_price_f2, game_map,
+                          perturbation_map, solve_nash, solve_nash_batch)
 from .model import (GameInstance, aggregate, government_cost,
                     pseudo_inverse_diag)
 
@@ -165,11 +164,8 @@ def jg_gap_bound(instance: GameInstance, perturbation: Perturbation,
     bound = dist0 / (gamma * k_plus_1) + gamma * r_map**2 / 2.0 - psi.sum() / k_plus_1
 
     gov = instance.government
-    fleet = instance.fleet_sizes
-    mc, m = instance.n_companies, instance.n_stations
-    sig = iterates.reshape(-1, mc, m).transpose(0, 2, 1) @ fleet
-    j_vals = government_cost(sig, gov)
-    j_star = government_cost(aggregate(fleet, x_star.reshape(mc, m)), gov)
+    j_vals = government_cost(aggregates(instance, iterates), gov)
+    j_star = government_cost(aggregates(instance, x_star)[0], gov)
     observed = float(j_vals.min() - j_star)
     return GapBound(float(bound), observed, r_map, r_x, psi)
 
@@ -250,8 +246,8 @@ class SweepResult:
 
 def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
                      baseline_prices: dict[str, np.ndarray] | None = None,
-                     seed: int = 0, max_iter: int = 1000, tol: float = 1e-8,
-                     check_bounds: bool = True) -> SweepResult:
+                     seed: int = 0, max_iter: int = 1000,
+                     tol: float = 1e-8) -> SweepResult:
     """Fix the scenario, redraw estimation noise, and compare mechanisms.
 
     For every noise magnitude and sample: solve the game under policies
@@ -271,7 +267,6 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     n = instance.n_companies * instance.n_stations
 
     f1_fixed_true, _ = game_map(instance, prices=np.zeros(instance.n_stations))
-    g_fixed = np.full(n_samples, 0.9 * step_bound(f1_fixed_true))
 
     rows: list[SweepSample] = []
     eps = epsilon_bound(instance)
@@ -288,28 +283,25 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
         for s, pert in enumerate(perts):
             f1_rows[s], f2_rows[s] = game_map(instance, pert)
             ass_ok[a_idx, s] = check_convexity_assumption(instance, pert)
-        gammas = 0.9 * step_bound(f1_rows)
 
-        out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows, gammas=gammas,
-                               max_iter=max_iter, tol=tol,
-                               record_iterates=check_bounds)
+        out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows,
+                               max_iter=max_iter, tol=tol, record_iterates=True)
         j_rsg = government_cost(out["sigma_final"], instance.government)
         for s, pert in enumerate(perts):
             rows.append(SweepSample(float(alpha), s, "rsg", float(j_rsg[s]),
                                     bool(ass_ok[a_idx, s]), bool(out["converged"][s]),
                                     float(out["residual"][s])))
-            if check_bounds:
-                trace = out["iterates"][:, s, :]
-                gb = jg_gap_bound(instance, pert, trace, float(gammas[s]), x_star)
-                gap_b[a_idx, s] = gb.bound
-                gap_o[a_idx, s] = gb.observed
-                eps_obs[a_idx, s] = float(best_response_gap(instance, out["x"][s]).max())
+            gb = jg_gap_bound(instance, pert, out["iterates"][:, s, :],
+                              float(out["gammas"][s]), x_star)
+            gap_b[a_idx, s] = gb.bound
+            gap_o[a_idx, s] = gb.observed
+            eps_obs[a_idx, s] = float(best_response_gap(instance, out["x"][s]).max())
 
         estimates = np.array([pert.demand_estimate for pert in perts])
         for name, price in baseline_prices.items():
             f2_base = fixed_price_f2(instance, price, estimates)
             base_out = solve_nash_batch(instance, f2_base, f1=f1_fixed_true,
-                                        gammas=g_fixed, max_iter=max_iter, tol=tol)
+                                        max_iter=max_iter, tol=tol)
             j_base = government_cost(base_out["sigma_final"], instance.government)
             for s in range(n_samples):
                 rows.append(SweepSample(float(alpha), s, name, float(j_base[s]),

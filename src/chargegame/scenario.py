@@ -54,12 +54,10 @@ def mfd_speed(accumulation):
     return float(out) if np.isscalar(accumulation) else out
 
 
-def discharge_step(battery_pct, max_range_km, speed_kmh, dt_h):
-    """Linear battery drain for time driven at a given speed, floored at 0."""
-    if dt_h <= 0:
-        raise ValueError("time step must be positive")
-    drained = battery_pct - (100.0 / max_range_km) * speed_kmh * dt_h
-    return np.maximum(drained, 0.0)
+def discharge(battery_pct, max_range_km, km):
+    """Battery percent left after driving ``km``: linear drain of 100% per
+    ``max_range_km``, floored at 0."""
+    return np.maximum(battery_pct - (100.0 / max_range_km) * km, 0.0)
 
 
 @dataclass
@@ -205,8 +203,7 @@ def simulate_period(scenario: Scenario, seed: int | None = None) -> FleetSnapsho
         driving = remaining_km > 0
         if np.any(driving):
             travelled = np.minimum(remaining_km[driving], step_km)
-            battery[driving] = np.maximum(
-                battery[driving] - (100.0 / max_range[driving]) * travelled, 0.0)
+            battery[driving] = discharge(battery[driving], max_range[driving], travelled)
             remaining_km[driving] -= travelled
             arrived = driving.copy()
             arrived[driving] = remaining_km[driving] <= 1e-12
@@ -250,11 +247,11 @@ def _charging_demand(snapshot: FleetSnapshot, scenario: Scenario):
     for i in range(scenario.n_companies):
         sel = np.flatnonzero(snapshot.needs_charge & (snapshot.company == i))
         d_vk = dist[snapshot.node[sel]][:, station_idx]
-        batt = snapshot.battery[sel][:, None]
-        rng_km = snapshot.max_range_km[sel][:, None]
-        reach = batt - (100.0 / rng_km) * d_vk > 0
+        left = discharge(snapshot.battery[sel][:, None],
+                         snapshot.max_range_km[sel][:, None], d_vk)
+        reach = left > 0
         beta = snapshot.charge_per_pct[sel][:, None]
-        demand = beta * (100.0 - (batt - (100.0 / rng_km) * d_vk))
+        demand = beta * (100.0 - left)
         passes.append((sel, d_vk, reach, demand))
     return passes
 

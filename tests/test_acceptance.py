@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from chargegame.equilibrium import (default_start, lambda_max_closed_form,
-                                    solve_nash, step_size_bound)
-from chargegame.harness import (ExperimentConfig, fixed_price_nash,
-                                grid_search, run_pipeline)
+from chargegame.equilibrium import (default_start, game_map,
+                                    lambda_max_closed_form, solve_nash,
+                                    step_bound)
+from chargegame.harness import ExperimentConfig, grid_search, run_pipeline
 from chargegame.model import (aggregate, government_cost, reduced_cost,
                               system_optimal_prices)
 from chargegame.robustness import robustness_sweep
@@ -107,9 +107,8 @@ def test_criterion_4_step_bound_and_monotonicity(ref_game):
     rel = abs(closed - dense) / dense
     assert rel <= 1e-10
 
-    gamma = 0.99 * step_size_bound(ref_game)
-    rep = solve_nash(ref_game, gamma=gamma, tol=1e-13, max_iter=4000,
-                     record_iterates=True)
+    gamma = 0.99 * step_bound(game_map(ref_game)[0])
+    rep = solve_nash(ref_game, gamma=gamma, tol=1e-13, max_iter=4000)
     dists = np.linalg.norm(rep.iterates - rep.x[None, :], axis=1)
     worst_increase = float(np.diff(dists).max())
     assert worst_increase <= 1e-12
@@ -147,7 +146,7 @@ def test_criterion_7_mechanism_ordering(demo_build):
     inst = demo_build.instance
     rsg = solve_nash(inst)
     grid = grid_search(inst, p_max=5.0, resolution=5, refine=1)
-    base = fixed_price_nash(inst, np.full(4, 3.0))
+    base = solve_nash(inst, prices=np.full(4, 3.0))
     assert rsg.j_g <= 1e-4
     assert rsg.j_g < grid.j_g < base.j_g
     _report(7, f"J_G: rsg {rsg.j_g:.2e} < grid {grid.j_g:.4g} "

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
-from chargegame.equilibrium import (apply_map, default_start, fixed_price_f2,
-                                    game_map,
+from chargegame.equilibrium import (aggregates, apply_map, default_start,
+                                    fixed_price_f2, game_map,
                                     lambda_max_closed_form, nash_residual,
-                                    pseudo_gradient, solve_nash, step_bound,
-                                    step_size_bound)
+                                    solve_nash, solve_nash_batch, step_bound)
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
                               StationSet, aggregate, government_cost,
@@ -62,7 +61,8 @@ def qp_oracle(instance, x0):
 
 class TestGameMap:
     def test_f2_at_origin(self, ref_game):
-        g = pseudo_gradient(ref_game, np.zeros(12))
+        f1, f2 = game_map(ref_game)
+        g = apply_map(f1, np.zeros(12)) + f2
         expected = np.concatenate([
             c.fleet_size * ref_game.government.linear for c in ref_game.companies
         ])
@@ -120,7 +120,8 @@ class TestGameMap:
         h = 1e-6
         blocks = np.stack([random_simplex(rng, 4) for _ in range(3)])
         x = blocks.reshape(-1)
-        g = pseudo_gradient(inst, x)
+        f1, f2 = game_map(inst)
+        g = apply_map(f1, x) + f2
         for i in range(3):
             sig_others = aggregate(inst.fleet_sizes, blocks) - \
                 inst.fleet_sizes[i] * blocks[i]
@@ -134,8 +135,9 @@ class TestGameMap:
     def test_zero_perturbation_is_identity(self, ref_game):
         pert = build_perturbation(ref_game, 0.0, seed=0)
         x = np.tile(np.full(4, 0.25), 3)
-        assert np.allclose(pseudo_gradient(ref_game, x),
-                           pseudo_gradient(ref_game, x, perturbation=pert))
+        f1, f2 = game_map(ref_game)
+        f1_p, f2_p = game_map(ref_game, perturbation=pert)
+        assert np.allclose(apply_map(f1, x) + f2, apply_map(f1_p, x) + f2_p)
 
     def test_perturbed_blocks_match_finite_differences(self, ref_game):
         # gradient of the company cost under the shifted policy
@@ -145,7 +147,8 @@ class TestGameMap:
         inst = ref_game
         pert = build_perturbation(inst, 0.2, seed=3)
         blocks = np.stack([random_simplex(rng, 4) for _ in range(3)])
-        g = pseudo_gradient(inst, blocks.reshape(-1), perturbation=pert)
+        f1, f2 = game_map(inst, perturbation=pert)
+        g = apply_map(f1, blocks.reshape(-1)) + f2
         h = 1e-6
         for i in range(3):
             comp = inst.companies[i]
@@ -174,7 +177,7 @@ class TestStepBound:
         inst = make_instance([1, 1], np.array([2.0, 2.0]), np.array([1.0, 1.0]))
         lam = np.linalg.eigvalsh(dense_f1(inst))[-1]
         assert lam == pytest.approx(4.0)
-        assert step_size_bound(inst) == pytest.approx(0.5)
+        assert step_bound(game_map(inst)[0]) == pytest.approx(0.5)
 
     def test_case_study_closed_form_vs_eigensolver(self, ref_game):
         dense = np.linalg.eigvalsh(dense_f1(ref_game))[-1]
@@ -193,7 +196,7 @@ class TestStepBound:
                 want = 2.0 / np.linalg.eigvalsh(dense)[-1]
             else:
                 want = 2.0 / np.linalg.norm(dense, 2)
-            got = step_size_bound(ref_game, pert, prices)
+            got = step_bound(game_map(ref_game, pert, prices)[0])
             assert abs(got - want) <= 1e-12 * want
             rows.append((game_map(ref_game, pert, prices)[0], want))
         per_row = step_bound(np.stack([f1 for f1, _ in rows]))
@@ -221,9 +224,19 @@ class TestSolver:
         assert nash_residual(ref_game, rep.x, rep.gamma) <= 1e-8
 
     def test_gamma_validation(self, ref_game):
-        big = step_size_bound(ref_game) * 1.5
+        big = step_bound(game_map(ref_game)[0]) * 1.5
         with pytest.raises(ValueError):
             solve_nash(ref_game, gamma=big)
+
+    def test_trace_is_read_from_iterates(self, ref_game):
+        for prices in (None, np.full(4, 3.0)):
+            rep = solve_nash(ref_game, prices=prices)
+            assert rep.iterates.shape == (rep.iterations + 1, 12)
+            assert np.array_equal(rep.iterates[-1], rep.x)
+            sigma = aggregates(ref_game, rep.iterates)
+            assert np.array_equal(rep.sigma_trace, sigma)
+            assert np.array_equal(rep.j_g_trace,
+                                  government_cost(sigma, ref_game.government))
 
     def test_interior_minimizer_has_tiny_residual(self, ref_game):
         # sigma == set point with every company splitting identically: the
@@ -244,9 +257,8 @@ class TestSolver:
 
     @pytest.mark.parametrize("fraction", [0.3, 0.9, 0.99])
     def test_monotone_distance_to_limit(self, ref_game, fraction):
-        gamma = fraction * step_size_bound(ref_game)
-        rep = solve_nash(ref_game, gamma=gamma, tol=1e-13, max_iter=4000,
-                         record_iterates=True)
+        gamma = fraction * step_bound(game_map(ref_game)[0])
+        rep = solve_nash(ref_game, gamma=gamma, tol=1e-13, max_iter=4000)
         dists = np.linalg.norm(rep.iterates - rep.x[None, :], axis=1)
         assert np.all(np.diff(dists) <= 1e-12)
 
@@ -261,6 +273,41 @@ class TestSolver:
             sigmas.append(rep.sigma)
         sigmas = np.stack(sigmas)
         assert np.max(np.abs(sigmas - sigmas[0])) <= 1e-4
+
+
+class TestEngineStepRule:
+    """solve_nash_batch derives each row's step from its own map."""
+
+    @staticmethod
+    def _per_row_maps(instance):
+        perts = [build_perturbation(instance, alpha, seed=s)
+                 for s, alpha in enumerate((0.0, 0.05, 0.35))]
+        maps = [game_map(instance, pert) for pert in perts]
+        return np.stack([f1 for f1, _ in maps]), np.stack([f2 for _, f2 in maps])
+
+    def test_default_step_shared_map(self, ref_game):
+        f1, _ = game_map(ref_game, prices=np.zeros(4))
+        f2_rows = fixed_price_f2(ref_game, np.full((3, 4), 2.0))
+        out = solve_nash_batch(ref_game, f2_rows, f1=f1, max_iter=5)
+        assert np.array_equal(out["gammas"], np.full(3, 0.9 * step_bound(f1)))
+
+    def test_default_step_per_row_maps(self, ref_game):
+        f1_rows, f2_rows = self._per_row_maps(ref_game)
+        out = solve_nash_batch(ref_game, f2_rows, f1_rows=f1_rows, max_iter=5)
+        assert np.array_equal(out["gammas"], 0.9 * step_bound(f1_rows))
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, 0.0, -0.5])
+    def test_rejects_step_outside_bound(self, ref_game, fraction):
+        f1_rows, f2_rows = self._per_row_maps(ref_game)
+        bound = step_bound(f1_rows)
+        gammas = 0.5 * bound
+        gammas[1] = fraction * bound[1]
+        with pytest.raises(ValueError):
+            solve_nash_batch(ref_game, f2_rows, f1_rows=f1_rows, gammas=gammas)
+        f1, f2 = game_map(ref_game)
+        with pytest.raises(ValueError):
+            solve_nash_batch(ref_game, f2[None, :], f1=f1,
+                             gammas=fraction * step_bound(f1))
 
 
 class TestUniquePoint:

@@ -8,8 +8,7 @@ import pytest
 
 from chargegame.cli import main as cli_main
 from chargegame.equilibrium import nash_residual, solve_nash
-from chargegame.harness import (ExperimentConfig, fixed_price_nash,
-                                grid_search, run_pipeline)
+from chargegame.harness import ExperimentConfig, grid_search, run_pipeline
 from chargegame.scenario import reference_game, small_scenario, write_scenario
 
 
@@ -21,7 +20,7 @@ def demo_instance(demo_build):
 class TestFixedPriceNash:
     def test_residual_at_solution(self, ref_game):
         prices = np.full(4, 3.0)
-        rep = fixed_price_nash(ref_game, prices)
+        rep = solve_nash(ref_game, prices=prices)
         assert rep.converged
         assert nash_residual(ref_game, rep.x, rep.gamma, prices=prices) <= 1e-8
 
@@ -33,16 +32,16 @@ class TestFixedPriceNash:
         comps = tuple(dataclasses.replace(c, revenue=np.zeros(4))
                       for c in flat.companies)
         flat = dataclasses.replace(flat, companies=comps)
-        a = fixed_price_nash(flat, np.zeros(4), tol=1e-11)
-        b = fixed_price_nash(flat, np.full(4, 2.5), tol=1e-11)
+        a = solve_nash(flat, prices=np.zeros(4), tol=1e-11)
+        b = solve_nash(flat, prices=np.full(4, 2.5), tol=1e-11)
         assert np.allclose(a.x, b.x, atol=1e-6)
 
     def test_rejects_negative_prices(self, ref_game):
         with pytest.raises(ValueError):
-            fixed_price_nash(ref_game, np.array([1.0, -0.5, 1.0, 1.0]))
+            solve_nash(ref_game, prices=np.array([1.0, -0.5, 1.0, 1.0]))
 
     def test_base_price_skews_to_attractive_stations(self, demo_instance):
-        rep = fixed_price_nash(demo_instance, np.full(4, 3.0))
+        rep = solve_nash(demo_instance, prices=np.full(4, 3.0))
         sigma = rep.sigma
         target = demo_instance.government.set_point
         assert sigma[0] > target[0]          # most attractive region overloads
@@ -77,7 +76,7 @@ class TestMechanismOrdering:
     def test_rsg_beats_grid_beats_flat(self, demo_instance):
         rsg = solve_nash(demo_instance)
         grid = grid_search(demo_instance, resolution=5, refine=1)
-        base = fixed_price_nash(demo_instance, np.full(4, 3.0))
+        base = solve_nash(demo_instance, prices=np.full(4, 3.0))
         assert rsg.j_g <= grid.j_g <= base.j_g
         assert rsg.j_g < grid.j_g < base.j_g  # strict on the packaged scenario
 
@@ -115,6 +114,10 @@ class TestPipeline:
         converged = pipe.grid_result.evaluated_converged
         assert meta["grid_rows"] == converged.size == 2 * 3**4
         assert meta["grid_unconverged"] == int(np.sum(~converged)) == 0
+        assert meta["residual"] == pipe.upper.residuals[-1]
+        assert meta["converged"] == pipe.upper.converged
+        if meta["converged"]:
+            assert meta["residual"] <= ExperimentConfig().tol
 
     def test_upper_converged_to_floor(self, pipe):
         trace = pipe.upper.j_g_trace
@@ -176,6 +179,12 @@ def test_experiment_config_rejects_unknown_mechanism():
         ExperimentConfig(mechanism="simulated-annealing")
 
 
+def test_experiment_config_rejects_zero_rounds():
+    # a run with no round has no final residual to report
+    with pytest.raises(ValueError):
+        ExperimentConfig(max_iter=0)
+
+
 class TestCLI:
     def test_make_demo_and_simulate(self, tmp_path):
         assert cli_main(["make-demo", "--out", str(tmp_path / "sc")]) == 0
@@ -206,6 +215,19 @@ class TestCLI:
         with pytest.raises(SystemExit) as err:
             cli_main(["solve-upper", "--mechanism", "bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["grid-search", "--resolution", "2", "--refine", "0"],
+        ["solve-lower"],
+        ["robustness", "--samples", "1", "--alphas", "0"],
+    ])
+    def test_unconverged_upper_solve_exit_code(self, tmp_path, command):
+        path = write_scenario(small_scenario(), tmp_path / "sc")
+        code = cli_main(command + ["--config", str(path), "--out", str(tmp_path / "o"),
+                                   "--max-iter", "2"])
+        assert code == 4
+        meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+        assert meta["converged"] is False
 
     def test_robustness_subcommand(self, tmp_path, capsys):
         sc = small_scenario()

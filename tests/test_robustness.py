@@ -28,11 +28,9 @@ def _batch_perturbed_solve(instance, perts, max_iter=300, record_iterates=False)
         f1_rows[s] = f1 + phi_l1
         f2_rows[s] = f2 + phi_l2
         gammas[s] = 0.9 * 2.0 / np.linalg.norm(dense_f1(instance, pert), 2)
-    out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows, gammas=gammas,
-                           max_iter=max_iter, tol=1e-9,
-                           record_iterates=record_iterates)
-    out["gammas"] = gammas
-    return out
+    return solve_nash_batch(instance, f2_rows, f1_rows=f1_rows, gammas=gammas,
+                            max_iter=max_iter, tol=1e-9,
+                            record_iterates=record_iterates)
 
 
 class TestBuildPerturbation:
@@ -179,8 +177,7 @@ class TestGapBound:
     def test_zero_perturbation_bound_nonbinding(self, ref_game):
         star = solve_nash(ref_game)
         pert = build_perturbation(ref_game, 0.0, seed=0)
-        rep = solve_nash(ref_game, perturbation=pert, record_iterates=True,
-                         max_iter=300)
+        rep = solve_nash(ref_game, perturbation=pert, max_iter=300)
         gb = jg_gap_bound(ref_game, pert, rep.iterates, rep.gamma, star.x)
         assert np.all(gb.psi == 0.0)
         assert gb.holds
@@ -201,8 +198,7 @@ class TestGapBound:
     def test_r_x_bound_respected(self, ref_game):
         star = solve_nash(ref_game)
         pert = build_perturbation(ref_game, 0.1, seed=1)
-        rep = solve_nash(ref_game, perturbation=pert, record_iterates=True,
-                         max_iter=100)
+        rep = solve_nash(ref_game, perturbation=pert, max_iter=100)
         gb = jg_gap_bound(ref_game, pert, rep.iterates, rep.gamma, star.x)
         assert gb.r_x <= ref_game.n_companies
         norms = np.linalg.norm(rep.iterates, axis=1)
@@ -223,7 +219,7 @@ class TestSweep:
 
     def test_csv_rows_well_formed(self, ref_game):
         sweep = robustness_sweep(ref_game, (0.0,), 2, {"base": np.full(4, 3.0)},
-                                 seed=1, max_iter=100, check_bounds=False)
+                                 seed=1, max_iter=100)
         rows = list(sweep.to_csv_rows())
         assert rows[0] == "alpha,sample_id,mechanism,j_g,assumption_ok,converged"
         assert len(rows) == 1 + 2 * 2
@@ -235,15 +231,14 @@ class TestSweep:
             assert row.converged == (row.residual <= 1e-8)
 
     def test_sweep_deterministic_given_seed(self, ref_game):
-        kw = dict(alphas=(0.1,), n_samples=2, seed=9, max_iter=150,
-                  check_bounds=False)
+        kw = dict(alphas=(0.1,), n_samples=2, seed=9, max_iter=150)
         a = robustness_sweep(ref_game, baseline_prices={"base": np.full(4, 3.0)}, **kw)
         b = robustness_sweep(ref_game, baseline_prices={"base": np.full(4, 3.0)}, **kw)
         assert list(a.to_csv_rows()) == list(b.to_csv_rows())
 
     def test_mean_over_converged_rows_only(self, ref_game):
         # at alpha = 0.1 some solves stop at max_iter = 600 and all at 100
-        kw = dict(alphas=(0.0, 0.1), n_samples=5, seed=11, check_bounds=False)
+        kw = dict(alphas=(0.0, 0.1), n_samples=5, seed=11)
         sweep = robustness_sweep(ref_game, max_iter=600, **kw)
         rows = [r for r in sweep.rows if r.alpha == 0.1]
         kept = [r.j_g for r in rows if r.converged]
@@ -260,6 +255,6 @@ class TestSweep:
         # fixed prices stay fixed; the equilibria (and losses) move with the
         # sampled demand
         sweep = robustness_sweep(ref_game, (0.3,), 6, {"base": np.full(4, 3.0)},
-                                 seed=2, max_iter=300, check_bounds=False)
+                                 seed=2, max_iter=300)
         vals = [r.j_g for r in sweep.rows if r.mechanism == "base"]
         assert np.std(vals) > 0

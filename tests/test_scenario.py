@@ -9,7 +9,7 @@ from chargegame.errors import DegenerateFleetError
 from chargegame.network import (grid_network, read_demand, read_network,
                                 write_demand, write_network)
 from chargegame.scenario import (Scenario, build_game, compute_feasibility,
-                                 demand_share, discharge_step,
+                                 demand_share, discharge,
                                  estimate_company_params,
                                  estimate_driver_params, load_scenario,
                                  mfd_speed, simulate_period, small_scenario,
@@ -47,13 +47,13 @@ class TestMFD:
 
 class TestDischarge:
     def test_substitution_example(self):
-        assert discharge_step(90.0, 360.0, 36.0, 1.0) == pytest.approx(80.0)
+        assert discharge(90.0, 360.0, 36.0) == pytest.approx(80.0)
 
     def test_zero_speed_no_drain(self):
-        assert discharge_step(50.0, 200.0, 0.0, 1.0) == pytest.approx(50.0)
+        assert discharge(50.0, 200.0, 0.0) == pytest.approx(50.0)
 
     def test_floors_at_zero(self):
-        assert discharge_step(1.0, 100.0, 50.0, 1.0) == 0.0
+        assert discharge(1.0, 100.0, 50.0) == 0.0
 
     def test_energy_accounting_over_trace(self):
         rng = np.random.default_rng(0)
@@ -63,7 +63,7 @@ class TestDischarge:
         for _ in range(200):
             v = float(rng.uniform(0, 30))
             dt = float(rng.uniform(0.001, 0.02))
-            s = discharge_step(s, d_max, v, dt)
+            s = discharge(s, d_max, v * dt)
             km_total += v * dt
         assert s == pytest.approx(95.0 - (100.0 / d_max) * km_total, abs=1e-9)
 
