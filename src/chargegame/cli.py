@@ -77,16 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, **overrides) -> ExperimentConfig:
-    base = dict(
-        scenario_path=args.config,
-        out_dir=args.out,
-        seed=args.seed,
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+def _config(args) -> ExperimentConfig | None:
+    """The pipeline config of a command; None for the commands that run no pipeline."""
+    if args.command == "solve-upper":
+        extra = dict(mechanism=args.mechanism, fixed_price=_parse_price(args.price),
+                     compare=False)
+    elif args.command == "solve-lower":
+        extra = dict(compare=False)
+    elif args.command == "baseline":
+        extra = dict(mechanism="fixed-price", fixed_price=_parse_price(args.price))
+    elif args.command == "grid-search":
+        extra = dict(mechanism="grid-search", p_max=args.p_max,
+                     resolution=args.resolution, refine=args.refine)
+    elif args.command == "robustness":
+        extra = dict(run_robustness=True, alphas=tuple(float(v) for v in args.alphas.split(",")),
+                     samples=args.samples, compare=False)
+    elif args.command == "pipeline":
+        extra = dict(resolution=args.resolution, run_robustness=args.with_sweep,
+                     samples=args.samples)
+    else:
+        return None
+    return ExperimentConfig(scenario_path=args.config, out_dir=args.out, seed=args.seed,
+                            max_iter=args.max_iter, tol=args.tol, **extra)
 
 
 def _parse_price(text: str | None):
@@ -96,9 +108,14 @@ def _parse_price(text: str | None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        cfg = _config(args)
+    except ValueError as exc:   # a value the parser accepts but a run cannot use
+        parser.error(str(exc))
+    try:
+        return _dispatch(args, cfg)
     except (DegenerateFleetError, EmptyPolytopeError, InfeasibleTargetError) as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -120,7 +137,7 @@ def _exit_code(res) -> int:
     return 0 if res.upper.converged else EXIT_NUMERICAL
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, cfg: ExperimentConfig | None) -> int:
     if args.command == "make-demo":
         path = write_scenario(demo_scenario(args.seed), args.out)
         print(path)
@@ -139,58 +156,24 @@ def _dispatch(args) -> int:
         print(f"charging fleet per company: {snap.charging_counts.tolist()}")
         return 0
 
+    res = run_pipeline(cfg)
+    tracking = sum(sol.j_m for sol in res.surge_solutions)
     if args.command == "solve-upper":
-        cfg = _config_from_args(args, mechanism=args.mechanism,
-                                fixed_price=_parse_price(getattr(args, "price", None)),
-                                compare=False)
-        res = run_pipeline(cfg)
         print(f"j_g={res.upper.j_g!r} iterations={res.upper.iterations} "
               f"converged={res.upper.converged} seconds={res.upper_seconds:.2f}")
-        return _exit_code(res)
-
-    if args.command == "solve-lower":
-        cfg = _config_from_args(args, compare=False)
-        res = run_pipeline(cfg)
-        total = sum(sol.j_m for sol in res.surge_solutions)
-        print(f"tracking cost across companies: {total!r} "
+    elif args.command == "solve-lower":
+        print(f"tracking cost across companies: {tracking!r} "
               f"modes={[sol.mode for sol in res.surge_solutions]}")
-        return _exit_code(res)
-
-    if args.command == "baseline":
-        price = _parse_price(args.price)
-        cfg = _config_from_args(args, mechanism="fixed-price", fixed_price=price)
-        res = run_pipeline(cfg)
+    elif args.command in ("baseline", "grid-search"):
         print(f"j_g={res.upper.j_g!r}")
-        return _exit_code(res)
-
-    if args.command == "grid-search":
-        cfg = _config_from_args(args, mechanism="grid-search", p_max=args.p_max,
-                                resolution=args.resolution, refine=args.refine)
-        res = run_pipeline(cfg)
-        print(f"j_g={res.upper.j_g!r}")
-        return _exit_code(res)
-
-    if args.command == "robustness":
-        alphas = tuple(float(v) for v in args.alphas.split(","))
-        cfg = _config_from_args(args, run_robustness=True, alphas=alphas,
-                                samples=args.samples, compare=False)
-        res = run_pipeline(cfg)
+    elif args.command == "robustness":
         means = {name: res.sweep.mean(name).tolist()
                  for name in ("rsg", "p1", "p2", "base")}
         print(json.dumps(means))
-        return _exit_code(res)
-
-    if args.command == "pipeline":
-        cfg = _config_from_args(args, resolution=args.resolution,
-                                run_robustness=args.with_sweep,
-                                samples=args.samples)
-        res = run_pipeline(cfg)
-        total = sum(sol.j_m for sol in res.surge_solutions)
-        print(f"j_g={res.upper.j_g!r} tracking={total!r} "
+    else:
+        print(f"j_g={res.upper.j_g!r} tracking={tracking!r} "
               f"artifacts={sorted(res.files)}")
-        return _exit_code(res)
-
-    raise ValueError(f"unknown command {args.command!r}")
+    return _exit_code(res)
 
 
 if __name__ == "__main__":

@@ -170,17 +170,15 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
     if feas.n_vehicles != fleet_size:
         raise ValueError("fleet_size does not match the feasibility structure")
 
-    masks = np.arange(1, 1 << m, dtype=np.int64)
-    masks = masks[masks != (1 << m) - 1]  # proper subsets only
+    masks = np.arange(1 << m, dtype=np.int64)
     members = (masks[:, None] >> np.arange(m) & 1).astype(bool)
     # distinct vehicles reaching into each subset, less one per station in it
-    caps = (members @ feas.reach.T).sum(axis=1) - members.sum(axis=1)
-    rows = members.astype(float)
-    rhs = np.maximum(caps, 0) / fleet_size
-
-    g_mat = np.vstack([rows, -np.eye(m)]) if masks.size else -np.eye(m)
-    h = np.concatenate([rhs, np.zeros(m)]) if masks.size else np.zeros(m)
-    return AdmissiblePolytope(m, fleet_size, masks, g_mat, h, PolytopeProjector(g_mat, h))
+    caps = np.maximum((members @ feas.reach.T).sum(axis=1) - members.sum(axis=1), 0)
+    caps[-1] = fleet_size
+    g_mat = np.vstack([members[1:-1], -np.eye(m)])      # proper subsets, then x >= 0
+    h = np.concatenate([caps[1:-1] / fleet_size, np.zeros(m)])
+    return AdmissiblePolytope(m, fleet_size, masks[1:-1], g_mat, h,
+                              PolytopeProjector(caps, fleet_size))
 
 
 def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np.ndarray:

@@ -68,10 +68,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mechanism not in ("rsg", "fixed-price", "grid-search"):
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.mechanism == "grid-search" and self.resolution < 2:
+        grid_runs = self.mechanism == "grid-search" or (self.mechanism == "rsg" and self.compare)
+        if grid_runs and self.resolution < 2:
             raise ValueError("grid search needs at least 2 points per axis")
+        if self.p_max <= 0:
+            raise ValueError("p_max must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.run_robustness and self.samples < 1:
+            raise ValueError("the robustness sweep needs at least one sample")
 
 
 @dataclass

@@ -1,125 +1,133 @@
-"""Exact weighted projection onto allocation polytopes.
+"""Exact weighted projection onto admissible allocation polytopes.
 
 Everything in this module solves instances of
 
-    min_x  1/2 (x - y)^T W (x - y)    s.t.   1^T x = s,   G x <= h,
+    min_x  1/2 (x - y)^T W (x - y)    s.t.   x in P,
+    P = {x >= 0 : sum(x) = 1,  N x(S) <= caps[S] for every station subset S},
 
-with W a positive diagonal weight matrix and every row of G the indicator
-of a station subset, or its negation. Euclidean projection onto an
-allocation polytope is the W = I special case; per-company best responses
-of the pricing game reduce to the weighted case because their Hessians are
-diagonal.
+with W a positive diagonal weight matrix and caps integer vehicle counts
+out of a fleet of N. Euclidean projection is the W = I special case;
+per-company best responses of the pricing game reduce to the weighted case
+because their Hessians are diagonal.
 
-`PolytopeProjector.project_batch` is the one entry point; a single
-projection, weighted or not, is a batch of one row. It has two exact
-paths, chosen once per polytope when the projector is built:
+P is built once from its caps: its rank f(S) = max{N x(S) : x in P} is
+computed and certified in int64 counts (``_rank_vector``), which makes P
+the base polytope of f (Fujishige, *Submodular Functions and Optimization*,
+2nd ed. 2005, sections 2-3). `PolytopeProjector.project_batch` is the one
+entry point; a single projection, weighted or not, is a batch of one row.
+It has two exact paths, read off f once per polytope:
 
-* Lower-bounded simplex. When the rows of G x <= h only restate
-  x >= l (nonnegativity rows, caps on all stations but one, and rows the
-  simplex {1^T x = s, x >= l} already implies), the projection is a sort
-  of the breakpoints w (y - l) per row (Duchi et al., ICML 2008; Condat,
-  Math. Prog. 2016). Full-reach fleets give such polytopes.
-* Every other polytope is the base polytope of its rank vector
-  f(S) = max{x(S) : x in P}, computed once by one LP per station subset
-  and certified submodular. The projection then follows a chain of tight
-  sets: with g = f - y and W(S) = sum of 1/w_j over S, the chain walks
-  the lower convex hull of the points (W(S), g(S)) from the empty set to
-  all stations, and each block B it adds gets x_B = y_B + slope / w_B
-  (Fujishige, *Submodular Functions and Optimization*, 2nd ed. 2005,
-  sections 3 and 8.2; Bach, *Learning with Submodular Functions*,
-  FnT ML 2013, section 9). At most m rounds, each over all 2^m subsets.
+* Lower-bounded simplex. When f(S) = N - l(V \\ S) for every nonempty S,
+  with l_k = N - f(V \\ k), P is {sum(x) = 1, x >= l / N} and the
+  projection is a sort of the breakpoints w (y - l) per row (Duchi et
+  al., ICML 2008; Condat, Math. Prog. 2016). Full-reach fleets give such
+  polytopes.
+* Every other polytope is projected along a chain of tight sets: with
+  g = f / N - y and W(S) = sum of 1/w_j over S, the chain walks the lower
+  convex hull of the points (W(S), g(S)) from the empty set to all
+  stations, and each block B it adds gets x_B = y_B + slope / w_B
+  (Fujishige 2005, section 8.2; Bach, *Learning with Submodular
+  Functions*, FnT ML 2013, section 9). At most m rounds, each over all
+  2^m subsets.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 
-def _simplex_lower_bound(g_mat: np.ndarray, h: np.ndarray, total: float) -> np.ndarray | None:
-    """The l with {1^T x = total, G x <= h} = {1^T x = total, x >= l}, or None.
+def _split_min(v: np.ndarray) -> None:
+    """Lower v(S) in place to v(A) + v(S \\ A) over splits into nonempty A, S \\ A.
 
-    A row -e_k bounds x_k >= -h; a row summing every entry but x_k bounds
-    x_k >= total - h through the equality. l_k is the largest such bound,
-    so those rows are implied by construction. The two sets are equal
-    exactly when every l_k is bounded, sum(l) <= total, and every other
-    row holds at its maximum over the simplex,
-    g.l + (total - sum(l)) max_j g_j <= h. No tolerance enters the test.
+    Each unordered split is visited once; a pass need not reach the
+    partition minimum, the caller repeats it until nothing changes.
     """
-    n = g_mat.shape[1]
-    n_zero = np.count_nonzero(g_mat == 0, axis=1)
-    neg_unit = (n_zero == n - 1) & (g_mat.min(axis=1) == -1)
-    complement = (n_zero == 1) & (np.count_nonzero(g_mat == 1, axis=1) == n - 1)
-    lower = np.full(n, -np.inf)
-    np.maximum.at(lower, np.argmin(g_mat[neg_unit], axis=1), -h[neg_unit])
-    np.maximum.at(lower, np.argmax(g_mat[complement] == 0, axis=1), total - h[complement])
-    slack = total - lower.sum()
-    if not slack >= 0:      # also refuses an unbounded l (slack is nan or inf)
-        return None
-    rest = ~(neg_unit | complement)
-    g_rest = g_mat[rest]
-    if g_rest.size and np.any(g_rest @ lower + slack * g_rest.max(axis=1) > h[rest]):
-        return None
-    return lower
+    masks = np.arange(v.size)
+    for a in range(1, v.size // 2):         # a larger a has no disjoint b above it
+        b = masks[(masks & a == 0) & (masks > a)]
+        v[a | b] = np.minimum(v[a | b], v[a] + v[b])
 
 
-def _rank_vector(g_mat: np.ndarray, h: np.ndarray, total: float,
-                 members: np.ndarray) -> np.ndarray | None:
-    """f(S) = max{x(S) : x in P} for every subset S (row of ``members``).
+def _rank_vector(caps: np.ndarray, total: int, members: np.ndarray) -> np.ndarray | None:
+    """f(S) = max{y(S) : y in P} in counts, for every subset S (row of ``members``).
 
-    Returns None when P is empty. Refuses a polytope that is not the base
-    polytope of a submodular f: a row of G that is not a subset indicator
-    (or its negation), an unbounded P, or a failed local submodularity test
-    f(S+i) + f(S+j) >= f(S+i+j) + f(S).
+    P = {y >= 0 : y(V) = total, y(S) <= caps[S]}. Starting from the caps,
+    f is lowered to the least fixpoint of three bounds every y in P obeys:
+    y(S) <= y(T) for T containing S, y(S) <= f(A) + f(S \\ A), and
+    y(S) = total - y(V \\ S) where y(U) is at least the block-wise sum of
+    the lower bounds total - f(V \\ B). Returns None when a lower bound
+    passes an upper one, so P is empty. Refuses f unless it passes the
+    exchange test f(S+i) + f(S+j) >= f(S+i+j) + f(S) and every subset's
+    greedy vertex lies in P.
     """
-    if not np.all(np.isin(g_mat, (0.0, 1.0)).all(axis=1) | np.isin(g_mat, (0.0, -1.0)).all(axis=1)):
-        raise ValueError("every row of G must be a station-subset indicator or its negation")
-    n = g_mat.shape[1]
-    rank = np.zeros(members.shape[0])
-    for mask in range(1, members.shape[0]):
-        res = linprog(-1.0 * members[mask], A_ub=g_mat, b_ub=h, A_eq=np.ones((1, n)),
-                      b_eq=[total], bounds=[(None, None)] * n, method="highs")
-        if res.status == 2:
+    n = members.shape[1]
+    masks = np.arange(caps.size)
+    f = caps.copy()
+    f[0] = min(f[0], 0)
+    f[-1] = min(f[-1], total)
+    while True:
+        before = f.copy()
+        for j in range(n):
+            f = np.minimum(f, f[masks | 1 << j])
+        _split_min(f)
+        # u(U) = -(lower bound of y(U)); V \ U is the reversed index
+        u = f[::-1] - total
+        _split_min(u)
+        if np.any(f + u < 0):
             return None
-        if res.status != 0:
-            raise ValueError(f"rank LP failed on subset {mask}: {res.message}")
-        rank[mask] = -res.fun
-    masks = np.arange(members.shape[0])
-    # HiGHS returns vertex values to within rounding, far below this slack
-    slack = 1e-9 * max(1.0, abs(total))
+        f = np.minimum(f, total + u[::-1])
+        if np.array_equal(f, before):
+            break
     for i in range(n):
         for j in range(i + 1, n):
             s = masks[(masks >> i & 1 == 0) & (masks >> j & 1 == 0)]
             si, sj = s | 1 << i, s | 1 << j
-            if np.any(rank[si] + rank[sj] < rank[si | 1 << j] + rank[s] - slack):
+            if np.any(f[si] + f[sj] < f[si | 1 << j] + f[s]):
                 raise ValueError("the polytope is not a submodular base polytope: "
                                  f"its rank vector fails the exchange test at stations {i}, {j}")
-    return rank
+    # row S: the greedy vertex of f over S's stations, then the others
+    order = np.argsort(~members, axis=1, kind="stable")
+    prefix = np.bitwise_or.accumulate(1 << order, axis=1)
+    vertex = np.zeros_like(order)
+    np.put_along_axis(vertex, order, np.diff(f[prefix], axis=1, prepend=0), axis=1)
+    outside = np.any(vertex < 0)
+    for start in range(0, caps.size, n):     # (2^n, n) subset sums at a time
+        cut = slice(start, start + n)
+        outside |= np.any(vertex @ members[cut].T > caps[cut])
+    if outside:
+        raise ValueError("a greedy vertex of the closed caps leaves the polytope")
+    return f
 
 
 class PolytopeProjector:
-    """Projector onto ``{x : sum(x) = total, G x <= h}`` with batch support.
+    """Projector onto ``{x >= 0 : sum(x) = 1, total * x(S) <= caps[S]}``.
 
-    ``lower`` is set when the polytope is a lower-bounded simplex; otherwise
-    ``rank`` holds f over all 2^n subsets (bit j of the index is station
-    j), or is None when the polytope is empty.
+    ``caps`` holds one integer count per station subset, indexed by bitmask
+    (bit j of the index is station j), and ``total`` is the count the unit
+    sum stands for. ``rank`` holds f / total over all 2^n subsets, or is
+    None when the polytope is empty; ``lower`` is set when the polytope is
+    a lower-bounded simplex.
     """
 
-    def __init__(self, g_mat: np.ndarray, h: np.ndarray, total: float = 1.0):
-        self.g_mat = np.asarray(g_mat, dtype=float)
-        self.h = np.asarray(h, dtype=float)
-        self.total = float(total)
-        self.n = self.g_mat.shape[1]
-        self.lower = _simplex_lower_bound(self.g_mat, self.h, self.total)
-        self.members = self.rank = None
-        if self.lower is None:
-            masks = np.arange(1 << self.n)
-            self.members = (masks[:, None] >> np.arange(self.n) & 1).astype(bool)
-            self.rank = _rank_vector(self.g_mat, self.h, self.total, self.members)
+    def __init__(self, caps: np.ndarray, total: int):
+        caps = np.asarray(caps)
+        self.n = max(caps.size.bit_length(), 2) - 1
+        if caps.dtype.kind not in "iu" or caps.shape != (1 << self.n,) or total < 1:
+            raise ValueError("caps must hold one integer count per station subset, "
+                             "out of a positive total")
+        masks = np.arange(caps.size)
+        self.members = (masks[:, None] >> np.arange(self.n) & 1).astype(bool)
+        f = _rank_vector(caps.astype(np.int64), int(total), self.members)
+        self.rank = self.lower = None
+        if f is not None:
+            self.rank = f / total
+            rest = f[masks[-1] ^ 1 << np.arange(self.n)]      # f(V \ k)
+            if np.array_equal(f[1:], total - ~self.members[1:] @ (total - rest)):
+                self.lower = 1.0 - rest / total
 
     @property
     def is_empty(self) -> bool:
-        return self.lower is None and self.rank is None
+        return self.rank is None
 
     @property
     def path(self) -> str:
@@ -178,16 +186,16 @@ class PolytopeProjector:
         return y_rows + slope / w
 
     def _project_simplex(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Exact projection onto {sum(x) = total, x >= lower}.
+        """Exact projection onto {sum(x) = 1, x >= lower}.
 
         x = l + max(0, z - tau / w) with z = y - l, where tau solves
-        sum(max(0, z - tau / w)) = total - sum(l). With the breakpoints w z
+        sum(max(0, z - tau / w)) = 1 - sum(l). With the breakpoints w z
         sorted in decreasing order, the first j of them active give
         tau_j = (cumsum(z)_j - slack) / cumsum(1 / w)_j; the active ones are
         the prefix whose breakpoints lie above their tau_j.
         """
         lower = self.lower
-        slack = self.total - lower.sum()
+        slack = 1.0 - lower.sum()
         if slack == 0:      # the set is the single point l
             return np.broadcast_to(lower, y_rows.shape).copy()
         z = y_rows - lower

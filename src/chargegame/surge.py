@@ -288,7 +288,7 @@ def two_step(target: np.ndarray, drivers: list[DriverParams],
     assignment = assign_vehicles(target, FeasibilityStructure(fleet[2]))
 
     eq = equal_price_solve(target, drivers, prices, rho_min)
-    if eq.j_m == 0.0 and _hits_target(eq.surge, target, *fleet):
+    if eq.j_m == 0.0:       # its drivers' counts were checked against the target
         return eq
     return per_vehicle_prices(assignment, drivers, prices, rho_min, margin)
 

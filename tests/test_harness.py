@@ -211,10 +211,20 @@ class TestCLI:
                          "--out", str(tmp_path / "up")])
         assert code == 3
 
-    def test_usage_error_exit_code(self):
+    @pytest.mark.parametrize("argv", [
+        ["solve-upper", "--mechanism", "bogus"],
+        ["grid-search", "--resolution", "1"],
+        ["solve-upper", "--max-iter", "0"],
+        ["pipeline", "--resolution", "1"],
+        ["grid-search", "--p-max", "-1"],
+        ["robustness", "--samples", "0"],
+    ])
+    def test_usage_error_exit_code(self, tmp_path, argv):
+        # refused before any stage runs, so nothing is written
         with pytest.raises(SystemExit) as err:
-            cli_main(["solve-upper", "--mechanism", "bogus"])
+            cli_main(argv + ["--out", str(tmp_path / "o")])
         assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [
         ["grid-search", "--resolution", "2", "--refine", "0"],

@@ -1,14 +1,15 @@
-"""Projection kernel against a brute-force active-set enumeration oracle."""
+"""Projection kernel against a brute-force active-set enumeration oracle,
+and the integer rank vector against one LP per station subset."""
 
+import copy
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from chargegame import qp
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
-from chargegame.qp import PolytopeProjector, _rank_vector
+from chargegame.qp import PolytopeProjector
 
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
@@ -63,8 +64,33 @@ def kkt_residual(x, y, g_mat, h, weights=None):
     return stat, mu
 
 
+def h_rep(caps, total):
+    """(G, h) of the projector's polytope: the caps below ``total``, then x >= 0."""
+    caps = np.asarray(caps)
+    m = caps.size.bit_length() - 1
+    masks = np.arange(1, caps.size - 1)
+    masks = masks[caps[masks] < total]
+    rows = (masks[:, None] >> np.arange(m) & 1).astype(float)
+    return np.vstack([rows, -np.eye(m)]), np.concatenate([caps[masks] / total, np.zeros(m)])
+
+
+def lp_rank(g_mat, h):
+    """max{x(S) : sum(x) = 1, G x <= h} for every subset S, one LP each; None if empty."""
+    m = g_mat.shape[1]
+    members = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(float)
+    rank = np.zeros(1 << m)
+    for mask in range(1, 1 << m):
+        res = linprog(-members[mask], A_ub=g_mat, b_ub=h, A_eq=np.ones((1, m)), b_eq=[1.0],
+                      bounds=[(None, None)] * m, method="highs")
+        if res.status == 2:
+            return None
+        assert res.status == 0, res.message
+        rank[mask] = -res.fun
+    return rank
+
+
 def test_simplex_projection_matches_hand_value():
-    proj = PolytopeProjector(-np.eye(2), np.zeros(2))
+    proj = PolytopeProjector([0, 1, 1, 1], 1)
     out = proj.project(np.array([2.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
 
@@ -155,39 +181,33 @@ def test_weighted_rejects_nonpositive_weights():
 
 
 def lower_bounded_simplex(rng, m, tight=False, with_zero=False):
-    """Rows of {sum(x) = 1, x >= l}, laid out as an admissible polytope is.
+    """Caps of {sum(x) = 1, x >= l} in units of 1/32, one per station subset.
 
-    l is dyadic so that sum(l) = 1 holds exactly when ``tight``. There is
-    one cap per proper station subset S, followed by the nonnegativity
-    rows. The cap on all stations but k is 1 - l_k; every other cap is at
-    or above its maximum over the simplex, sum(l over S) + 1 - sum(l).
+    l is dyadic so that sum(l) = 1 holds exactly when ``tight``. The cap on
+    all stations but k is 32 (1 - l_k); every other proper cap is at or
+    above its maximum over the simplex, 32 (sum(l over S) + 1 - sum(l)).
     """
     units = rng.integers(0, 5, m)
     if with_zero:
         units[rng.integers(0, m)] = 0
     if tight:
         units[-1] = 32 - units[:-1].sum()
-    lower = units / 32.0
-    slack = 1.0 - lower.sum()
-    rows, rhs = [], []
+    slack = 32 - units.sum()
+    caps = np.zeros(1 << m, dtype=int)
+    caps[-1] = 32
     for mask in range(1, (1 << m) - 1):
         subset = np.array([mask >> j & 1 for j in range(m)], dtype=bool)
-        rows.append(subset.astype(float))
         if subset.sum() == m - 1:
-            rhs.append(1.0 - lower[~subset][0])
+            caps[mask] = 32 - units[~subset][0]
         else:
-            rhs.append(lower[subset].sum() + slack + rng.choice([0.0, 0.25]))
-    g_mat = np.vstack(rows + [-np.eye(m)])
-    h = np.concatenate([rhs, np.zeros(m)])
-    return g_mat, h, lower
+            caps[mask] = units[subset].sum() + slack + rng.choice([0, 8])
+    return caps, units / 32.0
 
 
 def chain_projector(proj):
     """The same polytope, forced onto the chain-of-tight-sets path."""
-    chain = PolytopeProjector(proj.g_mat, proj.h, proj.total)
+    chain = copy.copy(proj)
     chain.lower = None
-    chain.members = (np.arange(1 << chain.n)[:, None] >> np.arange(chain.n) & 1).astype(bool)
-    chain.rank = _rank_vector(chain.g_mat, chain.h, chain.total, chain.members)
     return chain
 
 
@@ -198,9 +218,10 @@ class TestLowerBoundedSimplex:
         rng = np.random.default_rng(11 + 2 * tight + with_zero)
         for trial in range(8):
             m = int(rng.integers(2, 5))
-            g_mat, h, lower = lower_bounded_simplex(rng, m, tight, with_zero)
-            proj = PolytopeProjector(g_mat, h)
+            caps, lower = lower_bounded_simplex(rng, m, tight, with_zero)
+            proj = PolytopeProjector(caps, 32)
             assert np.array_equal(proj.lower, lower)
+            g_mat, h = h_rep(caps, 32)
             ys = rng.normal(0, 1.5, (8, m))
             for w in (None, rng.uniform(0.5, 4.0, m)):
                 fast = proj.project_batch(ys, w)
@@ -218,19 +239,23 @@ class TestLowerBoundedSimplex:
                     assert np.abs(x - want).max() <= 1e-10, f"trial {trial}"
 
     def test_chain_on_single_point_set(self):
-        # every cap is tight at l, the set's only point
-        g_mat, h = [], []
+        # every cap but {2}'s is tight at l = (0, 3, 29) / 32, the set's only point
+        chain = chain_projector(PolytopeProjector([0, 0, 3, 3, 37, 29, 32, 32], 32))
         lower = np.array([0.0, 3.0, 29.0]) / 32
-        for mask, slack in zip(range(1, 7), (0, 0, 0, 0.25, 0, 0)):
-            subset = np.array([mask >> j & 1 for j in range(3)], dtype=bool)
-            g_mat.append(subset.astype(float))
-            h.append(lower[subset].sum() + slack)
-        g_mat = np.vstack(g_mat + [-np.eye(3)])
-        h = np.concatenate([h, np.zeros(3)])
-        chain = chain_projector(PolytopeProjector(g_mat, h))
         y = np.array([-0.4036594304354752, 0.40560184483093675, -1.0132865658167611])
         w = np.array([0.9835799018839195, 1.3233156479422865, 1.5986567703183105])
         assert np.abs(chain.project(y, w) - lower).max() <= 1e-12
+
+    def test_exact_when_a_cap_is_tight_at_the_bound(self):
+        # cap {0} = 5 = 11 - l_1 - l_2 is tight at l; float caps miss that by an ulp
+        caps = [0, 5, 8, 7, 9, 9, 9, 11]
+        proj = PolytopeProjector(caps, 11)
+        assert np.array_equal(proj.lower, 1.0 - np.array([9, 9, 7]) / 11)
+        assert np.allclose(proj.lower, np.array([2, 2, 4]) / 11, rtol=0, atol=1e-16)
+        g_mat, h = h_rep(caps, 11)
+        assert np.abs(proj.rank - lp_rank(g_mat, h)).max() <= 1e-12
+        y = np.array([0.9, -0.3, 0.2])
+        assert np.abs(proj.project(y) - oracle_project(y, g_mat, h)).max() <= 1e-10
 
     def test_accepts_demo_fleet_polytopes(self, demo_build):
         for poly in demo_build.instance.polytopes:
@@ -247,15 +272,15 @@ class TestLowerBoundedSimplex:
 
     def test_refuses_binding_pair_cap(self):
         # x0 + x1 <= 1/2 cuts the simplex {x >= 0}; projection must honour it
-        g_mat = np.vstack([[1.0, 1.0, 0.0, 0.0], -np.eye(4)])
-        h = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
-        proj = PolytopeProjector(g_mat, h)
+        caps = np.full(16, 2)
+        caps[0], caps[0b0011] = 0, 1
+        proj = PolytopeProjector(caps, 2)
         assert proj.lower is None
         assert proj.rank is not None    # certified submodular
         y = np.array([0.9, 0.6, -0.2, 0.1])
         x = proj.project(y)
         assert x[0] + x[1] <= 0.5 + 1e-12
-        assert np.abs(x - oracle_project(y, g_mat, h)).max() <= 1e-10
+        assert np.abs(x - oracle_project(y, *h_rep(caps, 2))).max() <= 1e-10
 
 
 def first_order_gap(x, y, w, g_mat, h):
@@ -270,20 +295,23 @@ def first_order_gap(x, y, w, g_mat, h):
 class TestChainOfTightSets:
     @pytest.mark.parametrize("seed,row", [(229, 0), (49, 11)])
     def test_weighted_partial_reach_regression(self, seed, row):
-        # a primal active-set loop ran out of sweeps on exactly these inputs
+        # a primal active-set loop ran out of sweeps on exactly these inputs;
+        # the polytopes are exact simplices, so both paths must agree
         rng = np.random.default_rng(seed)
         reach = rng.random((30, 5)) < 0.4
         reach[~reach.any(1), 0] = True
         poly = admissible_polytope(FeasibilityStructure(reach), 30)
         w = rng.uniform(0.5, 4, 5)
         y = rng.normal(0, 1.5, (20, 5))[row]
+        assert poly.projector.lower is not None
         x = poly.project(y, weights=w)
-        assert poly.projector.lower is None
-        assert poly.contains(x, tol=1e-12)
-        assert first_order_gap(x, y, w, poly.g_mat, poly.h) >= -1e-10
+        x_chain = chain_projector(poly.projector).project(y, w)
+        assert np.abs(x - x_chain).max() <= 1e-10
+        for point in (x, x_chain):
+            assert poly.contains(point, tol=1e-12)
+            assert first_order_gap(point, y, w, poly.g_mat, poly.h) >= -1e-10
 
     def test_certifies_random_partial_reach_polytopes(self):
-        # two stations always give a lower-bounded simplex, so m runs 3..7
         rng = np.random.default_rng(17)
         certified = 0
         while certified < 100:
@@ -292,9 +320,9 @@ class TestChainOfTightSets:
             reach = rng.random((n_v, m)) < 0.3
             reach[~reach.any(axis=1), rng.integers(0, m)] = True
             poly = admissible_polytope(FeasibilityStructure(reach), n_v)
-            if poly.is_empty or poly.projector.lower is not None:
+            if poly.is_empty:
                 continue
-            proj = poly.projector
+            proj = chain_projector(poly.projector)
             y = rng.normal(0, 1.5, m)
             w = rng.uniform(0.5, 4.0, m)
             x = proj.project(y, w)
@@ -302,30 +330,33 @@ class TestChainOfTightSets:
             assert first_order_gap(x, y, w, poly.g_mat, poly.h) >= -1e-10
             certified += 1
 
-    def test_refuses_non_submodular_caps(self):
-        # f({0,1}) + f({1,2}) = 0.6 < f({0,1,2}) + f({1}) = 0.9
-        g_mat = np.vstack([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], -np.eye(4)])
-        h = np.array([0.3, 0.3, 0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="submodular"):
-            PolytopeProjector(g_mat, h)
+    def test_rank_matches_lp_oracle(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for trial in range(100):
+            m = 2 + trial % 5
+            density = rng.uniform(0.15, 0.95)
+            n_v = int(rng.integers(4 * m, 16 * m))
+            reach = rng.random((n_v, m)) < density
+            reach[~reach.any(axis=1), rng.integers(0, m)] = True
+            poly = admissible_polytope(FeasibilityStructure(reach), n_v)
+            want = lp_rank(poly.g_mat, poly.h)
+            assert poly.is_empty == (want is None), f"trial {trial}"
+            if want is not None:
+                assert np.abs(poly.projector.rank - want).max() <= 1e-12, f"trial {trial}"
+            seen.add("empty" if poly.is_empty else poly.projector.path)
+        assert seen == {"empty", "simplex", "chain"}
 
-    def test_refuses_non_subset_rows(self):
-        g_mat = np.vstack([[1.0, 2.0, 0.0], -np.eye(3)])
-        with pytest.raises(ValueError, match="indicator"):
-            PolytopeProjector(g_mat, np.array([0.5, 0.0, 0.0, 0.0]))
+    def test_refuses_non_submodular_caps(self):
+        # f({0,1}) + f({1,2}) = 6 < f({0,1,2}) + f({1}) = 9, out of N = 10
+        caps = np.full(16, 10)
+        caps[0], caps[0b0011], caps[0b0110] = 0, 3, 3
+        with pytest.raises(ValueError, match="submodular"):
+            PolytopeProjector(caps, 10)
 
     def test_empty_polytope_is_reported(self):
-        # x0 + x1 <= 0.2 and x2 <= 0.3 leave no room for a unit of mass
-        g_mat = np.vstack([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], -np.eye(3)])
-        proj = PolytopeProjector(g_mat, np.array([0.2, 0.3, 0.0, 0.0, 0.0]))
+        # x0 + x1 <= 2/10 and x2 <= 3/10 leave no room for a unit of mass
+        proj = PolytopeProjector([0, 10, 10, 2, 3, 10, 10, 10], 10)
         assert proj.is_empty
         with pytest.raises(ValueError, match="empty"):
             proj.project(np.zeros(3))
-
-    def test_simplex_builds_without_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("a lower-bounded simplex needs no LP")
-        monkeypatch.setattr(qp, "linprog", no_lp)
-        poly = admissible_polytope(FeasibilityStructure.full(20, 4), 20)
-        assert poly.projector.lower is not None
-        assert not poly.is_empty
