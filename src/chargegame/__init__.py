@@ -16,10 +16,11 @@ A numpy/scipy library covering:
 
 from .errors import (ChargeGameError, DegenerateFleetError, EmptyPolytopeError,
                      InfeasibleTargetError, PipelineStageError, ZeroGainError)
-from .feasible import (AdmissiblePolytope, FeasibilityStructure,
-                       admissible_polytope, discretize, hall_condition)
-from .model import (AllocationProfile, CompanyParams, GameInstance,
-                    GovernmentObjective, StationSet, aggregate, company_cost,
+from .feasible import (FeasibilityStructure, admissible_polytope, discretize,
+                       hall_condition)
+from .qp import PolytopeProjector
+from .model import (CompanyParams, GameInstance, GovernmentObjective,
+                    StationSet, aggregate, company_cost,
                     derive_queuing_params, government_cost,
                     pseudo_inverse_diag, queuing_cost, reduced_cost,
                     setpoint_from_distribution, system_optimal_prices,
@@ -36,9 +37,8 @@ from .surge import (DriverParams, SurgeSolution, assign_vehicles,
                     driver_best_response, equal_price_solve,
                     per_vehicle_prices, two_step, verify_zero_cost)
 from .scenario import (FleetSnapshot, Scenario, ScenarioParams, build_game,
-                       compute_feasibility, demo_scenario, discharge,
-                       estimate_company_params, estimate_driver_params,
-                       mfd_speed, reference_game, simulate_period)
+                       demo_scenario, discharge, mfd_speed, reference_game,
+                       simulate_period)
 from .network import RoadNetwork, grid_network, read_network, write_network
 from .harness import (ExperimentConfig, GridSearchResult, grid_search,
                       run_pipeline)

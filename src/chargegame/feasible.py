@@ -13,19 +13,22 @@ vehicles x slots cost matrix (``_assign_slots``).
 The continuous counterpart is a polytope on the allocation simplex: for
 every proper station subset S the fraction of the fleet sent into S is
 capped so that rounding the continuous split up or down always leaves a
-realizable integer target. Rounding itself is a largest-remainder
-apportionment; when that target is not matchable, one assignment solve
-picks the matchable floor/ceil point that keeps the largest remainders.
+realizable integer target. ``admissible_polytope`` returns it as one
+``qp.PolytopeProjector`` holding those caps as vehicle counts, which
+answers emptiness, membership and projection. Rounding itself is a
+largest-remainder apportionment; when that target is not matchable, one
+assignment solve picks the matchable floor/ceil point that keeps the
+largest remainders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DegenerateFleetError, EmptyPolytopeError, InfeasibleTargetError
+from .errors import DegenerateFleetError, InfeasibleTargetError
 from .qp import PolytopeProjector
 
 MAX_STATIONS_FOR_SUBSETS = 20
@@ -103,56 +106,7 @@ def hall_condition(target: np.ndarray, feas: FeasibilityStructure) -> bool:
     return _assign_slots(np.where(feas.reach[:, slots], 0.0, np.inf)) is not None
 
 
-@dataclass
-class AdmissiblePolytope:
-    """H-representation of one company's admissible continuous allocations.
-
-    Rows of ``g_mat``/``h`` hold the proper-subset caps followed by the
-    nonnegativity rows; membership additionally requires the entries to sum
-    to one. ``projector`` is built with the polytope and decides emptiness
-    (degenerate fleet state); every other operation refuses to run on an
-    empty set.
-    """
-
-    n_stations: int
-    fleet_size: int
-    subset_masks: np.ndarray       # bitmask per subset row
-    g_mat: np.ndarray              # (n_sub + n_stations, n_stations)
-    h: np.ndarray
-    projector: PolytopeProjector = field(repr=False)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.projector.is_empty
-
-    @property
-    def forced_zero(self) -> np.ndarray:
-        """Stations whose allocation is pinned to zero by a zero subset cap."""
-        zero = self.subset_masks[self.h[:self.subset_masks.size] <= 1e-15]
-        return (zero[:, None] >> np.arange(self.n_stations) & 1).astype(bool).any(axis=0)
-
-    def _require_nonempty(self):
-        if self.is_empty:
-            raise EmptyPolytopeError("admissible allocation set is empty")
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.is_empty or x.shape != (self.n_stations,):
-            return False
-        if abs(x.sum() - 1.0) > tol:
-            return False
-        return bool(np.all(self.g_mat @ x <= self.h + tol))
-
-    def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        self._require_nonempty()
-        return self.projector.project(y, weights)
-
-    def project_batch(self, y_rows: np.ndarray) -> np.ndarray:
-        self._require_nonempty()
-        return self.projector.project_batch(y_rows)
-
-
-def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> AdmissiblePolytope:
+def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> PolytopeProjector:
     """Build the admissible polytope for a company.
 
     One inequality per proper nonempty station subset S:
@@ -161,7 +115,8 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
 
     plus nonnegativity and the unit-sum equality. Membership guarantees
     that rounding to an integer target within the floor/ceil lattice stays
-    matchable.
+    matchable. The caps are kept as vehicle counts; the returned projector
+    is the polytope, and decides its emptiness (a degenerate fleet state).
     """
     m = feas.n_stations
     _check_subset_count(m)
@@ -170,15 +125,11 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Admissib
     if feas.n_vehicles != fleet_size:
         raise ValueError("fleet_size does not match the feasibility structure")
 
-    masks = np.arange(1 << m, dtype=np.int64)
-    members = (masks[:, None] >> np.arange(m) & 1).astype(bool)
+    members = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
     # distinct vehicles reaching into each subset, less one per station in it
     caps = np.maximum((members @ feas.reach.T).sum(axis=1) - members.sum(axis=1), 0)
     caps[-1] = fleet_size
-    g_mat = np.vstack([members[1:-1], -np.eye(m)])      # proper subsets, then x >= 0
-    h = np.concatenate([caps[1:-1] / fleet_size, np.zeros(m)])
-    return AdmissiblePolytope(m, fleet_size, masks[1:-1], g_mat, h,
-                              PolytopeProjector(caps, fleet_size))
+    return PolytopeProjector(caps, fleet_size)
 
 
 def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np.ndarray:

@@ -71,10 +71,17 @@ class ExperimentConfig:
         grid_runs = self.mechanism == "grid-search" or (self.mechanism == "rsg" and self.compare)
         if grid_runs and self.resolution < 2:
             raise ValueError("grid search needs at least 2 points per axis")
-        if self.p_max <= 0:
+        # "not >= 0" and "not > 0" also refuse NaN
+        if not self.p_max > 0:
             raise ValueError("p_max must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not self.tol >= 0:
+            raise ValueError("tol must be nonnegative")
+        if not np.all(np.asarray(self.alphas, dtype=float) >= 0):
+            raise ValueError("noise magnitudes (alphas) must be nonnegative")
+        if self.fixed_price is not None and not np.all(np.asarray(self.fixed_price) >= 0):
+            raise ValueError("fixed prices must be nonnegative")
         if self.run_robustness and self.samples < 1:
             raise ValueError("the robustness sweep needs at least one sample")
 
@@ -270,7 +277,7 @@ def run_pipeline(config: ExperimentConfig,
         "j_g": upper.j_g,
         "charging_fleet": [int(c.fleet_size) for c in instance.companies],
         "stage_seconds": seconds,
-        "projector_paths": [p.projector.path for p in instance.polytopes],
+        "projector_paths": [p.path for p in instance.polytopes],
         "surge_modes": [{"mode": sol.mode, "solver_info": sol.solver_info}
                         for sol in surge_solutions],
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .feasible import AdmissiblePolytope
+from .qp import PolytopeProjector
 
 PSEUDO_INVERSE_TOL = 1e-12
 
@@ -202,7 +202,7 @@ class GameInstance:
     stations: StationSet
     government: GovernmentObjective
     companies: tuple[CompanyParams, ...]
-    polytopes: tuple[AdmissiblePolytope, ...]
+    polytopes: tuple[PolytopeProjector, ...]
 
     def __post_init__(self):
         if len(self.companies) != len(self.polytopes):
@@ -230,40 +230,6 @@ class GameInstance:
             for c, d in zip(self.companies, demand_per_company)
         )
         return replace(self, companies=new)
-
-
-@dataclass(frozen=True)
-class AllocationProfile:
-    """Joint fleet split: one simplex row per company."""
-
-    fleet_sizes: np.ndarray
-    blocks: np.ndarray  # (n_companies, n_stations)
-
-    def __post_init__(self):
-        fs = np.asarray(self.fleet_sizes, dtype=float)
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.ndim != 2 or fs.shape != (blocks.shape[0],):
-            raise ValueError("blocks must be (n_companies, n_stations)")
-        if np.any(blocks < -1e-9) or np.any(np.abs(blocks.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("every row must lie on the probability simplex")
-        object.__setattr__(self, "fleet_sizes", fs)
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def from_stacked(cls, fleet_sizes, x: np.ndarray) -> "AllocationProfile":
-        fleet_sizes = np.asarray(fleet_sizes, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return cls(fleet_sizes, x.reshape(fleet_sizes.size, -1))
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.blocks.reshape(-1)
-
-    def sigma(self) -> np.ndarray:
-        return self.fleet_sizes @ self.blocks
-
-    def sigma_without(self, i: int) -> np.ndarray:
-        return self.sigma() - self.fleet_sizes[i] * self.blocks[i]
 
 
 def aggregate(fleet_sizes, blocks: np.ndarray) -> np.ndarray:

@@ -13,9 +13,12 @@ because their Hessians are diagonal.
 P is built once from its caps: its rank f(S) = max{N x(S) : x in P} is
 computed and certified in int64 counts (``_rank_vector``), which makes P
 the base polytope of f (Fujishige, *Submodular Functions and Optimization*,
-2nd ed. 2005, sections 2-3). `PolytopeProjector.project_batch` is the one
-entry point; a single projection, weighted or not, is a batch of one row.
-It has two exact paths, read off f once per polytope:
+2nd ed. 2005, sections 2-3). `PolytopeProjector` is the one object per
+polytope: it keeps the caps and N, decides emptiness and membership, and
+exposes the H-representation the caps stand for. Its `project_batch` is
+the one projection entry point; a single projection, weighted or not, is
+a batch of one row. The projection has two exact paths, read off f once
+per polytope:
 
 * Lower-bounded simplex. When f(S) = N - l(V \\ S) for every nonempty S,
   with l_k = N - f(V \\ k), P is {sum(x) = 1, x >= l / N} and the
@@ -34,6 +37,8 @@ It has two exact paths, read off f once per polytope:
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import EmptyPolytopeError
 
 
 def _split_min(v: np.ndarray) -> None:
@@ -100,9 +105,9 @@ def _rank_vector(caps: np.ndarray, total: int, members: np.ndarray) -> np.ndarra
 
 
 class PolytopeProjector:
-    """Projector onto ``{x >= 0 : sum(x) = 1, total * x(S) <= caps[S]}``.
+    """The polytope ``{x >= 0 : sum(x) = 1, total * x(S) <= caps[S]}`` and its projector.
 
-    ``caps`` holds one integer count per station subset, indexed by bitmask
+    ``caps`` holds one int64 count per station subset, indexed by bitmask
     (bit j of the index is station j), and ``total`` is the count the unit
     sum stands for. ``rank`` holds f / total over all 2^n subsets, or is
     None when the polytope is empty; ``lower`` is set when the polytope is
@@ -115,9 +120,11 @@ class PolytopeProjector:
         if caps.dtype.kind not in "iu" or caps.shape != (1 << self.n,) or total < 1:
             raise ValueError("caps must hold one integer count per station subset, "
                              "out of a positive total")
+        self.caps = caps.astype(np.int64)
+        self.total = int(total)
         masks = np.arange(caps.size)
         self.members = (masks[:, None] >> np.arange(self.n) & 1).astype(bool)
-        f = _rank_vector(caps.astype(np.int64), int(total), self.members)
+        f = _rank_vector(self.caps, self.total, self.members)
         self.rank = self.lower = None
         if f is not None:
             self.rank = f / total
@@ -133,6 +140,29 @@ class PolytopeProjector:
     def path(self) -> str:
         """The exact projection that runs: "simplex" (a sort) or "chain"."""
         return "simplex" if self.lower is not None else "chain"
+
+    @property
+    def g_mat(self) -> np.ndarray:
+        """Rows of the H-representation: every proper subset, then -I (x >= 0)."""
+        return np.vstack([self.members[1:-1], -np.eye(self.n)])
+
+    @property
+    def h(self) -> np.ndarray:
+        """Right-hand sides of ``g_mat``: the proper-subset caps / total, then zeros."""
+        return np.concatenate([self.caps[1:-1] / self.total, np.zeros(self.n)])
+
+    @property
+    def forced_zero(self) -> np.ndarray:
+        """Stations pinned to zero by a proper subset of cap 0; defined when empty too."""
+        return self.members[1:-1][self.caps[1:-1] <= 0].any(axis=0)
+
+    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
+        x = np.asarray(x, dtype=float)
+        if self.is_empty or x.shape != (self.n,):
+            return False
+        if abs(x.sum() - 1.0) > tol:
+            return False
+        return bool(np.all(self.g_mat @ x <= self.h + tol))
 
     def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -150,7 +180,7 @@ class PolytopeProjector:
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
         if self.is_empty:
-            raise ValueError("cannot project onto an empty polytope")
+            raise EmptyPolytopeError("cannot project onto an empty polytope")
         if self.lower is not None:
             return self._project_simplex(y_rows, w)
         return self._project_chain(y_rows, w)

@@ -217,19 +217,13 @@ def simulate_period(scenario: Scenario, seed: int | None = None) -> FleetSnapsho
                          np.full(n_total, p.charge_per_pct))
 
 
-def compute_feasibility(snapshot: FleetSnapshot, scenario: Scenario):
-    """Stations each charging vehicle can still reach, per company.
+def _feasibility(passes) -> list[FeasibilityStructure]:
+    """Stations each charging vehicle can still reach, one structure per company.
 
     Station k is reachable for a vehicle at battery s iff
-    s - (100 / max_range) * distance > 0. Raises when some charging
-    vehicle cannot reach any station.
+    s - (100 / max_range) * distance > 0. The first company with a
+    vehicle that reaches no station raises, naming those vehicles.
     """
-    return _feasibility(_charging_demand(snapshot, scenario))
-
-
-def _feasibility(passes) -> list[FeasibilityStructure]:
-    """One structure per company from its reach mask; the first company
-    with a vehicle that reaches no station raises, naming those vehicles."""
     for sel, _, reach, _ in passes:
         dead = sel[~reach.any(axis=1)]
         if dead.size:
@@ -256,8 +250,8 @@ def _charging_demand(snapshot: FleetSnapshot, scenario: Scenario):
     return passes
 
 
-def estimate_company_params(snapshot: FleetSnapshot, scenario: Scenario,
-                            share: np.ndarray, seed: int | None = None):
+def _company_params(passes, scenario: Scenario, share: np.ndarray,
+                    seed: int | None):
     """Company demand diagonals and net-revenue vectors from the fleet state.
 
     Demand per station is the fleet-to-charge size times the mean per-
@@ -266,12 +260,6 @@ def estimate_company_params(snapshot: FleetSnapshot, scenario: Scenario,
     cost to each station with the expected regional profit, which carries
     a seeded uniform noise term.
     """
-    return _company_params(_charging_demand(snapshot, scenario), scenario,
-                           share, seed)
-
-
-def _company_params(passes, scenario: Scenario, share: np.ndarray,
-                    seed: int | None):
     p = scenario.params
     rng = np.random.default_rng(scenario.seed + 1 if seed is None else seed)
     share = np.asarray(share, dtype=float)
@@ -301,18 +289,13 @@ def _company_params(passes, scenario: Scenario, share: np.ndarray,
     return companies, extras
 
 
-def estimate_driver_params(snapshot: FleetSnapshot, scenario: Scenario,
-                           extras: list[dict]) -> list[list[DriverParams]]:
+def _driver_params(passes, scenario: Scenario, extras: list[dict]):
     """Per-vehicle cost data for the surge game, one list per company.
 
     The drivers of a company share one read-only revenue vector and one
     read-only surge-gain vector, and their demand vectors are rows of one
     read-only array, zero exactly where the vehicle cannot reach.
     """
-    return _driver_params(_charging_demand(snapshot, scenario), scenario, extras)
-
-
-def _driver_params(passes, scenario: Scenario, extras: list[dict]):
     p = scenario.params
     occupancy = np.asarray(p.occupancy, dtype=float)
     out = []

@@ -211,7 +211,7 @@ class TestAdmissiblePolytope:
     def test_subset_inequality_count(self):
         feas = FeasibilityStructure.full(6, 4)
         poly = admissible_polytope(feas, 6)
-        assert poly.subset_masks.size == 2**4 - 2
+        assert poly.caps[1:-1].size == 2**4 - 2
 
     def test_full_reach_matches_formula_bounds(self):
         # vertex-style check on m=3, fleet 5: membership must coincide with
@@ -242,8 +242,7 @@ class TestAdmissiblePolytope:
         feas = FeasibilityStructure(reach)
         poly = admissible_polytope(feas, 3)
         assert poly.forced_zero.tolist() == [False, True]
-        row = int(np.flatnonzero(poly.subset_masks == 0b10)[0])
-        assert poly.h[row] == 0.0
+        assert poly.caps[0b10] == 0
         assert poly.is_empty
 
     def test_empty_polytope_detected(self):

@@ -217,7 +217,12 @@ class TestCLI:
         ["solve-upper", "--max-iter", "0"],
         ["pipeline", "--resolution", "1"],
         ["grid-search", "--p-max", "-1"],
+        ["grid-search", "--p-max", "nan"],
         ["robustness", "--samples", "0"],
+        ["solve-upper", "--tol", "-1"],
+        ["robustness", "--alphas=-0.1"],
+        ["robustness", "--alphas", "0,nan"],
+        ["baseline", "--price=-1,3,3,3"],
     ])
     def test_usage_error_exit_code(self, tmp_path, argv):
         # refused before any stage runs, so nothing is written

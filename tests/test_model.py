@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from chargegame.model import (AllocationProfile, CompanyParams, GameInstance,
-                              GovernmentObjective, StationSet, aggregate,
-                              approximate_prices, company_cost,
-                              derive_queuing_params, government_cost,
+from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
+                              StationSet, aggregate, approximate_prices,
+                              company_cost, derive_queuing_params, government_cost,
                               pseudo_inverse_diag, queuing_cost, reduced_cost,
                               setpoint_from_distribution, system_optimal_prices)
 from chargegame.scenario import reference_game
@@ -237,22 +236,6 @@ class TestExactPotential:
                 gi = (j_i(blocks[i] + e) - j_i(blocks[i] - e)) / (2 * h)
                 gg = (j_g(blocks[i] + e) - j_g(blocks[i] - e)) / (2 * h)
                 assert np.isclose(gi, gg, rtol=1e-6, atol=1e-6)
-
-
-class TestAllocationProfile:
-    def test_round_trip_and_aggregates(self):
-        fleet = np.array([3.0, 5.0])
-        blocks = np.array([[0.5, 0.5], [0.2, 0.8]])
-        prof = AllocationProfile(fleet, blocks)
-        assert np.allclose(prof.sigma(), [2.5, 5.5])
-        assert np.allclose(prof.sigma_without(0), [1.0, 4.0])
-        again = AllocationProfile.from_stacked(fleet, prof.stacked)
-        assert np.allclose(again.blocks, blocks)
-        assert prof.sigma().sum() == pytest.approx(fleet.sum())
-
-    def test_rejects_off_simplex(self):
-        with pytest.raises(ValueError):
-            AllocationProfile(np.array([2.0]), np.array([[0.5, 0.6]]))
 
 
 def test_pseudo_inverse_threshold():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from chargegame.errors import EmptyPolytopeError
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.qp import PolytopeProjector
 
@@ -166,7 +167,7 @@ def test_weighted_projection_matches_oracle():
         poly = random_polytope(rng, m)
         ys = rng.normal(0, 2, (50, m))
         w = rng.uniform(0.5, 4.0, m)
-        got = poly.projector.project_batch(ys, w)
+        got = poly.project_batch(ys, w)
         assert np.allclose(poly.project(ys[0], weights=w), got[0], atol=1e-9)
         for y, x in zip(ys, got):
             want = oracle_project(y, poly.g_mat, poly.h, weights=w)
@@ -259,16 +260,16 @@ class TestLowerBoundedSimplex:
 
     def test_accepts_demo_fleet_polytopes(self, demo_build):
         for poly in demo_build.instance.polytopes:
-            lower = poly.projector.lower
+            lower = poly.lower
             assert lower is not None
             # full reach: each cap on all stations but one is (N - m + 1) / N
-            assert np.allclose(lower, (poly.n_stations - 1) / poly.fleet_size,
+            assert np.allclose(lower, (poly.n - 1) / poly.total,
                                rtol=0, atol=1e-15)
 
     def test_refuses_partial_reach_reference_polytopes(self):
         from chargegame import reference_game
         for poly in reference_game(0, generous=False).polytopes:
-            assert poly.projector.lower is None
+            assert poly.lower is None
 
     def test_refuses_binding_pair_cap(self):
         # x0 + x1 <= 1/2 cuts the simplex {x >= 0}; projection must honour it
@@ -303,9 +304,9 @@ class TestChainOfTightSets:
         poly = admissible_polytope(FeasibilityStructure(reach), 30)
         w = rng.uniform(0.5, 4, 5)
         y = rng.normal(0, 1.5, (20, 5))[row]
-        assert poly.projector.lower is not None
+        assert poly.lower is not None
         x = poly.project(y, weights=w)
-        x_chain = chain_projector(poly.projector).project(y, w)
+        x_chain = chain_projector(poly).project(y, w)
         assert np.abs(x - x_chain).max() <= 1e-10
         for point in (x, x_chain):
             assert poly.contains(point, tol=1e-12)
@@ -322,7 +323,7 @@ class TestChainOfTightSets:
             poly = admissible_polytope(FeasibilityStructure(reach), n_v)
             if poly.is_empty:
                 continue
-            proj = chain_projector(poly.projector)
+            proj = chain_projector(poly)
             y = rng.normal(0, 1.5, m)
             w = rng.uniform(0.5, 4.0, m)
             x = proj.project(y, w)
@@ -343,8 +344,8 @@ class TestChainOfTightSets:
             want = lp_rank(poly.g_mat, poly.h)
             assert poly.is_empty == (want is None), f"trial {trial}"
             if want is not None:
-                assert np.abs(poly.projector.rank - want).max() <= 1e-12, f"trial {trial}"
-            seen.add("empty" if poly.is_empty else poly.projector.path)
+                assert np.abs(poly.rank - want).max() <= 1e-12, f"trial {trial}"
+            seen.add("empty" if poly.is_empty else poly.path)
         assert seen == {"empty", "simplex", "chain"}
 
     def test_refuses_non_submodular_caps(self):
@@ -358,5 +359,5 @@ class TestChainOfTightSets:
         # x0 + x1 <= 2/10 and x2 <= 3/10 leave no room for a unit of mass
         proj = PolytopeProjector([0, 10, 10, 2, 3, 10, 10, 10], 10)
         assert proj.is_empty
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(EmptyPolytopeError, match="empty"):
             proj.project(np.zeros(3))

@@ -8,12 +8,9 @@ import pytest
 from chargegame.errors import DegenerateFleetError
 from chargegame.network import (grid_network, read_demand, read_network,
                                 write_demand, write_network)
-from chargegame.scenario import (Scenario, build_game, compute_feasibility,
-                                 demand_share, discharge,
-                                 estimate_company_params,
-                                 estimate_driver_params, load_scenario,
-                                 mfd_speed, simulate_period, small_scenario,
-                                 snapshot_rows, voronoi_regions,
+from chargegame.scenario import (Scenario, build_game, demand_share, discharge,
+                                 load_scenario, mfd_speed, simulate_period,
+                                 small_scenario, snapshot_rows, voronoi_regions,
                                  write_scenario)
 
 
@@ -109,7 +106,7 @@ class TestFeasibility:
                              np.full_like(snap.battery, 100.0),
                              snap.max_range_km, snap.threshold,
                              snap.needs_charge, snap.charge_per_pct)
-        for feas in compute_feasibility(boosted, demo):
+        for feas in build_game(demo, boosted).feas:
             assert feas.reach.all()
 
     def test_reach_formula_example(self):
@@ -118,8 +115,7 @@ class TestFeasibility:
         assert 10.0 - (100.0 / 300.0) * 29.0 > 0
 
     def test_views_consistent(self, demo, demo_build):
-        feas = compute_feasibility(demo_build.snapshot, demo)
-        for f, drivers in zip(feas, demo_build.drivers):
+        for f, drivers in zip(demo_build.feas, demo_build.drivers):
             assert [frozenset(np.flatnonzero(row).tolist()) for row in f.reach] \
                 == [d.reachable for d in drivers]
 
@@ -129,8 +125,8 @@ class TestFeasibility:
                              np.minimum(snap.battery + 10.0, 100.0),
                              snap.max_range_km, snap.threshold,
                              snap.needs_charge, snap.charge_per_pct)
-        base = compute_feasibility(snap, demo)
-        more = compute_feasibility(boosted, demo)
+        base = build_game(demo, snap).feas
+        more = build_game(demo, boosted).feas
         for f0, f1 in zip(base, more):
             assert np.all(f0.reach <= f1.reach)
 
@@ -138,11 +134,19 @@ class TestFeasibility:
     def test_build_carries_one_reach_matrix(self, demo, demo_build, fleet_seed):
         build = (demo_build if fleet_seed is None
                  else build_game(dataclasses.replace(demo, seed=fleet_seed)))
-        expected = compute_feasibility(build.snapshot, demo)
+        # straight from the formula: battery - (100 / range) * distance > 0
+        snap = build.snapshot
+        dist = demo.network.distances_km()[:, demo.station_nodes]
+        expected = []
+        for i in range(demo.n_companies):
+            sel = np.flatnonzero(snap.needs_charge & (snap.company == i))
+            left = (snap.battery[sel, None]
+                    - (100.0 / snap.max_range_km[sel, None]) * dist[snap.node[sel]])
+            expected.append(left > 0)
         assert len(build.feas) == len(build.drivers) == demo.n_companies
         for feas, want, drivers in zip(build.feas, expected, build.drivers):
             assert not feas.reach.flags.writeable
-            assert np.array_equal(feas.reach, want.reach)
+            assert np.array_equal(feas.reach, want)
             demand = np.array([d.demand for d in drivers])
             assert np.array_equal(feas.reach, demand > 0)
 
@@ -153,7 +157,7 @@ class TestFeasibility:
                              snap.max_range_km, snap.threshold,
                              snap.needs_charge, snap.charge_per_pct)
         with pytest.raises(DegenerateFleetError):
-            compute_feasibility(drained, demo)
+            build_game(demo, drained)
 
 
 class TestEstimation:
@@ -166,10 +170,9 @@ class TestEstimation:
     def test_company_params_independent_recomputation(self, demo, demo_build):
         # straight-from-formula second pass over the snapshot
         snap = demo_build.snapshot
-        share = demo_build.share
         p = demo.params
         dist = demo.network.distances_km()
-        companies, extras = estimate_company_params(snap, demo, share)
+        companies, extras = demo_build.instance.companies, demo_build.extras
         for i, comp in enumerate(companies):
             sel = np.flatnonzero(snap.needs_charge & (snap.company == i))
             n_i = sel.size
@@ -196,11 +199,10 @@ class TestEstimation:
 
     def test_driver_params_formulas(self, demo, demo_build):
         p = demo.params
-        drivers = estimate_driver_params(demo_build.snapshot, demo,
-                                         demo_build.extras)
-        for i, fleet in enumerate(drivers):
-            g_want = (demo_build.extras[i]["e_arr"]
-                      - (p.driver_hours / p.daily_hours) * demo_build.extras[i]["e_pro"])
+        extras = demo_build.extras
+        for i, fleet in enumerate(demo_build.drivers):
+            g_want = (extras[i]["e_arr"]
+                      - (p.driver_hours / p.daily_hours) * extras[i]["e_pro"])
             for d in fleet[:10]:
                 assert np.allclose(d.base_revenue, g_want)
                 assert np.allclose(
@@ -226,18 +228,14 @@ class TestEstimation:
         p2 = dataclasses.replace(demo.params, occupancy=(0.0, 0.1, 0.2, 0.15))
         sc2 = Scenario(demo.network, demo.station_nodes, demo.capacities,
                        demo.fleet_sizes, demo.demand, p2, demo.seed)
-        drivers = estimate_driver_params(demo_build.snapshot, sc2,
-                                         demo_build.extras)
+        drivers = build_game(sc2, demo_build.snapshot).drivers
         assert drivers[0][0].surge_gain[0] == 0.0
 
     def test_profit_noise_seeded(self, demo, demo_build):
         share = demo_build.share
-        _, ex_a = estimate_company_params(demo_build.snapshot, demo, share,
-                                          seed=5)
-        _, ex_b = estimate_company_params(demo_build.snapshot, demo, share,
-                                          seed=5)
-        _, ex_c = estimate_company_params(demo_build.snapshot, demo, share,
-                                          seed=6)
+        ex_a = build_game(demo, demo_build.snapshot, seed=5).extras
+        ex_b = build_game(demo, demo_build.snapshot, seed=5).extras
+        ex_c = build_game(demo, demo_build.snapshot, seed=6).extras
         assert np.array_equal(ex_a[0]["e_pro"], ex_b[0]["e_pro"])
         assert not np.array_equal(ex_a[0]["e_pro"], ex_c[0]["e_pro"])
         for ex in ex_a:
