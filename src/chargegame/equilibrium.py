@@ -20,8 +20,9 @@ independent of company evaluation order.
 One engine, `solve_nash_batch`, runs this update row-wise over many game
 variants at once (price grids, perturbation sweeps) and owns the one step
 rule: 0.9 times each row's `step_bound` unless a step inside the bound is
-given. `solve_nash` is its one-row case with the iterate trace kept, and
-`nash_residual` its first-round residual.
+given. Each round projects every company block of the live rows in one
+`qp.project_blocks` call. `solve_nash` is its one-row case with the
+iterate trace kept, and `nash_residual` its first-round residual.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameInstance, government_cost
+from .qp import project_blocks
 
 
 @dataclass
@@ -98,11 +100,11 @@ def fixed_price_f2(instance: GameInstance, price_rows,
                    demand_rows=None) -> np.ndarray:
     """F2 of the fixed-price game, stack_i((lin_i + revenue_i) + prices * demand_i).
 
-    ``price_rows`` is one price vector (m,) or one per row (rows, m);
+    ``price_rows`` is one price vector (m,) or an array of them (..., m);
     ``demand_rows`` replaces the companies' demand diagonals, as one
-    (mc, m) array or one per row (rows, mc, m). The result is stacked like
-    x, with the leading row axis when either input has one. Prices must be
-    nonnegative.
+    (mc, m) array or an array of them (..., mc, m). The leading axes of the
+    two broadcast, and the result is stacked like x behind them. Prices
+    must be nonnegative.
     """
     prices = np.asarray(price_rows, dtype=float)
     if np.any(prices < 0):
@@ -253,8 +255,9 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     (0, step_bound) of its map and defaults to 0.9 times that bound; ``x0``
     is one start for every row or one per row, ``default_start`` if
     omitted. Rows stop moving once their residual drops to ``tol``; only
-    live rows are projected. ``record_iterates`` keeps every round's
-    iterate (start included) and residual.
+    live rows are projected, all companies in one ``project_blocks`` call.
+    ``record_iterates`` keeps every round's iterate (start included) and
+    residual.
 
     Returns ``x``, ``iterations``, ``converged``, the final ``residual``,
     ``sigma_final``, the ``gammas`` used and, when recorded, ``iterates``
@@ -274,7 +277,6 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
         raise ValueError(f"step size of row {r} must lie in (0, {bound[r]:.3e})")
     if x0 is None:
         x0 = default_start(instance)
-    m = instance.n_stations
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), f2_rows.shape).copy()
     live = np.ones(rows, dtype=bool)
@@ -284,14 +286,17 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     residual_hist: list[np.ndarray] = []
 
     for k in range(max_iter):
-        grad = apply_map(f1, x) + f2_rows
+        step = apply_map(f1, x) + f2_rows
+        step *= -gammas[:, None]
+        step += x               # x - gamma F(x), the same bits as the subtraction
+        # each rebinding frees a full-width array before the next one is made
+        step = step[live]
+        step = project_blocks(instance.polytopes, step)
         proj = x.copy()
-        for i, poly in enumerate(instance.polytopes):
-            sl = slice(i * m, (i + 1) * m)
-            proj[live, sl] = poly.project_batch(
-                x[live, sl] - gammas[live, None] * grad[live, sl])
+        proj[live] = step
         res = np.linalg.norm(proj - x, axis=1)
         x = 0.5 * (x + proj)    # exact no-op on stopped rows, where proj == x
+        del step, proj          # neither is held while the next round builds its own
         iterations[live] = k + 1
         residual[live] = res[live]
         if record_iterates:     # x is rebound each round, never written in place

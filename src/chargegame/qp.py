@@ -15,10 +15,12 @@ computed and certified in int64 counts (``_rank_vector``), which makes P
 the base polytope of f (Fujishige, *Submodular Functions and Optimization*,
 2nd ed. 2005, sections 2-3). `PolytopeProjector` is the one object per
 polytope: it keeps the caps and N, decides emptiness and membership, and
-exposes the H-representation the caps stand for. Its `project_batch` is
-the one projection entry point; a single projection, weighted or not, is
-a batch of one row. The projection has two exact paths, read off f once
-per polytope:
+exposes the H-representation the caps stand for. Its `project_batch`
+projects rows onto that one polytope, weighted or not; a single
+projection is a batch of one row. `project_blocks` projects rows of
+stacked company blocks, block i onto polytope i, in one call: the
+equilibrium engine's projection step. The projection has two exact
+paths, read off f once per polytope:
 
 * Lower-bounded simplex. When f(S) = N - l(V \\ S) for every nonempty S,
   with l_k = N - f(V \\ k), P is {sum(x) = 1, x >= l / N} and the
@@ -31,7 +33,9 @@ per polytope:
   stations, and each block B it adds gets x_B = y_B + slope / w_B
   (Fujishige 2005, section 8.2; Bach, *Learning with Submodular
   Functions*, FnT ML 2013, section 9). At most m rounds, each over all
-  2^m subsets.
+  2^m subsets. `_chain_walk` is the one loop: it takes a rank vector per
+  row, so the blocks of every chain polytope in a `project_blocks` call
+  share its rounds.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyPolytopeError
+
+
+def _members(n: int) -> np.ndarray:
+    """(2^n, n) bool: row S marks the stations of bitmask S (bit j is station j)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
 
 
 def _split_min(v: np.ndarray) -> None:
@@ -111,7 +120,8 @@ class PolytopeProjector:
     (bit j of the index is station j), and ``total`` is the count the unit
     sum stands for. ``rank`` holds f / total over all 2^n subsets, or is
     None when the polytope is empty; ``lower`` is set when the polytope is
-    a lower-bounded simplex.
+    a lower-bounded simplex, and ``single_point`` when that simplex is the
+    one point ``lower``.
     """
 
     def __init__(self, caps: np.ndarray, total: int):
@@ -123,14 +133,17 @@ class PolytopeProjector:
         self.caps = caps.astype(np.int64)
         self.total = int(total)
         masks = np.arange(caps.size)
-        self.members = (masks[:, None] >> np.arange(self.n) & 1).astype(bool)
+        self.members = _members(self.n)
         f = _rank_vector(self.caps, self.total, self.members)
         self.rank = self.lower = None
+        self.single_point = False
         if f is not None:
             self.rank = f / total
             rest = f[masks[-1] ^ 1 << np.arange(self.n)]      # f(V \ k)
             if np.array_equal(f[1:], total - ~self.members[1:] @ (total - rest)):
                 self.lower = 1.0 - rest / total
+                # decided in counts: the float sum of lower can miss 1 by an ulp
+                self.single_point = bool((total - rest).sum() == total)
 
     @property
     def is_empty(self) -> bool:
@@ -179,41 +192,15 @@ class PolytopeProjector:
         w = np.ones(self.n) if weights is None else np.asarray(weights, dtype=float)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        if self.is_empty:
-            raise EmptyPolytopeError("cannot project onto an empty polytope")
+        self._require_nonempty()
         if self.lower is not None:
             return self._project_simplex(y_rows, w)
-        return self._project_chain(y_rows, w)
+        return _chain_walk(np.broadcast_to(self.rank, (y_rows.shape[0], self.rank.size)),
+                           y_rows, w)
 
-    def _project_chain(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Exact projection onto the base polytope of ``rank``.
-
-        Each round moves every row from its tight set S to the superset T
-        of least slope (g(T) - g(S)) / (W(T) - W(S)), the largest W on
-        ties, and gives the new block T \\ S the multiplier w_j (x_j - y_j)
-        equal to that slope. Rows are independent; they share the rounds.
-        """
-        members = self.members
-        g = self.rank[None, :] - y_rows @ members.T        # (rows, 2^n)
-        width = members @ (1.0 / w)                         # W(S)
-        masks = np.arange(members.shape[0])
-        full = masks[-1]
-        tight = np.zeros(y_rows.shape[0], dtype=int)
-        slope = np.zeros_like(y_rows)
-        live = np.arange(y_rows.shape[0])
-        while live.size:
-            s = tight[live]
-            superset = ((masks[None, :] & s[:, None]) == s[:, None]) & (masks[None, :] != s[:, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rise = np.where(superset, (g[live] - g[live, s][:, None])
-                                / (width[None, :] - width[s][:, None]), np.inf)
-            least = rise.min(axis=1)
-            nxt = np.argmax(np.where(rise == least[:, None], width[None, :], -np.inf), axis=1)
-            block = members[nxt] & ~members[s]
-            slope[live] = np.where(block, least[:, None], slope[live])
-            tight[live] = nxt
-            live = live[nxt != full]
-        return y_rows + slope / w
+    def _require_nonempty(self) -> None:
+        if self.is_empty:
+            raise EmptyPolytopeError("cannot project onto an empty polytope")
 
     def _project_simplex(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Exact projection onto {sum(x) = 1, x >= lower}.
@@ -225,9 +212,9 @@ class PolytopeProjector:
         the prefix whose breakpoints lie above their tau_j.
         """
         lower = self.lower
-        slack = 1.0 - lower.sum()
-        if slack == 0:      # the set is the single point l
+        if self.single_point:
             return np.broadcast_to(lower, y_rows.shape).copy()
+        slack = 1.0 - lower.sum()
         z = y_rows - lower
         order = np.argsort(-(z * w), axis=1)
         z_sorted = np.take_along_axis(z, order, axis=1)
@@ -237,3 +224,80 @@ class PolytopeProjector:
         count = np.maximum(np.count_nonzero(w_sorted * z_sorted > taus, axis=1), 1)
         tau = taus[np.arange(y_rows.shape[0]), count - 1]
         return lower + np.maximum(z - tau[:, None] / w, 0.0)
+
+
+def project_blocks(polytopes: tuple[PolytopeProjector, ...],
+                   y_rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row's company blocks, block i onto ``polytopes[i]``.
+
+    ``y_rows`` is (rows, k * n) for k polytopes on n stations each. Each
+    lower-bounded simplex sorts its own block; the blocks of all chain
+    polytopes go through one `_chain_walk` over rows * k rows. Every row
+    gets the same bits as ``polytopes[i].project_batch`` of its block.
+    """
+    y_rows = np.asarray(y_rows, dtype=float)
+    n = polytopes[0].n
+    blocks = y_rows.reshape(y_rows.shape[0], len(polytopes), n)
+    out = np.empty_like(blocks)
+    w = np.ones(n)
+    chain = []
+    for i, poly in enumerate(polytopes):
+        poly._require_nonempty()
+        if poly.lower is not None:
+            out[:, i] = poly._project_simplex(blocks[:, i], w)
+        else:
+            chain.append(i)
+    if chain:
+        # polytope-major stack: block i of every row, then the next polytope's
+        stacked = blocks[:, chain].transpose(1, 0, 2).reshape(-1, n)
+        rank_rows = np.repeat([polytopes[i].rank for i in chain], blocks.shape[0], axis=0)
+        walked = _chain_walk(rank_rows, stacked, w)
+        out[:, chain] = walked.reshape(len(chain), -1, n).transpose(1, 0, 2)
+    return out.reshape(y_rows.shape)
+
+
+def _subset_sums(y_rows: np.ndarray) -> np.ndarray:
+    """y(S) for every station subset S (column = bitmask), summed in station order.
+
+    A row's sums do not depend on which other rows share the call, which a
+    BLAS product with a 0/1 matrix does not promise for every row count.
+    """
+    rows, n = y_rows.shape
+    sums = np.zeros((rows, 1 << n))
+    for j in range(n):
+        np.add(sums[:, :1 << j], y_rows[:, j:j + 1], out=sums[:, 1 << j:2 << j])
+    return sums
+
+
+def _chain_walk(rank_rows: np.ndarray, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact projection of each row onto the base polytope of its own rank vector.
+
+    ``rank_rows`` (rows, 2^n) holds, for each row of ``y_rows`` (rows, n),
+    f / total of the polytope that row is projected onto; ``w`` weights
+    every row alike.
+    Each round moves every row from its tight set S to the superset T of
+    least slope (g(T) - g(S)) / (W(T) - W(S)), the largest W on ties, and
+    gives the new block T \\ S the multiplier w_j (x_j - y_j) equal to that
+    slope. Rows are independent; they share the rounds.
+    """
+    members = _members(y_rows.shape[1])
+    masks = np.arange(members.shape[0])
+    width = members @ (1.0 / w)                         # W(S)
+    # row S of both tables: its strict supersets T, and W(T) - W(S) there (1 elsewhere)
+    superset = ((masks[None, :] & masks[:, None]) == masks[:, None]) & (masks[None, :] != masks[:, None])
+    run = np.where(superset, width[None, :] - width[:, None], 1.0)
+    g = rank_rows - _subset_sums(y_rows)                # (rows, 2^n)
+    full = masks[-1]
+    tight = np.zeros(y_rows.shape[0], dtype=int)
+    slope = np.zeros_like(y_rows)
+    live = np.arange(y_rows.shape[0])
+    while live.size:
+        s = tight[live]
+        rise = np.where(superset[s], (g[live] - g[live, s][:, None]) / run[s], np.inf)
+        least = rise.min(axis=1)
+        nxt = np.argmax(np.where(rise == least[:, None], width[None, :], -np.inf), axis=1)
+        block = members[nxt] & ~members[s]
+        slope[live] = np.where(block, least[:, None], slope[live])
+        tight[live] = nxt
+        live = live[nxt != full]
+    return y_rows + slope / w

@@ -10,7 +10,9 @@ authority loss carries a quantifiable gap versus the unperturbed optimum.
 The sweep protocol fixes the fleet scenario and redraws only the
 estimation noise: for every noise magnitude ``alpha`` it samples the
 perturbed estimate many times, solves the perturbed game, and evaluates
-fixed-price baselines on the same perturbed demand for comparison.
+fixed-price baselines on the same perturbed demand for comparison. The
+perturbed games of one alpha run in one engine call; the baselines of all
+alphas share the true fixed-price map and run in one call after them.
 """
 
 from __future__ import annotations
@@ -254,7 +256,11 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     built from the perturbed demand inverse (mechanism ``rsg``) and, when
     fixed baseline price vectors are supplied, solve the fixed-price game
     on the same perturbed demand. Emits one row per (alpha, sample,
-    mechanism).
+    mechanism): per alpha, the rsg rows, then each baseline's rows.
+
+    The rsg games of one alpha run in one engine call with per-row maps.
+    Every baseline game, for all alphas and price vectors, shares the true
+    fixed-price map, so all of them run in one engine call after the loop.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if n_samples < 1:
@@ -268,7 +274,8 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
 
     f1_fixed_true, _ = game_map(instance, prices=np.zeros(instance.n_stations))
 
-    rows: list[SweepSample] = []
+    rsg_rows: list[list[SweepSample]] = []
+    estimates = []
     eps = epsilon_bound(instance)
     eps_obs = np.zeros((alphas.size, n_samples))
     gap_b = np.zeros((alphas.size, n_samples))
@@ -287,27 +294,38 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
         out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows,
                                max_iter=max_iter, tol=tol, record_iterates=True)
         j_rsg = government_cost(out["sigma_final"], instance.government)
+        rsg_rows.append([])
         for s, pert in enumerate(perts):
-            rows.append(SweepSample(float(alpha), s, "rsg", float(j_rsg[s]),
-                                    bool(ass_ok[a_idx, s]), bool(out["converged"][s]),
-                                    float(out["residual"][s])))
+            rsg_rows[-1].append(SweepSample(float(alpha), s, "rsg", float(j_rsg[s]),
+                                            bool(ass_ok[a_idx, s]), bool(out["converged"][s]),
+                                            float(out["residual"][s])))
             gb = jg_gap_bound(instance, pert, out["iterates"][:, s, :],
                               float(out["gammas"][s]), x_star)
             gap_b[a_idx, s] = gb.bound
             gap_o[a_idx, s] = gb.observed
             eps_obs[a_idx, s] = float(best_response_gap(instance, out["x"][s]).max())
+        estimates.append([pert.demand_estimate for pert in perts])
 
-        estimates = np.array([pert.demand_estimate for pert in perts])
-        for name, price in baseline_prices.items():
-            f2_base = fixed_price_f2(instance, price, estimates)
-            base_out = solve_nash_batch(instance, f2_base, f1=f1_fixed_true,
-                                        max_iter=max_iter, tol=tol)
-            j_base = government_cost(base_out["sigma_final"], instance.government)
-            for s in range(n_samples):
-                rows.append(SweepSample(float(alpha), s, name, float(j_base[s]),
-                                        bool(ass_ok[a_idx, s]),
-                                        bool(base_out["converged"][s]),
-                                        float(base_out["residual"][s])))
+    if baseline_prices:
+        # base_out row (a_idx, b, s): price vector b on alpha a_idx's sample s
+        shape = (alphas.size, len(baseline_prices), n_samples)
+        prices = np.array(list(baseline_prices.values()))
+        f2_base = fixed_price_f2(instance, prices[None, :, None, :],
+                                 np.asarray(estimates)[:, None])
+        base_out = solve_nash_batch(instance, f2_base.reshape(-1, n), f1=f1_fixed_true,
+                                    max_iter=max_iter, tol=tol)
+        j_base = government_cost(base_out["sigma_final"], instance.government).reshape(shape)
+        base_conv = base_out["converged"].reshape(shape)
+        base_res = base_out["residual"].reshape(shape)
+
+    rows: list[SweepSample] = []
+    for a_idx, alpha in enumerate(alphas):
+        rows += rsg_rows[a_idx]
+        for b, name in enumerate(baseline_prices):
+            rows += [SweepSample(float(alpha), s, name, float(j_base[a_idx, b, s]),
+                                 bool(ass_ok[a_idx, s]), bool(base_conv[a_idx, b, s]),
+                                 float(base_res[a_idx, b, s]))
+                     for s in range(n_samples)]
 
     return SweepResult(rows, alphas, n_samples, eps, eps_obs, gap_b, gap_o,
                        ass_ok, j_star)

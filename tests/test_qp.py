@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from chargegame.errors import EmptyPolytopeError
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
-from chargegame.qp import PolytopeProjector
+from chargegame.qp import PolytopeProjector, project_blocks
 
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
@@ -239,6 +239,22 @@ class TestLowerBoundedSimplex:
                     want = oracle_project(y, g_mat, h, weights=w)
                     assert np.abs(x - want).max() <= 1e-10, f"trial {trial}"
 
+    def test_single_point_set_returns_the_point(self):
+        # l = counts / total with sum(counts) = total; the float sum of
+        # 1 - (total - counts) / total can miss 1 by an ulp, the counts cannot
+        rng = np.random.default_rng(31)
+        masks = np.arange(16)
+        members = masks[:, None] >> np.arange(4) & 1
+        for trial in range(300):
+            total = int(rng.integers(3, 400))
+            counts = rng.multinomial(total, rng.dirichlet(np.ones(4)))
+            proj = PolytopeProjector(members @ counts, total)
+            assert proj.single_point, f"trial {trial}"
+            ys = rng.normal(0, 1.5, (3, 4))
+            for w in (None, rng.uniform(0.5, 4.0, 4)):
+                assert np.array_equal(proj.project_batch(ys, w), np.tile(proj.lower, (3, 1)))
+            assert np.abs(proj.lower - counts / total).max() <= 1e-15
+
     def test_chain_on_single_point_set(self):
         # every cap but {2}'s is tight at l = (0, 3, 29) / 32, the set's only point
         chain = chain_projector(PolytopeProjector([0, 0, 3, 3, 37, 29, 32, 32], 32))
@@ -361,3 +377,80 @@ class TestChainOfTightSets:
         assert proj.is_empty
         with pytest.raises(EmptyPolytopeError, match="empty"):
             proj.project(np.zeros(3))
+
+
+def loop_chain_reference(proj, y_rows, w):
+    """One polytope's chain walk as a standalone loop: the superset mask and
+    W(T) - W(S) rebuilt in every round, y(S) by a product with the 0/1
+    subset matrix. Reference for the shared walk's bits."""
+    members = proj.members
+    g = proj.rank[None, :] - y_rows @ members.T
+    width = members @ (1.0 / w)
+    masks = np.arange(members.shape[0])
+    full = masks[-1]
+    tight = np.zeros(y_rows.shape[0], dtype=int)
+    slope = np.zeros_like(y_rows)
+    live = np.arange(y_rows.shape[0])
+    while live.size:
+        s = tight[live]
+        superset = ((masks[None, :] & s[:, None]) == s[:, None]) & (masks[None, :] != s[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rise = np.where(superset, (g[live] - g[live, s][:, None])
+                            / (width[None, :] - width[s][:, None]), np.inf)
+        least = rise.min(axis=1)
+        nxt = np.argmax(np.where(rise == least[:, None], width[None, :], -np.inf), axis=1)
+        block = members[nxt] & ~members[s]
+        slope[live] = np.where(block, least[:, None], slope[live])
+        tight[live] = nxt
+        live = live[nxt != full]
+    return y_rows + slope / w
+
+
+def reach_polytope(rng, m, density):
+    """A nonempty admissible polytope of a random reach matrix on m stations."""
+    while True:
+        n_v = int(rng.integers(4 * m, 12 * m))
+        reach = rng.random((n_v, m)) < density
+        reach[~reach.any(axis=1), rng.integers(0, m)] = True
+        poly = admissible_polytope(FeasibilityStructure(reach), n_v)
+        if not poly.is_empty:
+            return poly
+
+
+class TestProjectBlocks:
+    @pytest.mark.parametrize("rows", [0, 1, 3, 40])
+    def test_equals_per_polytope_projection_bit_for_bit(self, rows):
+        rng = np.random.default_rng(41 + rows)
+        mixed = 0
+        for trial in range(30):
+            m = int(rng.integers(2, 8))
+            polys = [reach_polytope(rng, m, rng.choice([0.3, 0.6, 1.0]))
+                     for _ in range(int(rng.integers(1, 5)))]
+            y = rng.normal(0, 1.5, (rows, len(polys) * m))
+            got = project_blocks(polys, y)
+            want = np.hstack([poly.project_batch(y[:, i * m:(i + 1) * m])
+                              for i, poly in enumerate(polys)])
+            assert got.shape == y.shape
+            assert np.array_equal(got, want), f"trial {trial}"
+            mixed += len({poly.path for poly in polys}) == 2
+        assert mixed >= 5
+
+    def test_refuses_an_empty_polytope(self):
+        rng = np.random.default_rng(43)
+        empty = PolytopeProjector([0, 10, 10, 2, 3, 10, 10, 10], 10)
+        with pytest.raises(EmptyPolytopeError, match="empty"):
+            project_blocks([reach_polytope(rng, 3, 0.5), empty], np.zeros((2, 6)))
+
+    @pytest.mark.parametrize("rows", [1, 3, 25])
+    def test_chain_walk_matches_loop_reference(self, rows):
+        # up to 5 stations, where the reference's 0/1 matrix product sums
+        # every subset in station order whatever the row count
+        rng = np.random.default_rng(47 + rows)
+        for trial in range(40):
+            m = int(rng.integers(2, 6))
+            proj = chain_projector(reach_polytope(rng, m, rng.choice([0.3, 1.0])))
+            y = rng.normal(0, 1.5, (rows, m))
+            for w in (np.ones(m), rng.uniform(0.5, 4.0, m)):
+                want = loop_chain_reference(proj, y, w)
+                assert np.array_equal(proj.project_batch(y, w), want), f"trial {trial}"
+                assert np.array_equal(proj.project(y[0], weights=w), want[0])

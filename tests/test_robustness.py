@@ -251,6 +251,49 @@ class TestSweep:
         assert np.isnan(none.mean("rsg")[1])
         assert none.mean("rsg")[0] == sweep.mean("rsg")[0]
 
+    def test_engine_calls_one_per_alpha_and_one_for_all_baselines(self, monkeypatch):
+        from chargegame import robustness
+        from chargegame.equilibrium import fixed_price_f2, solve_nash_batch
+        from chargegame.model import government_cost
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = solve_nash_batch(*args, **kwargs)
+            calls.append((kwargs, out))
+            return out
+
+        monkeypatch.setattr(robustness, "solve_nash_batch", recording)
+        game = reference_game(0, generous=False)         # chain-path polytopes
+        alphas, n = (0.0, 0.1, 0.3), 3
+        prices = {"p1": np.array([2.75, 1.625, 2.208, 1.0]), "base": np.full(4, 3.0)}
+        sweep = robustness_sweep(game, alphas, n, prices, seed=5, max_iter=300)
+
+        per_row = [out for kw, out in calls if kw.get("f1_rows") is not None]
+        shared = [out for kw, out in calls if kw.get("f1") is not None]
+        assert len(per_row) == len(alphas) and len(calls) == len(alphas) + 1
+        assert all(out["converged"].shape == (n,) for out in per_row)
+        assert len(shared) == 1
+        assert shared[0]["converged"].shape == (len(alphas) * len(prices) * n,)
+
+        # reference: one engine call per (alpha, price name), as separate games;
+        # with a single sample, the shared-map product of one row may round apart
+        f1, _ = game_map(game, prices=np.zeros(4))
+        names = ["rsg", *prices]
+        assert [(r.alpha, r.mechanism, r.sample) for r in sweep.rows] == [
+            (a, name, s) for a in alphas for name in names for s in range(n)]
+        for a_idx, alpha in enumerate(alphas):
+            demand = np.array([build_perturbation(game, alpha, robustness._sample_seed(
+                5, a_idx, s)).demand_estimate for s in range(n)])
+            for name, price in prices.items():
+                ref = solve_nash_batch(game, fixed_price_f2(game, price, demand), f1=f1,
+                                       max_iter=300)
+                j_ref = government_cost(ref["sigma_final"], game.government)
+                got = [r for r in sweep.rows if r.alpha == alpha and r.mechanism == name]
+                assert [r.j_g for r in got] == j_ref.tolist()
+                assert [r.converged for r in got] == ref["converged"].tolist()
+                assert [r.residual for r in got] == ref["residual"].tolist()
+
     def test_baseline_losses_vary_with_perturbed_demand(self, ref_game):
         # fixed prices stay fixed; the equilibria (and losses) move with the
         # sampled demand
