@@ -20,9 +20,12 @@ independent of company evaluation order.
 One engine, `solve_nash_batch`, runs this update row-wise over many game
 variants at once (price grids, perturbation sweeps) and owns the one step
 rule: 0.9 times each row's `step_bound` unless a step inside the bound is
-given. Each round projects every company block of the live rows in one
-`qp.project_blocks` call. `solve_nash` is its one-row case with the
-iterate trace kept, and `nash_residual` its first-round residual.
+given. A row stops once its residual meets the tolerance. Each round
+computes F1 x for every row (`apply_map`), and then adds F2, steps,
+projects every company block in one `qp.project_blocks` call, and takes
+the residual and the average on the live rows only. Every row gets the
+bits it would get alone among all rows. `solve_nash` is its one-row case
+with the iterate trace kept, and `nash_residual` its first-round residual.
 """
 
 from __future__ import annotations
@@ -142,7 +145,10 @@ def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
     """F1 x for station-blocked F1 (..., m, mc, mc) and stacked x (..., mc*m).
 
     A single map (m, mc, mc) is shared by every row of x; per-row maps
-    (rows, m, mc, mc) pair with x of shape (rows, mc*m).
+    (rows, m, mc, mc) pair with x of shape (rows, mc*m). The shared-map
+    product may round a row differently with the number of rows (a row
+    alone can differ from the same row among three), so the engine
+    always passes every row, stopped ones included.
     """
     m, mc = f1.shape[-3], f1.shape[-1]
     x = np.asarray(x, dtype=float)
@@ -254,10 +260,11 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     with ``gammas[r]`` (a scalar is shared), which must lie in
     (0, step_bound) of its map and defaults to 0.9 times that bound; ``x0``
     is one start for every row or one per row, ``default_start`` if
-    omitted. Rows stop moving once their residual drops to ``tol``; only
-    live rows are projected, all companies in one ``project_blocks`` call.
+    omitted. Rows stop moving once their residual drops to ``tol``; after
+    the full-width F1 product, a round works on the live rows only, and
+    projects all their companies in one ``project_blocks`` call.
     ``record_iterates`` keeps every round's iterate (start included) and
-    residual.
+    residual (0 for stopped rows).
 
     Returns ``x``, ``iterations``, ``converged``, the final ``residual``,
     ``sigma_final``, the ``gammas`` used and, when recorded, ``iterates``
@@ -279,31 +286,44 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
         x0 = default_start(instance)
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), f2_rows.shape).copy()
-    live = np.ones(rows, dtype=bool)
+    live = np.arange(rows)
     iterations = np.zeros(rows, dtype=int)
     residual = np.full(rows, np.inf)
-    iter_hist: list[np.ndarray] = [x] if record_iterates else []
+    iter_hist: list[np.ndarray] = [x.copy()] if record_iterates else []
     residual_hist: list[np.ndarray] = []
 
     for k in range(max_iter):
-        step = apply_map(f1, x) + f2_rows
-        step *= -gammas[:, None]
-        step += x               # x - gamma F(x), the same bits as the subtraction
-        # each rebinding frees a full-width array before the next one is made
-        step = step[live]
-        step = project_blocks(instance.polytopes, step)
-        proj = x.copy()
-        proj[live] = step
-        res = np.linalg.norm(proj - x, axis=1)
-        x = 0.5 * (x + proj)    # exact no-op on stopped rows, where proj == x
-        del step, proj          # neither is held while the next round builds its own
+        # F1 x at full width: matmul may round a row differently by row count;
+        # everything after it runs on the live rows only
+        every = live.size == rows
+        step = apply_map(f1, x)
+        if not every:
+            step = step[live]
+        step += f2_rows if every else f2_rows[live]
+        step *= -(gammas if every else gammas[live])[:, None]
+        step += x if every else x[live]     # x - gamma F(x), the same bits as the subtraction
+        proj = project_blocks(instance.polytopes, step, out=step)
+        x_live = x if every else x[live]    # gathered again: not held through the projection
+        move = proj - x_live
+        proj += x_live
+        proj *= 0.5                         # x <- (x + proj) / 2
+        del step, x_live
+        if every:
+            x = proj
+        else:
+            x[live] = proj
+        del proj
+        move *= move                        # np.linalg.norm(move, axis=1), term for term
+        res = np.sqrt(np.add.reduce(move, axis=1))
+        del move                            # not held while the next round runs
         iterations[live] = k + 1
-        residual[live] = res[live]
-        if record_iterates:     # x is rebound each round, never written in place
-            iter_hist.append(x)
-            residual_hist.append(res)
-        live &= res > tol
-        if not live.any():
+        residual[live] = res
+        if record_iterates:     # stopped rows stay put: their residual is 0
+            iter_hist.append(x.copy())
+            residual_hist.append(np.zeros(rows))
+            residual_hist[-1][live] = res
+        live = live[res > tol]
+        if not live.size:
             break
 
     out = {

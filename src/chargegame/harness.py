@@ -17,7 +17,6 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +70,8 @@ class ExperimentConfig:
         grid_runs = self.mechanism == "grid-search" or (self.mechanism == "rsg" and self.compare)
         if grid_runs and self.resolution < 2:
             raise ValueError("grid search needs at least 2 points per axis")
+        if self.refine < 0:
+            raise ValueError("refine must be a nonnegative number of passes")
         # "not >= 0" and "not > 0" also refuse NaN
         if not self.p_max > 0:
             raise ValueError("p_max must be positive")
@@ -86,17 +87,29 @@ class ExperimentConfig:
             raise ValueError("the robustness sweep needs at least one sample")
 
 
+def price_grid(axes) -> np.ndarray:
+    """Every point of the grid spanned by one price axis per station, one row
+    each, the last station's axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+
+
 @dataclass
 class GridSearchResult:
     best_price: np.ndarray
     report: SolveReport
-    evaluated_prices: np.ndarray   # (n_evaluated, n_stations)
+    pass_axes: list[list[np.ndarray]]   # each pass's price axis per station
     evaluated_j_g: np.ndarray
     evaluated_converged: np.ndarray  # bool: the row's solve met its tolerance
 
     @property
     def j_g(self) -> float:
         return self.report.j_g
+
+    @property
+    def evaluated_prices(self) -> np.ndarray:
+        """(n_evaluated, n_stations): every pass's grid in evaluation order,
+        rebuilt from its axes rather than kept."""
+        return np.vstack([price_grid(axes) for axes in self.pass_axes])
 
 
 def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
@@ -110,23 +123,29 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
     """
     if p_max <= 0:
         raise ValueError("p_max must be positive")
+    if refine < 0:
+        raise ValueError("refine must be a nonnegative number of passes")
+    if resolution < (2 if refine else 1):
+        raise ValueError("grid search needs at least 1 point per axis, "
+                         "and at least 2 to refine")
     m = instance.n_stations
     f1, _ = game_map(instance, prices=np.zeros(m))
 
     axes = [np.linspace(0.0, p_max, resolution) for _ in range(m)]
-    all_prices: list[np.ndarray] = []
+    pass_axes: list[list[np.ndarray]] = []
     all_j: list[np.ndarray] = []
     all_conv: list[np.ndarray] = []
     best_price, best_j = None, np.inf
 
     for sweep in range(refine + 1):
-        grid = np.array(list(product(*axes)))
+        grid = price_grid(axes)
         out = solve_nash_batch(instance, fixed_price_f2(instance, grid), f1=f1,
                                max_iter=max_iter, tol=tol)
         j_vals = government_cost(out["sigma_final"], instance.government)
-        all_prices.append(grid)
+        pass_axes.append(axes)
         all_j.append(j_vals)
         all_conv.append(out["converged"])
+        del out                 # not held while the next pass solves
         k = int(np.argmin(j_vals))
         if j_vals[k] < best_j:
             best_j = float(j_vals[k])
@@ -140,7 +159,7 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
             ]
 
     report = solve_nash(instance, prices=best_price, max_iter=max_iter, tol=tol)
-    return GridSearchResult(best_price, report, np.vstack(all_prices),
+    return GridSearchResult(best_price, report, pass_axes,
                             np.concatenate(all_j), np.concatenate(all_conv))
 
 

@@ -26,7 +26,11 @@ paths, read off f once per polytope:
   with l_k = N - f(V \\ k), P is {sum(x) = 1, x >= l / N} and the
   projection is a sort of the breakpoints w (y - l) per row (Duchi et
   al., ICML 2008; Condat, Math. Prog. 2016). Full-reach fleets give such
-  polytopes.
+  polytopes. With unit weights the sort is a fixed compare-exchange
+  network (Batcher's odd-even merge sort; Knuth, TAOCP vol. 3, section
+  5.3.4) run on whole columns, one per station, for every simplex block
+  of a call at once; it gives the sort's bits. Weighted projections sort
+  per row.
 * Every other polytope is projected along a chain of tight sets: with
   g = f / N - y and W(S) = sum of 1/w_j over S, the chain walks the lower
   convex hull of the points (W(S), g(S)) from the empty set to all
@@ -35,10 +39,13 @@ paths, read off f once per polytope:
   Functions*, FnT ML 2013, section 9). At most m rounds, each over all
   2^m subsets. `_chain_walk` is the one loop: it takes a rank vector per
   row, so the blocks of every chain polytope in a `project_blocks` call
-  share its rounds.
+  share its rounds. Its unit-weight tables are built once per station
+  count; weighted projections build theirs per call.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -151,7 +158,8 @@ class PolytopeProjector:
 
     @property
     def path(self) -> str:
-        """The exact projection that runs: "simplex" (a sort) or "chain"."""
+        """The exact projection that runs: "simplex" (a sort, or a sorting
+        network for unit weights) or "chain"."""
         return "simplex" if self.lower is not None else "chain"
 
     @property
@@ -188,22 +196,24 @@ class PolytopeProjector:
         ``weights`` (positive, one per variable, shared by all rows) turns
         the Euclidean distance into ``1/2 sum(w * (x - y)**2)``.
         """
+        if weights is None:
+            return project_blocks((self,), y_rows)
         y_rows = np.asarray(y_rows, dtype=float)
-        w = np.ones(self.n) if weights is None else np.asarray(weights, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
         self._require_nonempty()
         if self.lower is not None:
             return self._project_simplex(y_rows, w)
         return _chain_walk(np.broadcast_to(self.rank, (y_rows.shape[0], self.rank.size)),
-                           y_rows, w)
+                           y_rows, w, _walk_tables(self.members, w))
 
     def _require_nonempty(self) -> None:
         if self.is_empty:
             raise EmptyPolytopeError("cannot project onto an empty polytope")
 
     def _project_simplex(self, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Exact projection onto {sum(x) = 1, x >= lower}.
+        """Exact weighted projection onto {sum(x) = 1, x >= lower}.
 
         x = l + max(0, z - tau / w) with z = y - l, where tau solves
         sum(max(0, z - tau / w)) = 1 - sum(l). With the breakpoints w z
@@ -226,34 +236,109 @@ class PolytopeProjector:
         return lower + np.maximum(z - tau[:, None] / w, 0.0)
 
 
-def project_blocks(polytopes: tuple[PolytopeProjector, ...],
-                   y_rows: np.ndarray) -> np.ndarray:
+def project_blocks(polytopes: tuple[PolytopeProjector, ...], y_rows: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of every row's company blocks, block i onto ``polytopes[i]``.
 
-    ``y_rows`` is (rows, k * n) for k polytopes on n stations each. Each
-    lower-bounded simplex sorts its own block; the blocks of all chain
-    polytopes go through one `_chain_walk` over rows * k rows. Every row
-    gets the same bits as ``polytopes[i].project_batch`` of its block.
+    ``y_rows`` is (rows, k * n) for k polytopes on n stations each. The
+    blocks of all lower-bounded simplices share one sorting network
+    (`_simplex_tau`), and the blocks of all chain polytopes one
+    `_chain_walk` over rows * k rows. Every row gets the same bits as the
+    sort-based projection with unit weights, whatever the other rows and
+    blocks of the call. ``out`` receives the result and may be ``y_rows``
+    itself.
     """
     y_rows = np.asarray(y_rows, dtype=float)
+    if out is None:
+        out = np.empty_like(y_rows)
     n = polytopes[0].n
-    blocks = y_rows.reshape(y_rows.shape[0], len(polytopes), n)
-    out = np.empty_like(blocks)
-    w = np.ones(n)
-    chain = []
+    cols = np.arange(len(polytopes) * n).reshape(-1, n)     # block i's columns
+    simplex, chain = [], []
     for i, poly in enumerate(polytopes):
         poly._require_nonempty()
-        if poly.lower is not None:
-            out[:, i] = poly._project_simplex(blocks[:, i], w)
-        else:
+        if poly.lower is None:
             chain.append(i)
+        elif poly.single_point:
+            out[:, cols[i]] = poly.lower
+        else:
+            simplex.append(i)
     if chain:
         # polytope-major stack: block i of every row, then the next polytope's
-        stacked = blocks[:, chain].transpose(1, 0, 2).reshape(-1, n)
-        rank_rows = np.repeat([polytopes[i].rank for i in chain], blocks.shape[0], axis=0)
-        walked = _chain_walk(rank_rows, stacked, w)
-        out[:, chain] = walked.reshape(len(chain), -1, n).transpose(1, 0, 2)
-    return out.reshape(y_rows.shape)
+        stacked = np.concatenate([y_rows[:, cols[i]] for i in chain])
+        rank_rows = np.repeat([polytopes[i].rank for i in chain], y_rows.shape[0], axis=0)
+        walked = _chain_walk(rank_rows, stacked, np.ones(n), _unit_walk_tables(n))
+        out[:, cols[chain]] = walked.reshape(len(chain), -1, n).transpose(1, 0, 2)
+    if simplex:
+        # station-major (n, blocks, rows): one contiguous wire per station
+        picked = cols[simplex].T
+        lower = np.stack([polytopes[i].lower for i in simplex], axis=1)[:, :, None]
+        slack = np.array([1.0 - polytopes[i].lower.sum() for i in simplex])[:, None]
+        z = y_rows.T[picked]
+        z -= lower
+        tau = _simplex_tau(z, slack)
+        del z                   # sorted scratch, freed before z is read again
+        z = y_rows.T[picked]
+        z -= lower
+        z -= tau
+        np.maximum(z, 0.0, out=z)
+        z += lower
+        out.T[picked] = z
+    return out
+
+
+@functools.cache
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n wires.
+
+    The network of the next power of two with every comparator that
+    touches a wire >= n dropped: padding wires that hold the smallest
+    values never move (Knuth, TAOCP vol. 3, section 5.3.4).
+    """
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _simplex_tau(z: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """The threshold tau of x = l + max(0, z - tau) on {sum(x) = 1, x >= l}.
+
+    ``z`` = y - l is (n, blocks, rows), station j of block b in row r at
+    ``z[j, b, r]``, and is used up as scratch; ``slack`` = 1 - sum(l) is
+    (blocks, 1). This is ``PolytopeProjector._project_simplex`` with unit
+    weights, to the bit: the breakpoints are sorted in decreasing order
+    by a compare-exchange network on whole wires, and with w = 1 the
+    running sums, the divisors j + 1 and tau / w are those of the sort.
+    """
+    for i, j in _sorting_network(z.shape[0]):
+        low = np.minimum(z[i], z[j])
+        np.maximum(z[i], z[j], out=z[i])
+        z[j] = low
+    count = np.zeros(z.shape[1:], dtype=int)
+    run = z[0].copy()
+    tau = np.empty_like(run)
+    for j in range(z.shape[0]):
+        if j:
+            run += z[j]
+        np.subtract(run, slack, out=tau)
+        tau /= j + 1
+        count += z[j] > tau
+        z[j] = tau              # the sorted breakpoint is not read again
+    # tau = taus[count - 1]; at least one breakpoint is active when slack > 0,
+    # even if rounding hides it
+    del run
+    tau[...] = z[0]
+    for j in range(1, z.shape[0]):
+        np.copyto(tau, z[j], where=count > j)
+    return tau
 
 
 def _subset_sums(y_rows: np.ndarray) -> np.ndarray:
@@ -269,25 +354,39 @@ def _subset_sums(y_rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _chain_walk(rank_rows: np.ndarray, y_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _walk_tables(members: np.ndarray, w: np.ndarray) -> tuple:
+    """`_chain_walk`'s tables for weights w: ``members``, W(S) per subset, and
+    for row S the strict supersets T and W(T) - W(S) there (1 elsewhere)."""
+    masks = np.arange(members.shape[0])
+    width = members @ (1.0 / w)
+    superset = ((masks[None, :] & masks[:, None]) == masks[:, None]) & (masks[None, :] != masks[:, None])
+    return members, width, superset, np.where(superset, width[None, :] - width[:, None], 1.0)
+
+
+@functools.cache
+def _unit_walk_tables(n: int) -> tuple:
+    """`_walk_tables` for unit weights on n stations, shared read-only."""
+    tables = _walk_tables(_members(n), np.ones(n))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _chain_walk(rank_rows: np.ndarray, y_rows: np.ndarray, w: np.ndarray,
+                tables: tuple) -> np.ndarray:
     """Exact projection of each row onto the base polytope of its own rank vector.
 
     ``rank_rows`` (rows, 2^n) holds, for each row of ``y_rows`` (rows, n),
     f / total of the polytope that row is projected onto; ``w`` weights
-    every row alike.
+    every row alike, and ``tables`` are `_walk_tables` of w.
     Each round moves every row from its tight set S to the superset T of
     least slope (g(T) - g(S)) / (W(T) - W(S)), the largest W on ties, and
     gives the new block T \\ S the multiplier w_j (x_j - y_j) equal to that
     slope. Rows are independent; they share the rounds.
     """
-    members = _members(y_rows.shape[1])
-    masks = np.arange(members.shape[0])
-    width = members @ (1.0 / w)                         # W(S)
-    # row S of both tables: its strict supersets T, and W(T) - W(S) there (1 elsewhere)
-    superset = ((masks[None, :] & masks[:, None]) == masks[:, None]) & (masks[None, :] != masks[:, None])
-    run = np.where(superset, width[None, :] - width[:, None], 1.0)
+    members, width, superset, run = tables
     g = rank_rows - _subset_sums(y_rows)                # (rows, 2^n)
-    full = masks[-1]
+    full = members.shape[0] - 1
     tight = np.zeros(y_rows.shape[0], dtype=int)
     slope = np.zeros_like(y_rows)
     live = np.arange(y_rows.shape[0])

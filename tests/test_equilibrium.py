@@ -9,9 +9,11 @@ from chargegame.equilibrium import (aggregates, apply_map, default_start,
                                     lambda_max_closed_form, nash_residual,
                                     solve_nash, solve_nash_batch, step_bound)
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
+from chargegame.harness import price_grid
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
                               StationSet, aggregate, government_cost,
                               reduced_cost)
+from chargegame.qp import project_blocks
 from chargegame.robustness import build_perturbation
 from chargegame.scenario import reference_game
 
@@ -308,6 +310,83 @@ class TestEngineStepRule:
         with pytest.raises(ValueError):
             solve_nash_batch(ref_game, f2[None, :], f1=f1,
                              gammas=fraction * step_bound(f1))
+
+
+def full_width_engine(instance, f2_rows, f1, gammas, x0, max_iter, tol):
+    """The engine's rounds as a standalone loop: the step, average and
+    residual of every row each round, stopped rows included, and only the
+    live rows projected. Reference for the live-row engine's bits."""
+    rows = f2_rows.shape[0]
+    gammas = np.broadcast_to(gammas, (rows,))
+    x = np.broadcast_to(x0, f2_rows.shape).copy()
+    live = np.ones(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
+    residual = np.full(rows, np.inf)
+    iterates, residuals = [x], []
+    for k in range(max_iter):
+        step = x - gammas[:, None] * (apply_map(f1, x) + f2_rows)
+        proj = x.copy()
+        proj[live] = project_blocks(instance.polytopes, step[live])
+        res = np.linalg.norm(proj - x, axis=1)
+        x = 0.5 * (x + proj)
+        iterations[live] = k + 1
+        residual[live] = res[live]
+        iterates.append(x)
+        residuals.append(res)
+        live &= res > tol
+        if not live.any():
+            break
+    return {"x": x, "iterations": iterations, "converged": residual <= tol,
+            "residual": residual, "iterates": np.array(iterates),
+            "residuals": np.array(residuals)}
+
+
+class TestLiveRowRounds:
+    """The engine runs everything after F1 x on live rows only, to the bit."""
+
+    @staticmethod
+    def assert_same(out, want, recorded):
+        keys = ["x", "iterations", "converged", "residual"]
+        for key in keys + (["iterates", "residuals"] if recorded else []):
+            assert np.array_equal(out[key], want[key]), key
+
+    def test_demo_grid_pass(self, demo_build):
+        inst = demo_build.instance
+        f1, _ = game_map(inst, prices=np.zeros(4))
+        f2_rows = fixed_price_f2(inst, price_grid([np.linspace(0.0, 5.0, 9)] * 4))
+        out = solve_nash_batch(inst, f2_rows, f1=f1)
+        want = full_width_engine(inst, f2_rows, f1, out["gammas"],
+                                 default_start(inst), 1000, 1e-8)
+        self.assert_same(out, want, recorded=False)
+        # rows stop at many different rounds
+        assert np.unique(out["iterations"]).size > 50
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_per_row_maps_on_partial_reach(self, recorded):
+        inst = reference_game(0, generous=False)
+        perts = [build_perturbation(inst, alpha, seed=10 + s)
+                 for s, alpha in enumerate((0.0, 0.05, 0.1, 0.15, 0.25, 0.35))]
+        maps = [game_map(inst, pert) for pert in perts]
+        f1_rows = np.stack([f1 for f1, _ in maps])
+        f2_rows = np.stack([f2 for _, f2 in maps])
+        out = solve_nash_batch(inst, f2_rows, f1_rows=f1_rows, max_iter=400,
+                               record_iterates=recorded)
+        want = full_width_engine(inst, f2_rows, f1_rows, out["gammas"],
+                                 default_start(inst), 400, 1e-8)
+        self.assert_same(out, want, recorded)
+        assert {p.path for p in inst.polytopes} == {"chain"}
+        assert np.unique(out["iterations"]).size >= 4
+
+    def test_recorded_single_row(self, demo_build):
+        inst = demo_build.instance
+        f1, f2 = game_map(inst)
+        out = solve_nash_batch(inst, f2[None, :], f1=f1, record_iterates=True)
+        want = full_width_engine(inst, f2[None, :], f1, out["gammas"],
+                                 default_start(inst), 1000, 1e-8)
+        self.assert_same(out, want, recorded=True)
+        rep = solve_nash(inst)
+        assert np.array_equal(rep.iterates, want["iterates"][:, 0])
+        assert np.array_equal(rep.residuals, want["residuals"][:, 0])
 
 
 class TestUniquePoint:

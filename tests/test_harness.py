@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from chargegame.cli import main as cli_main
 from chargegame.equilibrium import nash_residual, solve_nash
-from chargegame.harness import ExperimentConfig, grid_search, run_pipeline
+from chargegame.harness import ExperimentConfig, grid_search, price_grid, run_pipeline
 from chargegame.scenario import reference_game, small_scenario, write_scenario
 
 
@@ -70,6 +72,37 @@ class TestGridSearch:
         b = grid_search(demo_instance, p_max=5.0, resolution=3, refine=1)
         assert np.array_equal(a.best_price, b.best_price)
         assert a.j_g == b.j_g
+
+    def test_grid_rows_in_product_order(self, demo_instance):
+        rng = np.random.default_rng(3)
+        for sizes in ((1,), (3, 1), (2, 3, 4), (4, 4, 4, 4)):
+            axes = [np.sort(rng.uniform(0, 5, k)) for k in sizes]
+            assert np.array_equal(price_grid(axes), np.array(list(product(*axes))))
+        res = grid_search(demo_instance, p_max=5.0, resolution=3, refine=1)
+        want = np.vstack([np.array(list(product(*axes))) for axes in res.pass_axes])
+        assert np.array_equal(res.evaluated_prices, want)
+        assert want.shape == (2 * 3 ** 4, 4) == (res.evaluated_j_g.size, 4)
+
+    @pytest.mark.parametrize("resolution,refine", [(1, 1), (0, 0), (3, -1), (9, -2)])
+    def test_rejects_pass_counts_it_cannot_run(self, demo_instance, resolution, refine):
+        with pytest.raises(ValueError):
+            grid_search(demo_instance, resolution=resolution, refine=refine)
+
+    def test_single_point_grid(self, demo_instance):
+        res = grid_search(demo_instance, resolution=1, refine=0)
+        assert np.array_equal(res.evaluated_prices, np.zeros((1, 4)))
+
+    def test_memory_peak(self, demo_instance):
+        # each pass drops the previous pass's engine output, and a round
+        # holds no stacked copies of the (rows, companies, stations) iterate
+        grid_search(demo_instance, resolution=2, refine=0)
+        tracemalloc.start()
+        try:
+            grid_search(demo_instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6, f"{peak / 1e6:.2f} MB"
 
 
 class TestMechanismOrdering:
@@ -183,6 +216,11 @@ def test_experiment_config_rejects_zero_rounds():
     # a run with no round has no final residual to report
     with pytest.raises(ValueError):
         ExperimentConfig(max_iter=0)
+
+
+def test_experiment_config_rejects_negative_refine():
+    with pytest.raises(ValueError, match="refine"):
+        ExperimentConfig(refine=-1)
 
 
 class TestCLI:

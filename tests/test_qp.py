@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from chargegame.errors import EmptyPolytopeError
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
-from chargegame.qp import PolytopeProjector, project_blocks
+from chargegame.qp import PolytopeProjector, _sorting_network, project_blocks
 
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
@@ -454,3 +454,77 @@ class TestProjectBlocks:
                 want = loop_chain_reference(proj, y, w)
                 assert np.array_equal(proj.project_batch(y, w), want), f"trial {trial}"
                 assert np.array_equal(proj.project(y[0], weights=w), want[0])
+
+
+def sort_simplex_reference(proj, y_rows):
+    """The unit-weight simplex projection by a per-row sort, as a standalone
+    copy of the sort-based formula: reference for the network's bits."""
+    lower = proj.lower
+    if proj.single_point:
+        return np.broadcast_to(lower, y_rows.shape).copy()
+    w = np.ones(proj.n)
+    slack = 1.0 - lower.sum()
+    z = y_rows - lower
+    order = np.argsort(-(z * w), axis=1)
+    z_sorted = np.take_along_axis(z, order, axis=1)
+    w_sorted = w[order]
+    taus = (np.cumsum(z_sorted, axis=1) - slack) / np.cumsum(1.0 / w_sorted, axis=1)
+    count = np.maximum(np.count_nonzero(w_sorted * z_sorted > taus, axis=1), 1)
+    tau = taus[np.arange(y_rows.shape[0]), count - 1]
+    return lower + np.maximum(z - tau[:, None] / w, 0.0)
+
+
+class TestSimplexNetwork:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_network_sorts_every_zero_one_input(self, n):
+        # the 0-1 principle: a comparator network that sorts every 0/1
+        # input sorts every input (Knuth, TAOCP vol. 3, 5.3.4)
+        wires = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).T.copy()
+        for i, j in _sorting_network(n):
+            wires[i], wires[j] = np.maximum(wires[i], wires[j]), np.minimum(wires[i], wires[j])
+        assert np.all(np.diff(wires, axis=0) <= 0)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, 6561])
+    def test_equals_the_sort_bit_for_bit(self, rows):
+        rng = np.random.default_rng(53 + rows)
+        kinds = set()
+        for trial in range(24):
+            m = 2 + trial % 6
+            tight, with_zero = trial % 4 == 3, trial % 3 == 1
+            polys = [PolytopeProjector(lower_bounded_simplex(rng, m, tight, with_zero)[0], 32)
+                     for _ in range(1 + trial % 3)]
+            # ties: coarse values repeat within and across rows
+            y = rng.normal(0, 1.5, (rows, len(polys) * m))
+            if trial % 2:
+                y = np.round(y * 2) / 8
+            got = project_blocks(polys, y)
+            for i, proj in enumerate(polys):
+                block = y[:, i * m:(i + 1) * m]
+                want = sort_simplex_reference(proj, block)
+                assert np.array_equal(got[:, i * m:(i + 1) * m], want), f"trial {trial}"
+                assert np.array_equal(proj.project_batch(block), want), f"trial {trial}"
+                kinds.add((proj.single_point, bool(np.any(proj.lower == 0))))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_shares_a_call_with_chain_blocks(self):
+        rng = np.random.default_rng(59)
+        m = 4
+        polys = [PolytopeProjector(lower_bounded_simplex(rng, m)[0], 32),
+                 reach_polytope(rng, m, 0.4),
+                 PolytopeProjector(lower_bounded_simplex(rng, m, with_zero=True)[0], 32)]
+        assert [p.path for p in polys] == ["simplex", "chain", "simplex"]
+        y = rng.normal(0, 1.5, (50, 3 * m))
+        got = project_blocks(polys, y)
+        for i in (0, 2):
+            want = sort_simplex_reference(polys[i], y[:, i * m:(i + 1) * m])
+            assert np.array_equal(got[:, i * m:(i + 1) * m], want)
+        assert np.array_equal(got[:, m:2 * m], polys[1].project_batch(y[:, m:2 * m]))
+
+    def test_writes_into_its_input(self):
+        rng = np.random.default_rng(61)
+        polys = [PolytopeProjector(lower_bounded_simplex(rng, 4)[0], 32),
+                 reach_polytope(rng, 4, 0.4)]
+        y = rng.normal(0, 1.5, (20, 8))
+        want = project_blocks(polys, y)
+        assert project_blocks(polys, y, out=y) is y
+        assert np.array_equal(y, want)
