@@ -20,14 +20,13 @@ from .feasible import (FeasibilityStructure, admissible_polytope, discretize,
                        hall_condition)
 from .qp import PolytopeProjector
 from .model import (CompanyParams, GameInstance, GovernmentObjective,
-                    StationSet, aggregate, company_cost,
-                    derive_queuing_params, government_cost,
-                    pseudo_inverse_diag, queuing_cost, reduced_cost,
-                    setpoint_from_distribution, system_optimal_prices,
-                    approximate_prices)
-from .equilibrium import (SolveReport, apply_map, default_start, game_map,
-                          lambda_max_closed_form, nash_residual, solve_nash,
-                          step_bound)
+                    StationSet, company_cost, derive_queuing_params,
+                    government_cost, pseudo_inverse_diag, queuing_cost,
+                    reduced_cost, setpoint_from_distribution,
+                    system_optimal_prices, approximate_prices)
+from .equilibrium import (SolveReport, aggregates, apply_map, default_start,
+                          game_map, lambda_max_closed_form, nash_residual,
+                          solve_nash, step_bound)
 from .robustness import (GapBound, Perturbation, SweepResult,
                          best_response_gap, build_perturbation,
                          check_convexity_assumption, epsilon_bound,

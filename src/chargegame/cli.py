@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 usage error, 3 infeasible scenario (degenerate
 fleet, empty allocation set, unmatchable target), 4 numerical failure,
-including an upper-level solve that stopped at ``--max-iter`` unconverged.
+including a solve whose J_G the run writes (the upper level or a
+comparison baseline) that stopped at ``--max-iter`` unconverged.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from .scenario import demo_scenario, write_scenario
 
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+INFEASIBLE = (DegenerateFleetError, EmptyPolytopeError, InfeasibleTargetError)
 
 
 def _add_common(p):
@@ -116,25 +119,14 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return _dispatch(args, cfg)
-    except (DegenerateFleetError, EmptyPolytopeError, InfeasibleTargetError) as exc:
-        print(f"infeasible scenario: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except PipelineStageError as exc:
-        if isinstance(exc.cause, (DegenerateFleetError, EmptyPolytopeError,
-                                  InfeasibleTargetError)):
+    except (*INFEASIBLE, PipelineStageError, np.linalg.LinAlgError, RuntimeError,
+            ValueError) as exc:
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
+        if isinstance(cause, INFEASIBLE):
             print(f"infeasible scenario: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-
-def _exit_code(res) -> int:
-    """Exit code of a finished pipeline run: an unconverged upper solve is
-    a numerical failure."""
-    return 0 if res.upper.converged else EXIT_NUMERICAL
 
 
 def _dispatch(args, cfg: ExperimentConfig | None) -> int:
@@ -147,8 +139,8 @@ def _dispatch(args, cfg: ExperimentConfig | None) -> int:
         from .scenario import (demo_scenario as demo, load_scenario,
                                simulate_period, snapshot_rows)
         scenario = load_scenario(args.config) if args.config else demo()
-        if args.seed is not None:
-            scenario.seed = args.seed
+        if args.seed is not None:   # a copy, as in run_pipeline
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         snap = simulate_period(scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +165,7 @@ def _dispatch(args, cfg: ExperimentConfig | None) -> int:
     else:
         print(f"j_g={res.upper.j_g!r} tracking={tracking!r} "
               f"artifacts={sorted(res.files)}")
-    return _exit_code(res)
+    return 0 if res.converged else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

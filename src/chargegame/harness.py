@@ -55,15 +55,6 @@ class ExperimentConfig:
     run_robustness: bool = False
     compare: bool = True        # also solve the flat-price and grid baselines
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text())
-        if "fixed_price" in raw and raw["fixed_price"] is not None:
-            raw["fixed_price"] = np.asarray(raw["fixed_price"], dtype=float)
-        if "alphas" in raw:
-            raw["alphas"] = tuple(raw["alphas"])
-        return cls(**raw)
-
     def __post_init__(self):
         if self.mechanism not in ("rsg", "fixed-price", "grid-search"):
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
@@ -79,8 +70,11 @@ class ExperimentConfig:
             raise ValueError("max_iter must be at least 1")
         if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
-        if not np.all(np.asarray(self.alphas, dtype=float) >= 0):
+        alphas = np.asarray(self.alphas, dtype=float)
+        if not np.all(alphas >= 0):
             raise ValueError("noise magnitudes (alphas) must be nonnegative")
+        if np.unique(alphas).size != alphas.size:
+            raise ValueError("noise magnitudes (alphas) must be distinct")
         if self.fixed_price is not None and not np.all(np.asarray(self.fixed_price) >= 0):
             raise ValueError("fixed prices must be nonnegative")
         if self.run_robustness and self.samples < 1:
@@ -103,6 +97,9 @@ class GridSearchResult:
 
     @property
     def j_g(self) -> float:
+        """J_G of the one-row re-solve at ``best_price``; its last bits can
+        differ from the best row's ``evaluated_j_g`` (demo:
+        1.643408328798136 against 1.643408328798152)."""
         return self.report.j_g
 
     @property
@@ -118,8 +115,9 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
 
     Evaluates the fixed-price game on a uniform grid over [0, p_max] per
     station, then re-grids inside the cell around the incumbent for each
-    refinement pass. Deterministic traversal; ties keep the earliest
-    evaluated point.
+    refinement pass. Rows rank by (unconverged, J_G), within a pass and
+    across passes, so a converged incumbent wins whenever one exists.
+    Deterministic traversal; ties keep the earliest evaluated point.
     """
     if p_max <= 0:
         raise ValueError("p_max must be positive")
@@ -135,20 +133,22 @@ def grid_search(instance: GameInstance, p_max: float = 5.0, resolution: int = 9,
     pass_axes: list[list[np.ndarray]] = []
     all_j: list[np.ndarray] = []
     all_conv: list[np.ndarray] = []
-    best_price, best_j = None, np.inf
+    best_price, best_key = None, (True, np.inf)
 
     for sweep in range(refine + 1):
         grid = price_grid(axes)
         out = solve_nash_batch(instance, fixed_price_f2(instance, grid), f1=f1,
                                max_iter=max_iter, tol=tol)
         j_vals = government_cost(out["sigma_final"], instance.government)
+        conv = out["converged"]
         pass_axes.append(axes)
         all_j.append(j_vals)
-        all_conv.append(out["converged"])
+        all_conv.append(conv)
         del out                 # not held while the next pass solves
-        k = int(np.argmin(j_vals))
-        if j_vals[k] < best_j:
-            best_j = float(j_vals[k])
+        k = int(np.lexsort((j_vals, ~conv))[0])
+        key = (not conv[k], float(j_vals[k]))
+        if key < best_key:
+            best_key = key
             best_price = grid[k].copy()
         if sweep < refine:
             cells = [axis[1] - axis[0] for axis in axes]
@@ -177,9 +177,16 @@ class PipelineResult:
     targets: list[np.ndarray]
     surge_solutions: list[surge.SurgeSolution]
     comparison: dict[str, tuple[float, np.ndarray]]
+    comparison_converged: dict[str, bool]
     grid_result: GridSearchResult | None = None
     sweep: robustness.SweepResult | None = None
     files: dict[str, Path] = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        """Did every solve whose J_G this run writes meet its tolerance:
+        the upper solve and each comparison row?"""
+        return self.upper.converged and all(self.comparison_converged.values())
 
 
 def _stage(name: str, seconds: dict[str, float]):
@@ -236,6 +243,7 @@ def run_pipeline(config: ExperimentConfig,
     upper_seconds = time.perf_counter() - t0
 
     comparison: dict[str, tuple[float, np.ndarray]] = {}
+    comparison_converged: dict[str, bool] = {}
     if config.mechanism == "rsg" and config.compare:
         base_price = DEFAULT_FLAT_PRICE[: instance.n_stations]
         base = _stage("baseline", seconds)(solve_nash, instance, prices=base_price,
@@ -243,11 +251,9 @@ def run_pipeline(config: ExperimentConfig,
         grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
             config.refine, config.max_iter, config.tol)
-        comparison = {
-            "p_base": (base.j_g, base.sigma),
-            "grid": (grid_result.j_g, grid_result.report.sigma),
-            "rsg": (upper.j_g, upper.sigma),
-        }
+        reports = {"p_base": base, "grid": grid_result.report, "rsg": upper}
+        comparison = {name: (r.j_g, r.sigma) for name, r in reports.items()}
+        comparison_converged = {name: r.converged for name, r in reports.items()}
 
     _write(files, out_dir, "convergence.csv", _convergence_rows(upper))
 
@@ -300,6 +306,8 @@ def run_pipeline(config: ExperimentConfig,
         "surge_modes": [{"mode": sol.mode, "solver_info": sol.solver_info}
                         for sol in surge_solutions],
     }
+    if comparison_converged:
+        meta["comparison_converged"] = comparison_converged
     if grid_result is not None:
         meta["grid_rows"] = int(grid_result.evaluated_converged.size)
         meta["grid_unconverged"] = int(np.sum(~grid_result.evaluated_converged))
@@ -310,7 +318,7 @@ def run_pipeline(config: ExperimentConfig,
 
     return PipelineResult(out_dir, build, upper, upper_seconds, config.mechanism,
                           prices_at_eq, targets, surge_solutions, comparison,
-                          grid_result, sweep, files)
+                          comparison_converged, grid_result, sweep, files)
 
 
 def _write(files: dict, out_dir: Path, name: str, rows) -> None:

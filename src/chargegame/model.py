@@ -232,11 +232,6 @@ class GameInstance:
         return replace(self, companies=new)
 
 
-def aggregate(fleet_sizes, blocks: np.ndarray) -> np.ndarray:
-    """sigma(x) = sum_i N_i x^i for blocks shaped (n_companies, n_stations)."""
-    return np.asarray(fleet_sizes, dtype=float) @ np.asarray(blocks, dtype=float)
-
-
 def queuing_cost(company: CompanyParams, x_i: np.ndarray,
                  sigma_others: np.ndarray) -> float:
     """Expected queuing cost in the generic quadratic form."""

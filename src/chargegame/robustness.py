@@ -23,8 +23,7 @@ import numpy as np
 
 from .equilibrium import (aggregates, apply_map, fixed_price_f2, game_map,
                           perturbation_map, solve_nash, solve_nash_batch)
-from .model import (GameInstance, aggregate, government_cost,
-                    pseudo_inverse_diag)
+from .model import GameInstance, government_cost, pseudo_inverse_diag
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def best_response_gap(instance: GameInstance, x: np.ndarray) -> np.ndarray:
 
     m = instance.n_stations
     blocks = x.reshape(instance.n_companies, m)
-    sigma = aggregate(instance.fleet_sizes, blocks)
+    sigma = aggregates(instance, x)[0]
     gaps = np.zeros(instance.n_companies)
     w = instance.government.weight
     for i, (comp, poly) in enumerate(zip(instance.companies, instance.polytopes)):
@@ -256,13 +255,17 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     built from the perturbed demand inverse (mechanism ``rsg``) and, when
     fixed baseline price vectors are supplied, solve the fixed-price game
     on the same perturbed demand. Emits one row per (alpha, sample,
-    mechanism): per alpha, the rsg rows, then each baseline's rows.
+    mechanism): per alpha, the rsg rows, then each baseline's rows. The
+    magnitudes must be distinct, since ``SweepResult`` finds an alpha's
+    rows by its value.
 
     The rsg games of one alpha run in one engine call with per-row maps.
     Every baseline game, for all alphas and price vectors, shares the true
     fixed-price map, so all of them run in one engine call after the loop.
     """
     alphas = np.asarray(list(alphas), dtype=float)
+    if np.unique(alphas).size != alphas.size:
+        raise ValueError("noise magnitudes (alphas) must be distinct")
     if n_samples < 1:
         raise ValueError("need at least one sample per alpha")
     baseline_prices = baseline_prices or {}

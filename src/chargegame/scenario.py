@@ -12,8 +12,9 @@ distance driven, and passengers are matched greedily to the nearest idle
 vehicle subject to a maximum pickup wait. Only the aggregate fleet state
 feeds the games, so the matching rule stays deliberately simple.
 
-All randomness is drawn from explicit seeds; identical seeds reproduce
-identical snapshots and identical downstream game instances.
+All randomness is drawn from ``Scenario.seed`` (the revenue noise from the
+seed plus one); identical seeds reproduce identical snapshots and identical
+downstream game instances.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def demand_share(scenario: Scenario) -> np.ndarray:
     return counts / counts.sum()
 
 
-def simulate_period(scenario: Scenario, seed: int | None = None) -> FleetSnapshot:
+def simulate_period(scenario: Scenario) -> FleetSnapshot:
     """Run the operating period and flag vehicles that need to charge.
 
     Per time step: serve new requests with the nearest idle vehicle able
@@ -153,7 +154,7 @@ def simulate_period(scenario: Scenario, seed: int | None = None) -> FleetSnapsho
     personal threshold opt for charging.
     """
     p = scenario.params
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = np.random.default_rng(scenario.seed)
     net = scenario.network
     dist = net.distances_km()
 
@@ -250,8 +251,7 @@ def _charging_demand(snapshot: FleetSnapshot, scenario: Scenario):
     return passes
 
 
-def _company_params(passes, scenario: Scenario, share: np.ndarray,
-                    seed: int | None):
+def _company_params(passes, scenario: Scenario, share: np.ndarray):
     """Company demand diagonals and net-revenue vectors from the fleet state.
 
     Demand per station is the fleet-to-charge size times the mean per-
@@ -261,7 +261,7 @@ def _company_params(passes, scenario: Scenario, share: np.ndarray,
     a seeded uniform noise term.
     """
     p = scenario.params
-    rng = np.random.default_rng(scenario.seed + 1 if seed is None else seed)
+    rng = np.random.default_rng(scenario.seed + 1)
     share = np.asarray(share, dtype=float)
     stations = scenario.stations
     occupancy = np.asarray(p.occupancy, dtype=float)
@@ -325,8 +325,7 @@ class GameBuild:
     feas: list[FeasibilityStructure]
 
 
-def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None,
-               seed: int | None = None) -> GameBuild:
+def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None) -> GameBuild:
     """Simulate (if needed), estimate all parameters, and assemble the game.
 
     One charging-demand pass per company feeds the reach matrices, the
@@ -337,7 +336,7 @@ def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None,
     share = demand_share(scenario)
     passes = _charging_demand(snapshot, scenario)
     feas = _feasibility(passes)
-    companies, extras = _company_params(passes, scenario, share, seed)
+    companies, extras = _company_params(passes, scenario, share)
     drivers = _driver_params(passes, scenario, extras)
 
     polytopes = tuple(

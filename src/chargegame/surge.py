@@ -10,7 +10,8 @@ over its reachable stations. The operator first tries a single surge
 vector shared by all drivers (a fairness-friendly variant that may leave
 a tracking error) and, if the target is missed, falls back to per-vehicle
 surge vectors, which always achieve the target exactly whenever the
-target is matchable at all.
+target is matchable at all. Only the fallback solves the matching of
+drivers onto the target's slots: responses that hit the target are one.
 
 When every driver has the same (nonnegative) surge gain, the shared
 vector is an assignment-market question (Shapley & Shubik, 1971): a
@@ -205,7 +206,7 @@ def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
     rho = _least_shared_vector(target, a, gains[0], reach, rho_min) if shared else None
     if rho is not None:
         mu = _best_responses(a, gains, reach, rho)
-        if np.array_equal(np.bincount(mu, minlength=m), target):
+        if _hits_target(mu, target, m):
             return SurgeSolution(mu, np.tile(rho, (n, 1)), 0.0, "equal-price",
                                  "least vector of the min-cost assignment")
     mu = _best_responses(a, gains, reach, rho_min)
@@ -269,28 +270,23 @@ def _least_shared_vector(target, a, gain, reach, rho_min) -> np.ndarray | None:
 
 
 def two_step(target: np.ndarray, drivers: list[DriverParams],
-             prices: np.ndarray, rho_min: np.ndarray | None = None,
-             margin: float = DEFAULT_MARGIN) -> SurgeSolution:
+             prices: np.ndarray) -> SurgeSolution:
     """Shared surge vector first; per-vehicle vectors if the target is missed.
 
-    Always returns a zero tracking cost for matchable targets, at the
-    expense of individualized surge prices when the shared vector cannot
-    split identical drivers. Raises ``InfeasibleTargetError`` up front when
-    no matching of the drivers onto the target exists.
+    Both stages price above a zero floor. Always returns a zero tracking
+    cost for matchable targets, at the expense of individualized surge
+    prices when the shared vector cannot split identical drivers. Only the
+    fallback solves the matching; it raises ``InfeasibleTargetError`` when
+    none exists, and a driver without reach raises ``DegenerateFleetError``.
     """
     prices = np.asarray(prices, dtype=float)
-    if rho_min is None:
-        rho_min = np.zeros(prices.size)
-    rho_min = np.asarray(rho_min, dtype=float)
-    target = np.asarray(target, dtype=int)
-    fleet = _stack(drivers, prices)
-    # the one matchability decision: raises InfeasibleTargetError
-    assignment = assign_vehicles(target, FeasibilityStructure(fleet[2]))
-
+    rho_min = np.zeros(prices.size)
+    feas = fleet_feasibility(drivers, prices.size)
     eq = equal_price_solve(target, drivers, prices, rho_min)
     if eq.j_m == 0.0:       # its drivers' counts were checked against the target
         return eq
-    return per_vehicle_prices(assignment, drivers, prices, rho_min, margin)
+    # the one matchability decision: raises InfeasibleTargetError
+    return per_vehicle_prices(assign_vehicles(target, feas), drivers, prices, rho_min)
 
 
 def verify_zero_cost(solution: SurgeSolution, target: np.ndarray,
@@ -300,13 +296,13 @@ def verify_zero_cost(solution: SurgeSolution, target: np.ndarray,
     fleet = _stack(drivers, np.asarray(prices, dtype=float))
     if not hall_condition(target, FeasibilityStructure(fleet[2])):
         return VerifyResult(False, infeasible_target=True)
-    return VerifyResult(_hits_target(solution.surge, target, *fleet))
+    mu = _best_responses(*fleet, solution.surge)
+    return VerifyResult(_hits_target(mu, target, fleet[0].shape[1]))
 
 
-def _hits_target(surge, target, a, gains, reach) -> bool:
-    """Do the drivers' best responses to ``surge`` give the target counts?"""
-    mu = _best_responses(a, gains, reach, surge)
-    return bool(np.array_equal(np.bincount(mu, minlength=a.shape[1]), target))
+def _hits_target(mu, target, n_stations: int) -> bool:
+    """Do the drivers' chosen stations ``mu`` give the target counts?"""
+    return bool(np.array_equal(np.bincount(mu, minlength=n_stations), target))
 
 
 def surge_price_rows(solutions: list[SurgeSolution]):

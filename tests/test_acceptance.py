@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from chargegame.equilibrium import (default_start, game_map,
+from chargegame.equilibrium import (aggregates, default_start, game_map,
                                     lambda_max_closed_form, solve_nash,
                                     step_bound)
 from chargegame.harness import ExperimentConfig, grid_search, run_pipeline
-from chargegame.model import (aggregate, government_cost, reduced_cost,
-                              system_optimal_prices)
+from chargegame.model import government_cost, reduced_cost, system_optimal_prices
 from chargegame.robustness import robustness_sweep
 from chargegame.scenario import mfd_speed
 from chargegame.surge import driver_best_response, two_step
@@ -38,7 +37,7 @@ def test_criterion_1_exact_potential_identity(ref_game):
     for _ in range(100):
         blocks = np.stack([random_simplex(rng, 4) for _ in range(3)])
         i = int(rng.integers(3))
-        sig_others = aggregate(inst.fleet_sizes, blocks) - \
+        sig_others = aggregates(inst, blocks)[0] - \
             inst.fleet_sizes[i] * blocks[i]
         for k in range(4):
             e = np.zeros(4)

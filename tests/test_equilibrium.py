@@ -11,8 +11,7 @@ from chargegame.equilibrium import (aggregates, apply_map, default_start,
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.harness import price_grid
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
-                              StationSet, aggregate, government_cost,
-                              reduced_cost)
+                              StationSet, government_cost, reduced_cost)
 from chargegame.qp import project_blocks
 from chargegame.robustness import build_perturbation
 from chargegame.scenario import reference_game
@@ -41,7 +40,7 @@ def qp_oracle(instance, x0):
     _, f2 = game_map(instance)
 
     def fun(x):
-        sig = aggregate(instance.fleet_sizes, x.reshape(mc, m))
+        sig = aggregates(instance, x)[0]
         return government_cost(sig, instance.government)
 
     def jac(x):
@@ -125,7 +124,7 @@ class TestGameMap:
         f1, f2 = game_map(inst)
         g = apply_map(f1, x) + f2
         for i in range(3):
-            sig_others = aggregate(inst.fleet_sizes, blocks) - \
+            sig_others = aggregates(inst, blocks)[0] - \
                 inst.fleet_sizes[i] * blocks[i]
             for k in range(4):
                 e = np.zeros(4)
@@ -154,7 +153,7 @@ class TestGameMap:
         h = 1e-6
         for i in range(3):
             comp = inst.companies[i]
-            sig_others = aggregate(inst.fleet_sizes, blocks) - \
+            sig_others = aggregates(inst, blocks)[0] - \
                 inst.fleet_sizes[i] * blocks[i]
 
             def cost(xi):

@@ -11,7 +11,8 @@ import pytest
 from chargegame.cli import main as cli_main
 from chargegame.equilibrium import nash_residual, solve_nash
 from chargegame.harness import ExperimentConfig, grid_search, price_grid, run_pipeline
-from chargegame.scenario import reference_game, small_scenario, write_scenario
+from chargegame.scenario import (demo_scenario, reference_game, simulate_period,
+                                 small_scenario, snapshot_rows, write_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,15 @@ class TestGridSearch:
     def test_rejects_pass_counts_it_cannot_run(self, demo_instance, resolution, refine):
         with pytest.raises(ValueError):
             grid_search(demo_instance, resolution=resolution, refine=refine)
+
+    def test_prefers_a_converged_incumbent(self, demo_instance):
+        # at 60 rounds most rows stop unconverged, the lowest J_G among them
+        res = grid_search(demo_instance, max_iter=60)
+        conv, j_g = res.evaluated_converged, res.evaluated_j_g
+        assert conv.any() and not conv[np.argmin(j_g)]
+        best = np.flatnonzero(conv)[np.argmin(j_g[conv])]
+        assert np.array_equal(res.evaluated_prices[best], res.best_price)
+        assert res.report.converged
 
     def test_single_point_grid(self, demo_instance):
         res = grid_search(demo_instance, resolution=1, refine=0)
@@ -192,21 +202,6 @@ class TestPipeline:
             assert path.read_bytes() == same.files[name].read_bytes(), name
 
 
-def test_experiment_config_from_json(tmp_path):
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({
-        "mechanism": "fixed-price",
-        "fixed_price": [3.0, 3.0, 3.0, 3.0],
-        "alphas": [0.0, 0.1],
-        "samples": 4,
-        "out_dir": str(tmp_path / "o"),
-    }))
-    cfg = ExperimentConfig.from_json(cfg_path)
-    assert cfg.mechanism == "fixed-price"
-    assert np.allclose(cfg.fixed_price, 3.0)
-    assert cfg.alphas == (0.0, 0.1)
-
-
 def test_experiment_config_rejects_unknown_mechanism():
     with pytest.raises(ValueError):
         ExperimentConfig(mechanism="simulated-annealing")
@@ -223,6 +218,11 @@ def test_experiment_config_rejects_negative_refine():
         ExperimentConfig(refine=-1)
 
 
+def test_experiment_config_rejects_repeated_alphas():
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(alphas=(0.0, 0.0))
+
+
 class TestCLI:
     def test_make_demo_and_simulate(self, tmp_path):
         assert cli_main(["make-demo", "--out", str(tmp_path / "sc")]) == 0
@@ -231,6 +231,12 @@ class TestCLI:
                          "--out", str(tmp_path / "sim")])
         assert code == 0
         assert (tmp_path / "sim" / "snapshot.csv").exists()
+
+    def test_simulate_seed_copies_the_scenario(self, tmp_path):
+        assert cli_main(["simulate", "--seed", "5", "--out", str(tmp_path)]) == 0
+        snap = simulate_period(dataclasses.replace(demo_scenario(), seed=5))
+        want = "\n".join(snapshot_rows(snap)) + "\n"
+        assert (tmp_path / "snapshot.csv").read_text() == want
 
     def test_solve_upper_small(self, tmp_path):
         sc = small_scenario()
@@ -260,6 +266,7 @@ class TestCLI:
         ["solve-upper", "--tol", "-1"],
         ["robustness", "--alphas=-0.1"],
         ["robustness", "--alphas", "0,nan"],
+        ["robustness", "--alphas", "0,0"],
         ["baseline", "--price=-1,3,3,3"],
     ])
     def test_usage_error_exit_code(self, tmp_path, argv):
@@ -281,6 +288,15 @@ class TestCLI:
         assert code == 4
         meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
         assert meta["converged"] is False
+
+    def test_unconverged_baseline_exit_code(self, tmp_path):
+        # the upper solve converges in 31 rounds, the flat-price one needs 74
+        code = cli_main(["pipeline", "--out", str(tmp_path), "--max-iter", "60"])
+        assert code == 4
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["converged"] is True
+        assert meta["comparison_converged"] == {"p_base": False, "grid": True,
+                                                "rsg": True}
 
     def test_robustness_subcommand(self, tmp_path, capsys):
         sc = small_scenario()

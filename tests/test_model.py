@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from chargegame.equilibrium import aggregates
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
-                              StationSet, aggregate, approximate_prices,
+                              StationSet, approximate_prices,
                               company_cost, derive_queuing_params, government_cost,
                               pseudo_inverse_diag, queuing_cost, reduced_cost,
                               setpoint_from_distribution, system_optimal_prices)
@@ -220,7 +221,7 @@ class TestExactPotential:
         for _ in range(100):
             blocks = np.stack([random_simplex(rng, m) for _ in range(mc)])
             i = int(rng.integers(mc))
-            sig_others = aggregate(inst.fleet_sizes, blocks) - \
+            sig_others = aggregates(inst, blocks)[0] - \
                 inst.fleet_sizes[i] * blocks[i]
 
             def j_i(xi):

@@ -251,6 +251,12 @@ class TestSweep:
         assert np.isnan(none.mean("rsg")[1])
         assert none.mean("rsg")[0] == sweep.mean("rsg")[0]
 
+    @pytest.mark.parametrize("alphas", [(0.1, 0.1), (0.0, 0.05, 0.0)])
+    def test_rejects_repeated_alphas(self, ref_game, alphas):
+        # rows are found by their alpha, so a repeat would pool two entries
+        with pytest.raises(ValueError, match="distinct"):
+            robustness_sweep(ref_game, alphas, 2)
+
     def test_engine_calls_one_per_alpha_and_one_for_all_baselines(self, monkeypatch):
         from chargegame import robustness
         from chargegame.equilibrium import fixed_price_f2, solve_nash_batch

@@ -76,8 +76,8 @@ class TestSimulation:
 
     def test_different_seed_differs(self):
         sc = small_scenario()
-        a = simulate_period(sc, seed=1)
-        b = simulate_period(sc, seed=2)
+        a = simulate_period(dataclasses.replace(sc, seed=1))
+        b = simulate_period(dataclasses.replace(sc, seed=2))
         assert not np.array_equal(a.battery, b.battery)
 
     def test_zero_demand_nobody_needs_charge(self):
@@ -233,9 +233,9 @@ class TestEstimation:
 
     def test_profit_noise_seeded(self, demo, demo_build):
         share = demo_build.share
-        ex_a = build_game(demo, demo_build.snapshot, seed=5).extras
-        ex_b = build_game(demo, demo_build.snapshot, seed=5).extras
-        ex_c = build_game(demo, demo_build.snapshot, seed=6).extras
+        ex_a = build_game(dataclasses.replace(demo, seed=4), demo_build.snapshot).extras
+        ex_b = build_game(dataclasses.replace(demo, seed=4), demo_build.snapshot).extras
+        ex_c = build_game(dataclasses.replace(demo, seed=5), demo_build.snapshot).extras
         assert np.array_equal(ex_a[0]["e_pro"], ex_b[0]["e_pro"])
         assert not np.array_equal(ex_a[0]["e_pro"], ex_c[0]["e_pro"])
         for ex in ex_a:

@@ -5,7 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from chargegame.errors import InfeasibleTargetError, ZeroGainError
+from chargegame import surge
+from chargegame.errors import DegenerateFleetError, InfeasibleTargetError, ZeroGainError
 from chargegame.feasible import FeasibilityStructure
 from chargegame.surge import (DEFAULT_MARGIN, DriverParams, assign_vehicles,
                               driver_best_response, equal_price_solve,
@@ -21,6 +22,19 @@ def make_driver(rng, m, reachable=None, gain_range=(5.0, 20.0)):
     for j in reachable:
         demand[j] = rng.uniform(20, 80)
     return DriverParams(demand, rng.normal(0, 25, m), rng.uniform(*gain_range, m))
+
+
+@pytest.fixture
+def matchings(monkeypatch):
+    """Counts the matching solves ``two_step`` runs: ``len(matchings)``."""
+    calls = []
+
+    def counted(target, feas):
+        calls.append(target)
+        return assign_vehicles(target, feas)
+
+    monkeypatch.setattr(surge, "assign_vehicles", counted)
+    return calls
 
 
 def random_feasible_target(rng, drivers, m):
@@ -368,7 +382,7 @@ class TestEqualPriceAssignment:
         sigma = np.bincount(responses, minlength=m)
         assert sol.j_m == 0.5 * float(np.sum((sigma - target) ** 2))
 
-    def test_demo_companies_take_assignment_path(self, demo_build):
+    def test_demo_companies_take_assignment_path(self, demo_build, matchings):
         from chargegame.equilibrium import solve_nash
         from chargegame.feasible import discretize
         from chargegame.model import system_optimal_prices
@@ -388,6 +402,7 @@ class TestEqualPriceAssignment:
             assert sol.j_m == 0.0
             assert verify_zero_cost(sol, target, drivers, prices)
             assert two_step(target, drivers, prices).solver_info == ASSIGNMENT_PATH
+        assert len(matchings) == 0      # the shared vector is the matching
 
 
 class TestTwoStep:
@@ -401,11 +416,12 @@ class TestTwoStep:
         assert sol.mode == "equal-price"
         assert sol.j_m == 0.0
 
-    def test_falls_back_to_per_vehicle(self):
+    def test_falls_back_to_per_vehicle(self, matchings):
         d = DriverParams(np.array([10.0, 10.0]), np.zeros(2),
                          np.array([1.0, 1.0]))
         sol = two_step(np.array([1, 1]), [d, d], np.zeros(2))
         assert sol.mode == "per-vehicle"
+        assert len(matchings) == 1
         assert sol.j_m == 0.0
         assert verify_zero_cost(sol, np.array([1, 1]), [d, d], np.zeros(2))
 
@@ -423,10 +439,17 @@ class TestTwoStep:
             check = verify_zero_cost(sol, target, drivers, prices)
             assert check.ok and not check.infeasible_target
 
-    def test_propagates_infeasible_target(self):
+    def test_propagates_infeasible_target(self, matchings):
         d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2))
         with pytest.raises(InfeasibleTargetError):
             two_step(np.array([0, 1]), [d], np.zeros(2))
+        assert len(matchings) == 1
+
+    def test_rejects_a_driver_without_reach(self):
+        # the floor responses would count the stranded driver at station 0
+        stranded = DriverParams(np.zeros(2), np.zeros(2), np.ones(2))
+        with pytest.raises(DegenerateFleetError):
+            two_step(np.array([1, 0]), [stranded], np.zeros(2))
 
 
 class TestVerifyZeroCost:
