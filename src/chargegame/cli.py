@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible scenario (degenerate
+Exit codes: 0 success, 2 usage error (an option no run can use, or a
+scenario config that cannot be read), 3 infeasible scenario (degenerate
 fleet, empty allocation set, unmatchable target), 4 numerical failure,
 including a solve whose J_G the run writes (the upper level or a
 comparison baseline) that stopped at ``--max-iter`` unconverged.
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import (DegenerateFleetError, EmptyPolytopeError,
                      InfeasibleTargetError, PipelineStageError)
 from .harness import ExperimentConfig, run_pipeline
-from .scenario import demo_scenario, write_scenario
+from .scenario import (Scenario, demo_scenario, load_scenario, simulate_period,
+                       snapshot_rows, write_scenario)
 
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
@@ -100,8 +102,8 @@ def _config(args) -> ExperimentConfig | None:
                      samples=args.samples)
     else:
         return None
-    return ExperimentConfig(scenario_path=args.config, out_dir=args.out, seed=args.seed,
-                            max_iter=args.max_iter, tol=args.tol, **extra)
+    return ExperimentConfig(out_dir=args.out, seed=args.seed, max_iter=args.max_iter,
+                            tol=args.tol, **extra)
 
 
 def _parse_price(text: str | None):
@@ -117,8 +119,15 @@ def main(argv=None) -> int:
         cfg = _config(args)
     except ValueError as exc:   # a value the parser accepts but a run cannot use
         parser.error(str(exc))
+    scenario = None
+    if args.command != "make-demo":
+        try:
+            scenario = load_scenario(args.config) if args.config else demo_scenario()
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            parser.error(f"cannot load scenario config {args.config}: "
+                         f"{type(exc).__name__}: {exc}")
     try:
-        return _dispatch(args, cfg)
+        return _dispatch(args, cfg, scenario)
     except (*INFEASIBLE, PipelineStageError, np.linalg.LinAlgError, RuntimeError,
             ValueError) as exc:
         cause = exc.cause if isinstance(exc, PipelineStageError) else exc
@@ -129,16 +138,13 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def _dispatch(args, cfg: ExperimentConfig | None) -> int:
+def _dispatch(args, cfg: ExperimentConfig | None, scenario: Scenario | None) -> int:
     if args.command == "make-demo":
         path = write_scenario(demo_scenario(args.seed), args.out)
         print(path)
         return 0
 
     if args.command == "simulate":
-        from .scenario import (demo_scenario as demo, load_scenario,
-                               simulate_period, snapshot_rows)
-        scenario = load_scenario(args.config) if args.config else demo()
         if args.seed is not None:   # a copy, as in run_pipeline
             scenario = dataclasses.replace(scenario, seed=args.seed)
         snap = simulate_period(scenario)
@@ -148,7 +154,7 @@ def _dispatch(args, cfg: ExperimentConfig | None) -> int:
         print(f"charging fleet per company: {snap.charging_counts.tolist()}")
         return 0
 
-    res = run_pipeline(cfg)
+    res = run_pipeline(cfg, scenario)
     tracking = sum(sol.j_m for sol in res.surge_solutions)
     if args.command == "solve-upper":
         print(f"j_g={res.upper.j_g!r} iterations={res.upper.iterations} "

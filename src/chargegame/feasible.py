@@ -29,9 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateFleetError, InfeasibleTargetError
-from .qp import PolytopeProjector
-
-MAX_STATIONS_FOR_SUBSETS = 20
+from .qp import PolytopeProjector, _members
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +64,6 @@ class FeasibilityStructure:
     @classmethod
     def full(cls, n_vehicles: int, n_stations: int) -> "FeasibilityStructure":
         return cls(np.ones((n_vehicles, n_stations), dtype=bool))
-
-
-def _check_subset_count(n_stations: int):
-    if n_stations > MAX_STATIONS_FOR_SUBSETS:
-        raise ValueError(
-            f"subset enumeration supports at most {MAX_STATIONS_FOR_SUBSETS} "
-            f"stations, got {n_stations}"
-        )
 
 
 def _assign_slots(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -118,14 +108,12 @@ def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> Polytope
     matchable. The caps are kept as vehicle counts; the returned projector
     is the polytope, and decides its emptiness (a degenerate fleet state).
     """
-    m = feas.n_stations
-    _check_subset_count(m)
     if fleet_size <= 0:
         raise ValueError("fleet_size must be positive")
     if feas.n_vehicles != fleet_size:
         raise ValueError("fleet_size does not match the feasibility structure")
 
-    members = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    members = _members(feas.n_stations)     # refuses too many stations
     # distinct vehicles reaching into each subset, less one per station in it
     caps = np.maximum((members @ feas.reach.T).sum(axis=1) - members.sum(axis=1), 0)
     caps[-1] = fleet_size

@@ -27,7 +27,7 @@ from .equilibrium import (SolveReport, fixed_price_f2, game_map, solve_nash,
 from .errors import PipelineStageError
 from .feasible import discretize
 from .model import GameInstance, government_cost, system_optimal_prices
-from .scenario import GameBuild, Scenario, build_game, load_scenario
+from .scenario import GameBuild, Scenario, build_game
 
 DEFAULT_FLAT_PRICE = np.array([3.0, 3.0, 3.0, 3.0])
 REFERENCE_GRID_PRICES = {
@@ -40,7 +40,6 @@ REFERENCE_GRID_PRICES = {
 class ExperimentConfig:
     """Everything a harness run needs."""
 
-    scenario_path: str | None = None
     mechanism: str = "rsg"                  # rsg | fixed-price | grid-search
     fixed_price: np.ndarray | None = None
     p_max: float = 5.0
@@ -205,17 +204,15 @@ def _stage(name: str, seconds: dict[str, float]):
 
 def run_pipeline(config: ExperimentConfig,
                  scenario: Scenario | None = None) -> PipelineResult:
-    """Simulation to surge prices, with CSV artifacts along the way."""
+    """Simulation to surge prices on ``scenario`` (the packaged demo when
+    None), with CSV artifacts along the way."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
     seconds: dict[str, float] = {}     # wall time per stage
 
     if scenario is None:
-        if config.scenario_path is None:
-            scenario = scenario_mod.demo_scenario()
-        else:
-            scenario = _stage("load-scenario", seconds)(load_scenario, config.scenario_path)
+        scenario = scenario_mod.demo_scenario()
     if config.seed is not None:     # a copy: the caller's scenario keeps its seed
         scenario = dataclasses.replace(scenario, seed=config.seed)
 

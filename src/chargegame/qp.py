@@ -52,8 +52,20 @@ import numpy as np
 from .errors import EmptyPolytopeError
 
 
+# Subset tables hold 2^m entries and the chain walk's 4^m: at 12 stations
+# the float walk table alone is 134 MB, and it grows 4x per station.
+MAX_STATIONS_FOR_SUBSETS = 12
+
+
 def _members(n: int) -> np.ndarray:
-    """(2^n, n) bool: row S marks the stations of bitmask S (bit j is station j)."""
+    """(2^n, n) bool: row S marks the stations of bitmask S (bit j is station j).
+
+    Every subset table starts here, so more stations than the ceiling are
+    refused before any of them is allocated.
+    """
+    if n > MAX_STATIONS_FOR_SUBSETS:
+        raise ValueError(f"subset enumeration supports at most "
+                         f"{MAX_STATIONS_FOR_SUBSETS} stations, got {n}")
     return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
 
 
@@ -137,10 +149,10 @@ class PolytopeProjector:
         if caps.dtype.kind not in "iu" or caps.shape != (1 << self.n,) or total < 1:
             raise ValueError("caps must hold one integer count per station subset, "
                              "out of a positive total")
+        self.members = _members(self.n)
         self.caps = caps.astype(np.int64)
         self.total = int(total)
         masks = np.arange(caps.size)
-        self.members = _members(self.n)
         f = _rank_vector(self.caps, self.total, self.members)
         self.rank = self.lower = None
         self.single_point = False

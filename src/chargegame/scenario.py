@@ -8,9 +8,10 @@ would cost them.
 
 The congestion model is a network-level speed law (speed as a decreasing
 function of total vehicle accumulation), batteries discharge linearly in
-distance driven, and passengers are matched greedily to the nearest idle
-vehicle subject to a maximum pickup wait. Only the aggregate fleet state
-feeds the games, so the matching rule stays deliberately simple.
+distance driven, and passengers are matched greedily, in arrival order, to
+the nearest idle vehicle within the pickup limit (lowest index on ties; no
+dispatch at zero speed). Only the aggregate fleet state feeds the games,
+so the matching rule stays deliberately simple.
 
 All randomness is drawn from ``Scenario.seed`` (the revenue noise from the
 seed plus one); identical seeds reproduce identical snapshots and identical
@@ -123,10 +124,7 @@ class FleetSnapshot:
     @property
     def charging_counts(self) -> np.ndarray:
         n_companies = int(self.company.max()) + 1 if self.company.size else 0
-        out = np.zeros(n_companies, dtype=int)
-        for i in range(n_companies):
-            out[i] = int(np.sum(self.needs_charge & (self.company == i)))
-        return out
+        return np.bincount(self.company[self.needs_charge], minlength=n_companies)
 
 
 def voronoi_regions(network: RoadNetwork, station_nodes) -> np.ndarray:
@@ -146,12 +144,17 @@ def demand_share(scenario: Scenario) -> np.ndarray:
 def simulate_period(scenario: Scenario) -> FleetSnapshot:
     """Run the operating period and flag vehicles that need to charge.
 
-    Per time step: serve new requests with the nearest idle vehicle able
-    to arrive within the pickup limit (unserved requests become private
-    trips that add to congestion), advance driving vehicles at the current
-    network speed, and drain batteries in proportion to distance driven.
-    Idle vehicles do not drain. After the horizon, vehicles below their
-    personal threshold opt for charging.
+    Per time step: serve each new request with the nearest idle vehicle
+    able to arrive within the pickup limit, the lowest vehicle index on a
+    tie in pickup distance. At zero speed no request is served. Unserved
+    requests become private trips that add to congestion. Then advance
+    driving vehicles at the current network speed and drain batteries in
+    proportion to distance driven; idle vehicles do not drain. After the
+    horizon, vehicles below their personal threshold opt for charging.
+
+    ``node`` holds where each vehicle is or, while it drives, where its
+    trip ends: a dispatch moves it to the request's destination at once,
+    and pickups are measured from it for idle vehicles only.
     """
     p = scenario.params
     rng = np.random.default_rng(scenario.seed)
@@ -165,7 +168,6 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
     threshold = rng.uniform(*p.threshold, size=n_total)
     max_range = rng.uniform(*p.max_range_km, size=n_total)
     remaining_km = np.zeros(n_total)
-    dest = node.copy()
 
     demand = scenario.demand[np.argsort(scenario.demand[:, 0], kind="stable")]
     pointer = 0
@@ -181,37 +183,27 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
         accumulation = p.base_accumulation + float(np.sum(remaining_km > 0)) + n_private
         speed = mfd_speed(accumulation)
         step_km = speed * p.dt_s / HOURS
+        reach_km = speed * p.pickup_limit_s / HOURS
 
         while pointer < demand.shape[0] and demand[pointer, 0] < t_next:
             _, origin, destination = demand[pointer]
             origin, destination = int(origin), int(destination)
             pointer += 1
-            idle = np.flatnonzero(remaining_km <= 0)
-            served = False
-            if idle.size and speed > 0:
-                pickup = dist[node[idle], origin]
-                reach_km = speed * p.pickup_limit_s / HOURS
-                ok = pickup <= reach_km
-                if np.any(ok):
-                    chosen = idle[ok][int(np.argmin(pickup[ok]))]
-                    remaining_km[chosen] = pickup[ok].min() + dist[origin, destination]
-                    dest[chosen] = destination
-                    served = True
-            if not served:
+            pickup = np.where(remaining_km <= 0, dist[node, origin], np.inf)
+            chosen = int(np.argmin(pickup))
+            if speed > 0 and pickup[chosen] <= reach_km:
+                remaining_km[chosen] = pickup[chosen] + dist[origin, destination]
+                node[chosen] = destination
+            else:
                 trip_h = dist[origin, destination] / max(speed, 1e-9)
                 heapq.heappush(private_expiry, t_now + trip_h * HOURS)
 
         driving = remaining_km > 0
-        if np.any(driving):
-            travelled = np.minimum(remaining_km[driving], step_km)
-            battery[driving] = discharge(battery[driving], max_range[driving], travelled)
-            remaining_km[driving] -= travelled
-            arrived = driving.copy()
-            arrived[driving] = remaining_km[driving] <= 1e-12
-            node[arrived] = dest[arrived]
-            remaining_km[arrived] = 0.0
+        travelled = np.minimum(remaining_km[driving], step_km)
+        battery[driving] = discharge(battery[driving], max_range[driving], travelled)
+        remaining_km[driving] -= travelled
+        remaining_km[remaining_km <= 1e-12] = 0.0
 
-    node = np.where(remaining_km > 0, dest, node)  # mid-trip vehicles end at dest
     needs = battery < threshold
     return FleetSnapshot(company, node, battery,
                          max_range, threshold, needs,

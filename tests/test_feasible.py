@@ -7,8 +7,9 @@ import pytest
 
 from chargegame.errors import (DegenerateFleetError, EmptyPolytopeError,
                                InfeasibleTargetError)
-from chargegame.feasible import (MAX_STATIONS_FOR_SUBSETS, FeasibilityStructure,
-                                 admissible_polytope, discretize, hall_condition)
+from chargegame.feasible import (FeasibilityStructure, admissible_polytope,
+                                 discretize, hall_condition)
+from chargegame.qp import MAX_STATIONS_FOR_SUBSETS
 from chargegame.surge import assign_vehicles
 
 

@@ -276,6 +276,20 @@ class TestCLI:
         assert err.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("broken", ["missing file", "no network_file"])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, command, broken):
+        path = tmp_path / "absent.json"
+        if broken == "no network_file":
+            path = write_scenario(small_scenario(), tmp_path / "sc")
+            cfg = json.loads(path.read_text())
+            del cfg["network_file"]
+            path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as err:
+            cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", [
         ["grid-search", "--resolution", "2", "--refine", "0"],
         ["solve-lower"],

@@ -10,7 +10,8 @@ from scipy.optimize import linprog
 
 from chargegame.errors import EmptyPolytopeError
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
-from chargegame.qp import PolytopeProjector, _sorting_network, project_blocks
+from chargegame.qp import (MAX_STATIONS_FOR_SUBSETS, PolytopeProjector,
+                          _sorting_network, project_blocks)
 
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
@@ -179,6 +180,12 @@ def test_weighted_rejects_nonpositive_weights():
     poly = random_polytope(rng, 3)
     with pytest.raises(ValueError):
         poly.project(np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
+
+
+def test_refuses_caps_above_the_station_ceiling():
+    caps = np.zeros(1 << (MAX_STATIONS_FOR_SUBSETS + 1), dtype=np.int8)
+    with pytest.raises(ValueError, match="at most 12 stations"):
+        PolytopeProjector(caps, 3)
 
 
 def lower_bounded_simplex(rng, m, tight=False, with_zero=False):

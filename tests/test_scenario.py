@@ -1,17 +1,77 @@
 """Congestion law, battery model, simulation, parameter estimation, I/O."""
 
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
 
 from chargegame.errors import DegenerateFleetError
-from chargegame.network import (grid_network, read_demand, read_network,
-                                write_demand, write_network)
-from chargegame.scenario import (Scenario, build_game, demand_share, discharge,
-                                 load_scenario, mfd_speed, simulate_period,
-                                 small_scenario, snapshot_rows, voronoi_regions,
-                                 write_scenario)
+from chargegame.network import (RoadNetwork, grid_network, read_demand,
+                                read_network, write_demand, write_network)
+from chargegame.scenario import (HOURS, Scenario, ScenarioParams, build_game,
+                                 demand_share, discharge, load_scenario,
+                                 mfd_speed, simulate_period, small_scenario,
+                                 snapshot_rows, voronoi_regions, write_scenario)
+
+
+def loop_simulate_reference(scenario):
+    """(node, battery, needs_charge) from a per-request loop that keeps a
+    separate destination array and selects among the idle vehicles only.
+
+    Independent oracle for ``simulate_period``: the same RNG draws, speed
+    law, private-trip heap and nearest-idle rule, written without the
+    masked choice.
+    """
+    p = scenario.params
+    rng = np.random.default_rng(scenario.seed)
+    net = scenario.network
+    dist = net.distances_km()
+    n_total = int(np.sum(scenario.fleet_sizes))
+    node = rng.integers(0, net.n_nodes, size=n_total)
+    battery = rng.uniform(*p.battery_init, size=n_total)
+    threshold = rng.uniform(*p.threshold, size=n_total)
+    max_range = rng.uniform(*p.max_range_km, size=n_total)
+    remaining_km = np.zeros(n_total)
+    dest = node.copy()
+    demand = scenario.demand[np.argsort(scenario.demand[:, 0], kind="stable")]
+    pointer = 0
+    private_expiry = []
+    for step in range(int(round(p.horizon_h * HOURS / p.dt_s))):
+        t_now = step * p.dt_s
+        while private_expiry and private_expiry[0] <= t_now:
+            heapq.heappop(private_expiry)
+        accumulation = (p.base_accumulation + float(np.sum(remaining_km > 0))
+                        + len(private_expiry))
+        speed = mfd_speed(accumulation)
+        while pointer < demand.shape[0] and demand[pointer, 0] < t_now + p.dt_s:
+            _, origin, destination = demand[pointer]
+            origin, destination = int(origin), int(destination)
+            pointer += 1
+            idle = np.flatnonzero(remaining_km <= 0)
+            served = False
+            if idle.size and speed > 0:
+                pickup = dist[node[idle], origin]
+                ok = pickup <= speed * p.pickup_limit_s / HOURS
+                if np.any(ok):
+                    chosen = idle[ok][int(np.argmin(pickup[ok]))]
+                    remaining_km[chosen] = pickup[ok].min() + dist[origin, destination]
+                    dest[chosen] = destination
+                    served = True
+            if not served:
+                trip_h = dist[origin, destination] / max(speed, 1e-9)
+                heapq.heappush(private_expiry, t_now + trip_h * HOURS)
+        driving = remaining_km > 0
+        if np.any(driving):
+            travelled = np.minimum(remaining_km[driving], speed * p.dt_s / HOURS)
+            battery[driving] = discharge(battery[driving], max_range[driving], travelled)
+            remaining_km[driving] -= travelled
+            arrived = driving.copy()
+            arrived[driving] = remaining_km[driving] <= 1e-12
+            node[arrived] = dest[arrived]
+            remaining_km[arrived] = 0.0
+    node = np.where(remaining_km > 0, dest, node)
+    return node, battery, battery < threshold
 
 
 class TestMFD:
@@ -97,6 +157,45 @@ class TestSimulation:
         base = demo_snapshot.battery < demo_snapshot.threshold
         raised = demo_snapshot.battery < (demo_snapshot.threshold + 5.0)
         assert np.all(base <= raised)
+
+    @pytest.mark.parametrize("city, seed", [("demo", 9), ("demo", 1000), ("demo", 1001),
+                                            ("small", 3), ("small", 4), ("small", 5)])
+    def test_matches_loop_reference(self, demo, city, seed):
+        sc = dataclasses.replace(demo, seed=seed) if city == "demo" else small_scenario(seed)
+        snap = simulate_period(sc)
+        node, battery, needs = loop_simulate_reference(sc)
+        assert np.array_equal(snap.node, node)
+        assert np.array_equal(snap.battery, battery)
+        assert np.array_equal(snap.needs_charge, needs)
+
+    def test_no_dispatch_at_zero_speed(self):
+        # accumulation never falls below 60k, so the network stands still
+        sc = small_scenario()
+        sc.params = dataclasses.replace(sc.params, base_accumulation=60_000)
+        snap = simulate_period(sc)
+        rng = np.random.default_rng(sc.seed)
+        n_total = int(sc.fleet_sizes.sum())
+        assert np.array_equal(snap.node, rng.integers(0, sc.network.n_nodes, size=n_total))
+        assert np.array_equal(snap.battery, rng.uniform(*sc.params.battery_init, size=n_total))
+
+    def test_tie_goes_to_the_lowest_index(self):
+        # two nodes 1 km apart, one request: every idle vehicle at the
+        # origin has pickup 0, and only the first of them may serve it
+        net = RoadNetwork(np.arange(2), np.array([[0.0, 0.0], [1000.0, 0.0]]),
+                          np.array([[0, 1, 1000.0], [1, 0, 1000.0]]))
+        params = ScenarioParams(horizon_h=0.5)
+        fleet = np.array([4, 4])
+        rng = np.random.default_rng(0)      # the simulation's first two draws
+        start = rng.integers(0, 2, size=fleet.sum())
+        initial = rng.uniform(*params.battery_init, size=fleet.sum())
+        origin = int(np.bincount(start).argmax())
+        sc = Scenario(net, np.array([0, 1]), np.array([5.0, 5.0]), fleet,
+                      np.array([[0.0, origin, 1 - origin]]), params, seed=0)
+        snap = simulate_period(sc)
+        first = int(np.flatnonzero(start == origin)[0])
+        drained = np.flatnonzero(snap.battery != initial)
+        assert drained.tolist() == [first]
+        assert snap.node[first] == 1 - origin
 
 
 class TestFeasibility:
