@@ -32,7 +32,7 @@ from .robustness import (GapBound, Perturbation, SweepResult,
                          check_convexity_assumption, epsilon_bound,
                          jg_gap_bound, lipschitz_bound, psi_values,
                          robustness_sweep)
-from .surge import (DriverParams, SurgeSolution, assign_vehicles,
+from .surge import (DriverParams, Fleet, SurgeSolution, assign_vehicles,
                     driver_best_response, equal_price_solve,
                     per_vehicle_prices, two_step, verify_zero_cost)
 from .scenario import (FleetSnapshot, Scenario, ScenarioParams, build_game,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error (an option no run can use, or a
-scenario config that cannot be read), 3 infeasible scenario (degenerate
+Exit codes: 0 success, 2 usage error (an option no run can use, a
+scenario config that cannot be read, or a ``--price`` whose length is not
+the scenario's station count), 3 infeasible scenario (degenerate
 fleet, empty allocation set, unmatchable target), 4 numerical failure,
 including a solve whose J_G the run writes (the upper level or a
 comparison baseline) that stopped at ``--max-iter`` unconverged.
@@ -126,6 +127,10 @@ def main(argv=None) -> int:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             parser.error(f"cannot load scenario config {args.config}: "
                          f"{type(exc).__name__}: {exc}")
+        price = cfg.fixed_price if cfg is not None else None
+        if price is not None and price.size != scenario.n_stations:
+            parser.error(f"--price has {price.size} entries, but the scenario "
+                         f"has {scenario.n_stations} stations")
     try:
         return _dispatch(args, cfg, scenario)
     except (*INFEASIBLE, PipelineStageError, np.linalg.LinAlgError, RuntimeError,

@@ -179,7 +179,12 @@ class PipelineResult:
     comparison_converged: dict[str, bool]
     grid_result: GridSearchResult | None = None
     sweep: robustness.SweepResult | None = None
-    files: dict[str, Path] = field(default_factory=dict)
+    written: list[str] = field(default_factory=list)   # artifact names, in order
+
+    @property
+    def files(self) -> dict[str, Path]:
+        """Path of every artifact the run wrote, by name."""
+        return {name: self.out_dir / name for name in self.written}
 
     @property
     def converged(self) -> bool:
@@ -208,7 +213,7 @@ def run_pipeline(config: ExperimentConfig,
     None), with CSV artifacts along the way."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
+    written: list[str] = []
     seconds: dict[str, float] = {}     # wall time per stage
 
     if scenario is None:
@@ -216,9 +221,10 @@ def run_pipeline(config: ExperimentConfig,
     if config.seed is not None:     # a copy: the caller's scenario keeps its seed
         scenario = dataclasses.replace(scenario, seed=config.seed)
 
-    build = _stage("simulate-and-estimate", seconds)(build_game, scenario)
+    snapshot = _stage("simulate", seconds)(scenario_mod.simulate_period, scenario)
+    build = _stage("estimate", seconds)(build_game, scenario, snapshot)
     instance = build.instance
-    _write(files, out_dir, "snapshot.csv", scenario_mod.snapshot_rows(build.snapshot))
+    _write(written, out_dir, "snapshot.csv", scenario_mod.snapshot_rows(snapshot))
 
     t0 = time.perf_counter()
     grid_result = None
@@ -252,7 +258,7 @@ def run_pipeline(config: ExperimentConfig,
         comparison = {name: (r.j_g, r.sigma) for name, r in reports.items()}
         comparison_converged = {name: r.converged for name, r in reports.items()}
 
-    _write(files, out_dir, "convergence.csv", _convergence_rows(upper))
+    _write(written, out_dir, "convergence.csv", _convergence_rows(upper))
 
     blocks = upper.blocks
     prices_at_eq = []
@@ -269,13 +275,13 @@ def run_pipeline(config: ExperimentConfig,
             surge.two_step, target, build.drivers[i], prices_at_eq[i])
         surge_solutions.append(sol)
 
-    _write(files, out_dir, "prices_table.csv",
+    _write(written, out_dir, "prices_table.csv",
            _prices_table_rows(instance, blocks, prices_at_eq, sigma))
     if comparison:
-        _write(files, out_dir, "comparison.csv", _comparison_rows(comparison))
-    _write(files, out_dir, "surge_prices.csv",
+        _write(written, out_dir, "comparison.csv", _comparison_rows(comparison))
+    _write(written, out_dir, "surge_prices.csv",
            surge.surge_price_rows(surge_solutions))
-    _write(files, out_dir, "allocation.csv",
+    _write(written, out_dir, "allocation.csv",
            _allocation_rows(instance, blocks, targets))
 
     sweep = None
@@ -288,7 +294,7 @@ def run_pipeline(config: ExperimentConfig,
         sweep = _stage("robustness", seconds)(
             robustness.robustness_sweep, instance, config.alphas, config.samples,
             baselines, scenario.seed, config.max_iter, config.tol)
-        _write(files, out_dir, "robustness.csv", sweep.to_csv_rows())
+        _write(written, out_dir, "robustness.csv", sweep.to_csv_rows())
 
     meta = {
         "mechanism": config.mechanism,
@@ -315,13 +321,12 @@ def run_pipeline(config: ExperimentConfig,
 
     return PipelineResult(out_dir, build, upper, upper_seconds, config.mechanism,
                           prices_at_eq, targets, surge_solutions, comparison,
-                          comparison_converged, grid_result, sweep, files)
+                          comparison_converged, grid_result, sweep, written)
 
 
-def _write(files: dict, out_dir: Path, name: str, rows) -> None:
-    path = out_dir / name
-    path.write_text("\n".join(rows) + "\n")
-    files[name] = path
+def _write(written: list, out_dir: Path, name: str, rows) -> None:
+    (out_dir / name).write_text("\n".join(rows) + "\n")
+    written.append(name)
 
 
 def _convergence_rows(report: SolveReport):

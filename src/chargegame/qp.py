@@ -57,16 +57,20 @@ from .errors import EmptyPolytopeError
 MAX_STATIONS_FOR_SUBSETS = 12
 
 
+@functools.cache
 def _members(n: int) -> np.ndarray:
     """(2^n, n) bool: row S marks the stations of bitmask S (bit j is station j).
 
-    Every subset table starts here, so more stations than the ceiling are
+    One read-only table per station count, shared by every polytope. Every
+    subset table starts here, so more stations than the ceiling are
     refused before any of them is allocated.
     """
     if n > MAX_STATIONS_FOR_SUBSETS:
         raise ValueError(f"subset enumeration supports at most "
                          f"{MAX_STATIONS_FOR_SUBSETS} stations, got {n}")
-    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    members = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    members.flags.writeable = False
+    return members
 
 
 def _split_min(v: np.ndarray) -> None:

@@ -13,6 +13,13 @@ the nearest idle vehicle within the pickup limit (lowest index on ties; no
 dispatch at zero speed). Only the aggregate fleet state feeds the games,
 so the matching rule stays deliberately simple.
 
+The simulation dispatches one time step at a time: the step's idle set and
+one (requests x idle) pickup matrix are gathered once, and the step's
+requests are served in arrival order on that matrix. A vehicle whose trip
+has total length 0 stays idle at its destination and can serve again in
+the same step. The speed law is tabulated once per period over every
+accumulation the period can reach.
+
 All randomness is drawn from ``Scenario.seed`` (the revenue noise from the
 seed plus one); identical seeds reproduce identical snapshots and identical
 downstream game instances.
@@ -32,7 +39,7 @@ from .feasible import FeasibilityStructure, admissible_polytope
 from .model import (CompanyParams, GameInstance, GovernmentObjective,
                     StationSet)
 from .network import RoadNetwork, grid_network, read_demand, read_network
-from .surge import DriverParams
+from .surge import Fleet
 
 HOURS = 3600.0
 
@@ -144,17 +151,25 @@ def demand_share(scenario: Scenario) -> np.ndarray:
 def simulate_period(scenario: Scenario) -> FleetSnapshot:
     """Run the operating period and flag vehicles that need to charge.
 
-    Per time step: serve each new request with the nearest idle vehicle
-    able to arrive within the pickup limit, the lowest vehicle index on a
-    tie in pickup distance. At zero speed no request is served. Unserved
-    requests become private trips that add to congestion. Then advance
-    driving vehicles at the current network speed and drain batteries in
+    Per time step: serve the step's new requests in arrival order, each
+    with the nearest idle vehicle able to arrive within the pickup limit,
+    the lowest vehicle index on a tie in pickup distance. At zero speed,
+    or with no idle vehicle, no request is served. Unserved requests
+    become private trips that add to congestion. Then advance driving
+    vehicles at the current network speed and drain batteries in
     proportion to distance driven; idle vehicles do not drain. After the
     horizon, vehicles below their personal threshold opt for charging.
 
     ``node`` holds where each vehicle is or, while it drives, where its
     trip ends: a dispatch moves it to the request's destination at once,
     and pickups are measured from it for idle vehicles only.
+
+    Dispatch runs once per step on one (requests x idle) pickup matrix
+    (see ``_dispatch_step``). The speed law is tabulated once per period
+    over every accumulation the period can reach: ``base_accumulation``
+    plus the driving vehicles and the private trips, formed as
+    ``base + (driving + private)``, which is exact for an integer-valued
+    base.
     """
     p = scenario.params
     rng = np.random.default_rng(scenario.seed)
@@ -170,33 +185,33 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
     remaining_km = np.zeros(n_total)
 
     demand = scenario.demand[np.argsort(scenario.demand[:, 0], kind="stable")]
-    pointer = 0
+    origins = demand[:, 1].astype(int)
+    dests = demand[:, 2].astype(int)
+    trip_km = dist[origins, dests]
     private_expiry: list[float] = []     # heap of private-trip end times
+    # at most every vehicle drives and every request is a private trip
+    speeds = mfd_speed(p.base_accumulation + np.arange(n_total + len(demand) + 1))
 
     n_steps = int(round(p.horizon_h * HOURS / p.dt_s))
+    # the requests of step s are ends[s - 1]:ends[s], those before its end
+    ends = np.searchsorted(demand[:, 0], np.arange(n_steps) * p.dt_s + p.dt_s)
+    first = 0
     for step in range(n_steps):
         t_now = step * p.dt_s
-        t_next = t_now + p.dt_s
         while private_expiry and private_expiry[0] <= t_now:   # t_now only grows
             heapq.heappop(private_expiry)
-        n_private = len(private_expiry)
-        accumulation = p.base_accumulation + float(np.sum(remaining_km > 0)) + n_private
-        speed = mfd_speed(accumulation)
+        speed = float(speeds[np.count_nonzero(remaining_km > 0) + len(private_expiry)])
         step_km = speed * p.dt_s / HOURS
-        reach_km = speed * p.pickup_limit_s / HOURS
 
-        while pointer < demand.shape[0] and demand[pointer, 0] < t_next:
-            _, origin, destination = demand[pointer]
-            origin, destination = int(origin), int(destination)
-            pointer += 1
-            pickup = np.where(remaining_km <= 0, dist[node, origin], np.inf)
-            chosen = int(np.argmin(pickup))
-            if speed > 0 and pickup[chosen] <= reach_km:
-                remaining_km[chosen] = pickup[chosen] + dist[origin, destination]
-                node[chosen] = destination
-            else:
-                trip_h = dist[origin, destination] / max(speed, 1e-9)
-                heapq.heappush(private_expiry, t_now + trip_h * HOURS)
+        unserved = range(first, ends[step])
+        first = ends[step]
+        if unserved and speed > 0:
+            unserved = _dispatch_step(unserved, dist, node, remaining_km, origins,
+                                      dests, trip_km, speed * p.pickup_limit_s / HOURS)
+        if unserved:
+            trip_h = trip_km[unserved] / max(speed, 1e-9)
+            for expiry in (t_now + trip_h * HOURS).tolist():
+                heapq.heappush(private_expiry, expiry)
 
         driving = remaining_km > 0
         travelled = np.minimum(remaining_km[driving], step_km)
@@ -208,6 +223,37 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
     return FleetSnapshot(company, node, battery,
                          max_range, threshold, needs,
                          np.full(n_total, p.charge_per_pct))
+
+
+def _dispatch_step(requests: range, dist, node, remaining_km, origins, dests,
+                   trip_km, reach_km: float) -> list[int]:
+    """Serve one step's ``requests`` in arrival order; return the unserved.
+
+    The idle set and the (requests x idle) pickup matrix are gathered
+    once. Each request takes the nearest vehicle of its row (``argmin``,
+    so the lowest index on a tie) if that pickup is within ``reach_km``.
+    A served vehicle's column is retired (+inf), unless its trip has
+    total length 0: the vehicle then stays idle at the destination, and
+    its column is refreshed from there, since a later request of the
+    step can take it again.
+    """
+    idle = np.flatnonzero(remaining_km <= 0)
+    if not idle.size:
+        return list(requests)
+    req = origins[requests]
+    pickup = dist.T[req[:, None], node[idle]]     # [r, j]: from idle[j] to req[r]
+    unserved = []
+    for r, k in enumerate(requests):
+        row = pickup[r]
+        j = row.argmin()
+        if row[j] > reach_km:
+            unserved.append(k)
+            continue
+        v = idle[j]
+        remaining_km[v] = row[j] + trip_km[k]
+        node[v] = dests[k]
+        pickup[:, j] = np.inf if remaining_km[v] > 0 else dist[dests[k], req]
+    return unserved
 
 
 def _feasibility(passes) -> list[FeasibilityStructure]:
@@ -281,24 +327,24 @@ def _company_params(passes, scenario: Scenario, share: np.ndarray):
     return companies, extras
 
 
-def _driver_params(passes, scenario: Scenario, extras: list[dict]):
-    """Per-vehicle cost data for the surge game, one list per company.
+def _driver_params(passes, scenario: Scenario, extras: list[dict]) -> list[Fleet]:
+    """Per-vehicle cost data for the surge game, one ``Fleet`` per company.
 
-    The drivers of a company share one read-only revenue vector and one
-    read-only surge-gain vector, and their demand vectors are rows of one
-    read-only array, zero exactly where the vehicle cannot reach.
+    The drivers of a company share one revenue vector and one surge-gain
+    vector, and their demand rows are zero exactly where the vehicle
+    cannot reach.
     """
     p = scenario.params
-    occupancy = np.asarray(p.occupancy, dtype=float)
-    out = []
+    surge_gain = p.driver_hours * p.speed_estimate * np.asarray(p.occupancy, dtype=float)
+    surge_gain.flags.writeable = False
+    fleets = []
     for (_, _, reach, demand), ex in zip(passes, extras):
-        g_v = ex["e_arr"] - (p.driver_hours / p.daily_hours) * ex["e_pro"]
-        surge_gain = p.driver_hours * p.speed_estimate * occupancy
         d_rows = np.where(reach, demand, 0.0)
-        for arr in (g_v, surge_gain, d_rows):
+        g_v = ex["e_arr"] - (p.driver_hours / p.daily_hours) * ex["e_pro"]
+        for arr in (d_rows, g_v):   # read-only already, so a Fleet keeps them as they are
             arr.flags.writeable = False
-        out.append([DriverParams(row, g_v, surge_gain) for row in d_rows])
-    return out
+        fleets.append(Fleet(d_rows, g_v, surge_gain))
+    return fleets
 
 
 @dataclass
@@ -306,19 +352,19 @@ class GameBuild:
     """Game instance plus the scenario-side data the lower level needs.
 
     ``feas[i]`` is company i's reach matrix, the one its polytope, rounding
-    and matching read.
+    and matching read; ``drivers[i]`` its charging drivers.
     """
 
     instance: GameInstance
-    drivers: list[list[DriverParams]]
+    drivers: list[Fleet]
     share: np.ndarray
-    snapshot: FleetSnapshot
     extras: list[dict]
     feas: list[FeasibilityStructure]
 
 
 def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None) -> GameBuild:
-    """Simulate (if needed), estimate all parameters, and assemble the game.
+    """Estimate all parameters from ``snapshot`` (simulated when None) and
+    assemble the game.
 
     One charging-demand pass per company feeds the reach matrices, the
     company parameters and the driver data.
@@ -340,7 +386,7 @@ def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None) -> Gam
     government = GovernmentObjective.from_distribution(weight, counts, share)
     instance = GameInstance(scenario.stations, government, tuple(companies),
                             polytopes)
-    return GameBuild(instance, drivers, share, snapshot, extras, feas)
+    return GameBuild(instance, drivers, share, extras, feas)
 
 
 # ---------------------------------------------------------------------------

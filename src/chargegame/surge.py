@@ -22,6 +22,12 @@ the least such vector solves a system of difference constraints
 have different gains get the floor vector and its tracking cost, so they
 go straight to per-vehicle vectors.
 
+The public functions take a company's drivers as a ``Fleet``: three
+read-only (n_vehicles, n_stations) arrays whose items are ``DriverParams``
+built on access. A plain list of ``DriverParams`` is stacked into a
+``Fleet`` once, at entry (``Fleet.of``); every step after that reads the
+arrays.
+
 Tie-breaking everywhere is deterministic: the lowest station index among
 minimizers. A small strictness margin is added to binding surge prices so
 the intended choice survives floating-point noise.
@@ -29,6 +35,7 @@ the intended choice survives floating-point noise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +84,9 @@ class SurgeSolution:
     """Result of a surge-pricing computation for one company."""
 
     assignment: np.ndarray          # chosen station per vehicle
-    surge: np.ndarray               # (n_vehicles, n_stations) surge vectors
+    # (n_vehicles, n_stations) surge vectors; equal-price solutions hold
+    # their one vector as a read-only broadcast view
+    surge: np.ndarray
     j_m: float                      # tracking cost 1/2 ||sigma(mu) - target||^2
     mode: str                       # "equal-price" or "per-vehicle"
     solver_info: str = ""
@@ -92,15 +101,72 @@ class VerifyResult:
         return self.ok
 
 
-def _stack(drivers: list[DriverParams], prices: np.ndarray):
-    """The fleet as three (n_vehicles, n_stations) arrays: the base cost
-    ``a = demand * prices + base_revenue``, the surge gains, and the reach
-    (positive demand)."""
-    m = prices.size
-    demand = np.array([d.demand for d in drivers], dtype=float).reshape(-1, m)
-    base = np.array([d.base_revenue for d in drivers], dtype=float).reshape(-1, m)
-    gains = np.array([d.surge_gain for d in drivers], dtype=float).reshape(-1, m)
-    return demand * prices + base, gains, demand > 0
+def _read_only(a) -> np.ndarray:
+    """``a`` as a float array that cannot be written: itself if it already is
+    one, else a read-only view."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
+class Fleet(Sequence):
+    """A company's drivers as read-only (n_vehicles, n_stations) arrays.
+
+    ``demand``, ``base_revenue`` and ``surge_gain`` hold one row per
+    driver. A vector every driver shares is given as one (n_stations,)
+    vector and stored once; its attribute is a ``np.broadcast_to`` view.
+    Items are ``DriverParams`` built on access, so every driver of a
+    shared vector holds that one vector object.
+    """
+
+    __slots__ = ("demand", "_base", "_gain")
+
+    def __init__(self, demand, base_revenue, surge_gain):
+        self.demand = _read_only(demand)
+        if self.demand.ndim != 2:
+            raise ValueError("fleet demand must be (n_vehicles, n_stations)")
+        self._base, self._gain = _read_only(base_revenue), _read_only(surge_gain)
+        for vec in (self._base, self._gain):
+            if vec.shape not in (self.demand.shape, self.demand.shape[1:]):
+                raise ValueError("driver vectors must be shared (n_stations,) "
+                                 "or one row per driver")
+        if np.any(self._gain < 0):
+            raise ValueError("surge gains must be nonnegative")
+
+    @classmethod
+    def of(cls, drivers, n_stations: int) -> "Fleet":
+        """``drivers`` itself if it is a Fleet, else its drivers' vectors stacked."""
+        if isinstance(drivers, Fleet):
+            return drivers
+        return cls(*(np.array([getattr(d, attr) for d in drivers],
+                              dtype=float).reshape(-1, n_stations)
+                     for attr in ("demand", "base_revenue", "surge_gain")))
+
+    @property
+    def base_revenue(self) -> np.ndarray:
+        return np.broadcast_to(self._base, self.demand.shape)
+
+    @property
+    def surge_gain(self) -> np.ndarray:
+        return np.broadcast_to(self._gain, self.demand.shape)
+
+    def __len__(self) -> int:
+        return self.demand.shape[0]
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return [self[k] for k in range(*v.indices(len(self)))]
+        demand = self.demand[v]         # raises IndexError past the last driver
+        return DriverParams(demand, *(vec if vec.ndim == 1 else vec[v]
+                                      for vec in (self._base, self._gain)))
+
+
+def _stack(fleet: Fleet, prices: np.ndarray):
+    """The fleet's base cost ``a = demand * prices + base_revenue``, its
+    surge gains, and its reach (positive demand)."""
+    return fleet.demand * prices + fleet.base_revenue, fleet.surge_gain, fleet.demand > 0
 
 
 def _best_responses(a, gains, reach, surge) -> np.ndarray:
@@ -112,9 +178,9 @@ def _best_responses(a, gains, reach, surge) -> np.ndarray:
     return np.argmin(np.where(reach, a - gains * surge, np.inf), axis=1)
 
 
-def fleet_feasibility(drivers: list[DriverParams], n_stations: int) -> FeasibilityStructure:
+def fleet_feasibility(drivers: Sequence[DriverParams], n_stations: int) -> FeasibilityStructure:
     """Reachability structure induced by the drivers' positive demand."""
-    return FeasibilityStructure(_stack(drivers, np.zeros(n_stations))[2])
+    return FeasibilityStructure(Fleet.of(drivers, n_stations).demand > 0)
 
 
 def assign_vehicles(target: np.ndarray, feas: FeasibilityStructure) -> np.ndarray:
@@ -140,13 +206,14 @@ def assign_vehicles(target: np.ndarray, feas: FeasibilityStructure) -> np.ndarra
 def driver_best_response(driver: DriverParams, surge: np.ndarray,
                          prices: np.ndarray) -> int:
     """Cost-minimizing station; ties broken toward the lowest index."""
-    a, gains, reach = _stack([driver], np.asarray(prices, dtype=float))
+    prices = np.asarray(prices, dtype=float)
+    a, gains, reach = _stack(Fleet.of([driver], prices.size), prices)
     if not reach.any():
         raise ValueError("driver has no reachable station")
     return int(_best_responses(a, gains, reach, np.asarray(surge, dtype=float))[0])
 
 
-def per_vehicle_prices(assignment: np.ndarray, drivers: list[DriverParams],
+def per_vehicle_prices(assignment: np.ndarray, drivers: Sequence[DriverParams],
                        prices: np.ndarray, rho_min: np.ndarray,
                        margin: float = DEFAULT_MARGIN) -> SurgeSolution:
     """Individual surge vectors making every driver pick its assigned station.
@@ -159,7 +226,7 @@ def per_vehicle_prices(assignment: np.ndarray, drivers: list[DriverParams],
     """
     prices = np.asarray(prices, dtype=float)
     rho_min = np.asarray(rho_min, dtype=float)
-    a, gains, reach = _stack(drivers, prices)
+    a, gains, reach = _stack(Fleet.of(drivers, prices.size), prices)
     target = np.asarray(assignment, dtype=int)
     rows = np.arange(len(drivers))
     unreachable = ~reach[rows, target]
@@ -182,7 +249,7 @@ def per_vehicle_prices(assignment: np.ndarray, drivers: list[DriverParams],
                          "floor-plus-threshold construction")
 
 
-def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
+def equal_price_solve(target: np.ndarray, drivers: Sequence[DriverParams],
                       prices: np.ndarray, rho_min: np.ndarray) -> SurgeSolution:
     """Single surge vector shared by every driver.
 
@@ -200,19 +267,20 @@ def equal_price_solve(target: np.ndarray, drivers: list[DriverParams],
     """
     target = np.asarray(target, dtype=int)
     rho_min = np.asarray(rho_min, dtype=float)
-    a, gains, reach = _stack(drivers, np.asarray(prices, dtype=float))
+    prices = np.asarray(prices, dtype=float)
+    a, gains, reach = _stack(Fleet.of(drivers, prices.size), prices)
     n, m = a.shape
     shared = n > 0 and bool(np.all(gains == gains[0]))
     rho = _least_shared_vector(target, a, gains[0], reach, rho_min) if shared else None
     if rho is not None:
         mu = _best_responses(a, gains, reach, rho)
         if _hits_target(mu, target, m):
-            return SurgeSolution(mu, np.tile(rho, (n, 1)), 0.0, "equal-price",
+            return SurgeSolution(mu, np.broadcast_to(rho, (n, m)), 0.0, "equal-price",
                                  "least vector of the min-cost assignment")
     mu = _best_responses(a, gains, reach, rho_min)
     j_m = 0.5 * float(np.sum((np.bincount(mu, minlength=m) - target) ** 2))
     reason = "no supporting vector" if shared else "surge gains differ"
-    return SurgeSolution(mu, np.tile(rho_min, (n, 1)), j_m, "equal-price",
+    return SurgeSolution(mu, np.broadcast_to(rho_min.copy(), (n, m)), j_m, "equal-price",
                          f"floor vector: {reason}")
 
 
@@ -269,7 +337,7 @@ def _least_shared_vector(target, a, gain, reach, rho_min) -> np.ndarray | None:
     return np.maximum(rho, rho_min)
 
 
-def two_step(target: np.ndarray, drivers: list[DriverParams],
+def two_step(target: np.ndarray, drivers: Sequence[DriverParams],
              prices: np.ndarray) -> SurgeSolution:
     """Shared surge vector first; per-vehicle vectors if the target is missed.
 
@@ -281,6 +349,7 @@ def two_step(target: np.ndarray, drivers: list[DriverParams],
     """
     prices = np.asarray(prices, dtype=float)
     rho_min = np.zeros(prices.size)
+    drivers = Fleet.of(drivers, prices.size)
     feas = fleet_feasibility(drivers, prices.size)
     eq = equal_price_solve(target, drivers, prices, rho_min)
     if eq.j_m == 0.0:       # its drivers' counts were checked against the target
@@ -290,14 +359,15 @@ def two_step(target: np.ndarray, drivers: list[DriverParams],
 
 
 def verify_zero_cost(solution: SurgeSolution, target: np.ndarray,
-                     drivers: list[DriverParams], prices: np.ndarray) -> VerifyResult:
+                     drivers: Sequence[DriverParams], prices: np.ndarray) -> VerifyResult:
     """Recompute every best response and compare the aggregate to the target."""
     target = np.asarray(target, dtype=int)
-    fleet = _stack(drivers, np.asarray(prices, dtype=float))
-    if not hall_condition(target, FeasibilityStructure(fleet[2])):
+    prices = np.asarray(prices, dtype=float)
+    a, gains, reach = _stack(Fleet.of(drivers, prices.size), prices)
+    if not hall_condition(target, FeasibilityStructure(reach)):
         return VerifyResult(False, infeasible_target=True)
-    mu = _best_responses(*fleet, solution.surge)
-    return VerifyResult(_hits_target(mu, target, fleet[0].shape[1]))
+    mu = _best_responses(a, gains, reach, solution.surge)
+    return VerifyResult(_hits_target(mu, target, prices.size))
 
 
 def _hits_target(mu, target, n_stations: int) -> bool:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chargegame import build_game, demo_scenario, reference_game
+from chargegame import build_game, demo_scenario, reference_game, simulate_period
 
 
 @pytest.fixture(scope="session")
@@ -15,13 +15,13 @@ def demo():
 
 
 @pytest.fixture(scope="session")
-def demo_build(demo):
-    return build_game(demo)
+def demo_snapshot(demo):
+    return simulate_period(demo)
 
 
 @pytest.fixture(scope="session")
-def demo_snapshot(demo_build):
-    return demo_build.snapshot
+def demo_build(demo, demo_snapshot):
+    return build_game(demo, demo_snapshot)
 
 
 def random_simplex(rng, n):

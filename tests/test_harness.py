@@ -1,6 +1,7 @@
 """Baselines, grid search, pipeline artifacts, and the CLI surface."""
 
 import dataclasses
+import gc
 import json
 import tracemalloc
 from itertools import product
@@ -150,7 +151,7 @@ class TestPipeline:
     def test_run_meta_telemetry(self, pipe):
         meta = json.loads((pipe.out_dir / "run_meta.json").read_text())
         stages = meta["stage_seconds"]
-        assert set(stages) == {"simulate-and-estimate", "solve-upper", "baseline",
+        assert set(stages) == {"simulate", "estimate", "solve-upper", "baseline",
                                "grid-search", "discretize", "solve-lower"}
         assert all(t > 0 for t in stages.values())
         assert meta["projector_paths"] == ["simplex"] * pipe.build.instance.n_companies
@@ -161,6 +162,27 @@ class TestPipeline:
         assert meta["converged"] == pipe.upper.converged
         if meta["converged"]:
             assert meta["residual"] <= ExperimentConfig().tol
+
+    def test_retained_period_size(self, demo, tmp_path):
+        # a kept per-period result holds the game, the solve, the targets
+        # and the surge prices: no fleet snapshot, no per-driver objects
+        # and no tiled copy of a shared surge vector
+        def period(seed):
+            return run_pipeline(ExperimentConfig(compare=False, seed=seed,
+                                                 out_dir=str(tmp_path)), demo)
+
+        period(9)
+        tracemalloc.start()
+        try:
+            period(9)               # allocations made once per process
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            kept = [period(seed) for seed in range(1000, 1010)]
+            gc.collect()
+            per_period = (tracemalloc.get_traced_memory()[0] - start) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_period <= 30e3, f"{per_period / 1e3:.1f} KB"
 
     def test_upper_converged_to_floor(self, pipe):
         trace = pipe.upper.j_g_trace
@@ -271,6 +293,18 @@ class TestCLI:
     ])
     def test_usage_error_exit_code(self, tmp_path, argv):
         # refused before any stage runs, so nothing is written
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv + ["--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--price", "1,2,3"],
+        ["solve-upper", "--mechanism", "fixed-price", "--price", "1,2,3,4,5"],
+    ])
+    def test_price_of_the_wrong_length_is_a_usage_error(self, tmp_path, argv):
+        # the demo has 4 stations; refused once the scenario loads, before
+        # the simulation runs or anything is written
         with pytest.raises(SystemExit) as err:
             cli_main(argv + ["--out", str(tmp_path / "o")])
         assert err.value.code == 2

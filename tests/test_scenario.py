@@ -15,13 +15,15 @@ from chargegame.scenario import (HOURS, Scenario, ScenarioParams, build_game,
                                  snapshot_rows, voronoi_regions, write_scenario)
 
 
-def loop_simulate_reference(scenario):
+def loop_simulate_reference(scenario, steps=None):
     """(node, battery, needs_charge) from a per-request loop that keeps a
     separate destination array and selects among the idle vehicles only.
 
     Independent oracle for ``simulate_period``: the same RNG draws, speed
-    law, private-trip heap and nearest-idle rule, written without the
-    masked choice.
+    law, private-trip heap and nearest-idle rule, written one request at a
+    time without a pickup matrix. A served trip of total length 0 leaves
+    its vehicle idle at the destination at once. ``steps``, if given,
+    receives (requests, idle vehicles) of every step with a request.
     """
     p = scenario.params
     rng = np.random.default_rng(scenario.seed)
@@ -44,6 +46,10 @@ def loop_simulate_reference(scenario):
         accumulation = (p.base_accumulation + float(np.sum(remaining_km > 0))
                         + len(private_expiry))
         speed = mfd_speed(accumulation)
+        if steps is not None:
+            arriving = int(np.sum(demand[pointer:, 0] < t_now + p.dt_s))
+            if arriving:
+                steps.append((arriving, int(np.sum(remaining_km <= 0))))
         while pointer < demand.shape[0] and demand[pointer, 0] < t_now + p.dt_s:
             _, origin, destination = demand[pointer]
             origin, destination = int(origin), int(destination)
@@ -57,6 +63,8 @@ def loop_simulate_reference(scenario):
                     chosen = idle[ok][int(np.argmin(pickup[ok]))]
                     remaining_km[chosen] = pickup[ok].min() + dist[origin, destination]
                     dest[chosen] = destination
+                    if remaining_km[chosen] <= 0:
+                        node[chosen] = destination
                     served = True
             if not served:
                 trip_h = dist[origin, destination] / max(speed, 1e-9)
@@ -72,6 +80,21 @@ def loop_simulate_reference(scenario):
             remaining_km[arrived] = 0.0
     node = np.where(remaining_km > 0, dest, node)
     return node, battery, battery < threshold
+
+
+def zero_length_city(seed):
+    """Two nodes joined by a 0 m edge one way and a 1 km edge back. In the
+    first step two requests go from the first vehicle's start node A to the
+    other node B, a trip of length 0, and a third goes from B back to A."""
+    params = ScenarioParams(horizon_h=0.5)
+    fleet = np.array([2, 2])
+    a = int(np.random.default_rng(seed).integers(0, 2, size=fleet.sum())[0])
+    b = 1 - a
+    net = RoadNetwork(np.arange(2), np.array([[0.0, 0.0], [1000.0, 0.0]]),
+                      np.array([[a, b, 0.0], [b, a, 1000.0]]))
+    demand = np.array([[0.0, a, b], [1.0, a, b], [2.0, b, a]])
+    return Scenario(net, np.array([0, 1]), np.array([5.0, 5.0]), fleet, demand,
+                    params, seed=seed)
 
 
 class TestMFD:
@@ -159,14 +182,36 @@ class TestSimulation:
         assert np.all(base <= raised)
 
     @pytest.mark.parametrize("city, seed", [("demo", 9), ("demo", 1000), ("demo", 1001),
-                                            ("small", 3), ("small", 4), ("small", 5)])
+                                            ("small", 3), ("small", 4), ("small", 5),
+                                            ("crowded", 3), ("zero-length", 0)])
     def test_matches_loop_reference(self, demo, city, seed):
-        sc = dataclasses.replace(demo, seed=seed) if city == "demo" else small_scenario(seed)
+        if city == "demo":
+            sc = dataclasses.replace(demo, seed=seed)
+        elif city == "zero-length":
+            sc = zero_length_city(seed)
+        else:
+            sc = small_scenario(seed)
+        if city == "crowded":       # 3 vehicles for ~12 requests a step
+            sc = dataclasses.replace(sc, fleet_sizes=np.array([2, 1]))
         snap = simulate_period(sc)
-        node, battery, needs = loop_simulate_reference(sc)
+        steps = []
+        node, battery, needs = loop_simulate_reference(sc, steps)
         assert np.array_equal(snap.node, node)
         assert np.array_equal(snap.battery, battery)
         assert np.array_equal(snap.needs_charge, needs)
+        if city == "crowded":
+            assert any(0 < idle < arriving for arriving, idle in steps)
+            assert any(idle == 0 for _, idle in steps)
+        if city == "zero-length":
+            # vehicles 0-2 start at node 1, vehicle 3 at node 0; vehicles 0
+            # and 1 each serve a 0 m trip 1 -> 0 and stay idle at node 0,
+            # where vehicle 0 (lowest index, pickup 0) takes the 1 km trip back
+            assert steps == [(3, 4)]
+            assert np.array_equal(snap.node, [1, 0, 1, 0])
+            rng = np.random.default_rng(seed)     # the simulation's first two draws
+            rng.integers(0, 2, size=4)
+            start_battery = rng.uniform(*sc.params.battery_init, size=4)
+            assert np.flatnonzero(snap.battery != start_battery).tolist() == [0]
 
     def test_no_dispatch_at_zero_speed(self):
         # accumulation never falls below 60k, so the network stands still
@@ -230,11 +275,15 @@ class TestFeasibility:
             assert np.all(f0.reach <= f1.reach)
 
     @pytest.mark.parametrize("fleet_seed", [None, 1000, 1013, 1039])
-    def test_build_carries_one_reach_matrix(self, demo, demo_build, fleet_seed):
-        build = (demo_build if fleet_seed is None
-                 else build_game(dataclasses.replace(demo, seed=fleet_seed)))
+    def test_build_carries_one_reach_matrix(self, demo, demo_build, demo_snapshot,
+                                            fleet_seed):
+        if fleet_seed is None:
+            build, snap = demo_build, demo_snapshot
+        else:
+            sc = dataclasses.replace(demo, seed=fleet_seed)
+            snap = simulate_period(sc)
+            build = build_game(sc, snap)
         # straight from the formula: battery - (100 / range) * distance > 0
-        snap = build.snapshot
         dist = demo.network.distances_km()[:, demo.station_nodes]
         expected = []
         for i in range(demo.n_companies):
@@ -266,9 +315,10 @@ class TestEstimation:
         delta = beta * (100.0 - (s_start - (100.0 / d_max) * d))
         assert delta == pytest.approx(20.0)
 
-    def test_company_params_independent_recomputation(self, demo, demo_build):
+    def test_company_params_independent_recomputation(self, demo, demo_build,
+                                                      demo_snapshot):
         # straight-from-formula second pass over the snapshot
-        snap = demo_build.snapshot
+        snap = demo_snapshot
         p = demo.params
         dist = demo.network.distances_km()
         companies, extras = demo_build.instance.companies, demo_build.extras
@@ -322,19 +372,19 @@ class TestEstimation:
         # 2 h horizon, 20 km/h estimate, occupancy 0.35: gain 14
         assert 2.0 * 20.0 * 0.35 == pytest.approx(14.0)
 
-    def test_zero_occupancy_zero_gain(self, demo, demo_build):
+    def test_zero_occupancy_zero_gain(self, demo, demo_snapshot):
         import dataclasses
         p2 = dataclasses.replace(demo.params, occupancy=(0.0, 0.1, 0.2, 0.15))
         sc2 = Scenario(demo.network, demo.station_nodes, demo.capacities,
                        demo.fleet_sizes, demo.demand, p2, demo.seed)
-        drivers = build_game(sc2, demo_build.snapshot).drivers
+        drivers = build_game(sc2, demo_snapshot).drivers
         assert drivers[0][0].surge_gain[0] == 0.0
 
-    def test_profit_noise_seeded(self, demo, demo_build):
+    def test_profit_noise_seeded(self, demo, demo_build, demo_snapshot):
         share = demo_build.share
-        ex_a = build_game(dataclasses.replace(demo, seed=4), demo_build.snapshot).extras
-        ex_b = build_game(dataclasses.replace(demo, seed=4), demo_build.snapshot).extras
-        ex_c = build_game(dataclasses.replace(demo, seed=5), demo_build.snapshot).extras
+        ex_a = build_game(dataclasses.replace(demo, seed=4), demo_snapshot).extras
+        ex_b = build_game(dataclasses.replace(demo, seed=4), demo_snapshot).extras
+        ex_c = build_game(dataclasses.replace(demo, seed=5), demo_snapshot).extras
         assert np.array_equal(ex_a[0]["e_pro"], ex_b[0]["e_pro"])
         assert not np.array_equal(ex_a[0]["e_pro"], ex_c[0]["e_pro"])
         for ex in ex_a:
@@ -386,10 +436,10 @@ class TestIO:
         assert len(rows) == demo_snapshot.company.size + 1
 
 
-def test_build_game_assembles_consistent_instance(demo_build):
+def test_build_game_assembles_consistent_instance(demo_build, demo_snapshot):
     inst = demo_build.instance
     assert inst.n_companies == 3
-    counts = demo_build.snapshot.charging_counts
+    counts = demo_snapshot.charging_counts
     assert [c.fleet_size for c in inst.companies] == counts.tolist()
     assert inst.government.set_point.sum() == pytest.approx(counts.sum())
     for i, fleet in enumerate(demo_build.drivers):

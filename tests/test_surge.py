@@ -8,7 +8,7 @@ import pytest
 from chargegame import surge
 from chargegame.errors import DegenerateFleetError, InfeasibleTargetError, ZeroGainError
 from chargegame.feasible import FeasibilityStructure
-from chargegame.surge import (DEFAULT_MARGIN, DriverParams, assign_vehicles,
+from chargegame.surge import (DEFAULT_MARGIN, DriverParams, Fleet, assign_vehicles,
                               driver_best_response, equal_price_solve,
                               fleet_feasibility, per_vehicle_prices,
                               surge_price_rows, two_step, verify_zero_cost)
@@ -43,6 +43,38 @@ def random_feasible_target(rng, drivers, m):
         int(rng.choice(sorted(d.reachable))) for d in drivers
     ])
     return np.bincount(choice, minlength=m)
+
+
+class TestFleet:
+    def test_stacks_a_driver_list_once(self):
+        rng = np.random.default_rng(0)
+        drivers = [make_driver(rng, 3) for _ in range(5)]
+        fleet = Fleet.of(drivers, 3)
+        assert Fleet.of(fleet, 3) is fleet
+        assert len(fleet) == 5 and len(fleet[1:4]) == 3
+        for d, item in zip(drivers, fleet):
+            for attr in ("demand", "base_revenue", "surge_gain"):
+                assert np.array_equal(getattr(item, attr), getattr(d, attr))
+            assert item.reachable == d.reachable
+        with pytest.raises(ValueError):
+            fleet.demand[0, 0] = 1.0
+        assert Fleet.of([], 3).demand.shape == (0, 3)
+
+    def test_shared_vectors_are_stored_once(self):
+        gain = np.array([1.0, 2.0])
+        fleet = Fleet(np.ones((4, 2)), np.zeros(2), gain)
+        assert fleet.surge_gain.shape == (4, 2) and fleet.surge_gain.strides[0] == 0
+        assert all(d.surge_gain is fleet[0].surge_gain for d in fleet)
+        assert gain.flags.writeable     # the fleet's view is read-only, not the caller's array
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (4, 2)])
+    def test_rejects_vectors_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="shared"):
+            Fleet(np.ones((3, 2)), np.zeros(shape), np.ones(2))
+
+    def test_rejects_negative_gains(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Fleet(np.ones((2, 2)), np.zeros(2), np.array([1.0, -1.0]))
 
 
 class TestAssignVehicles:
