@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error (an option no run can use, a
-scenario config that cannot be read, or a ``--price`` whose length is not
-the scenario's station count), 3 infeasible scenario (degenerate
-fleet, empty allocation set, unmatchable target), 4 numerical failure,
-including a solve whose J_G the run writes (the upper level or a
-comparison baseline) that stopped at ``--max-iter`` unconverged.
+scenario config that cannot be read or names a node outside its network,
+or a ``--price`` whose length is not the scenario's station count), 3
+infeasible scenario (degenerate fleet, empty allocation set, unmatchable
+target), 4 numerical failure, including a solve whose J_G the run writes
+(the upper level or a comparison baseline) that stopped at ``--max-iter``
+unconverged.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _dispatch(args, cfg: ExperimentConfig | None, scenario: Scenario | None) -> 
     elif args.command in ("baseline", "grid-search"):
         print(f"j_g={res.upper.j_g!r}")
     elif args.command == "robustness":
-        means = {name: res.sweep.mean(name).tolist()
-                 for name in ("rsg", "p1", "p2", "base")}
+        ran = dict.fromkeys(r.mechanism for r in res.sweep.rows)
+        means = {name: res.sweep.mean(name).tolist() for name in ran}
         print(json.dumps(means))
     else:
         print(f"j_g={res.upper.j_g!r} tracking={tracking!r} "

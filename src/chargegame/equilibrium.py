@@ -25,7 +25,7 @@ computes F1 x for every row (`apply_map`), and then adds F2, steps,
 projects every company block in one `qp.project_blocks` call, and takes
 the residual and the average on the live rows only. Every row gets the
 bits it would get alone among all rows. `solve_nash` is its one-row case
-with the iterate trace kept, and `nash_residual` its first-round residual.
+with the aggregate trace kept, and `nash_residual` its first-round residual.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class SolveReport:
     residuals: np.ndarray            # fixed-point residual per iteration
     j_g_trace: np.ndarray            # authority loss per iterate (incl. start)
     sigma_trace: np.ndarray          # aggregate per iterate (incl. start)
-    iterates: np.ndarray             # (iterations+1, n) iterate trace
 
     @property
     def blocks(self) -> np.ndarray:
@@ -204,17 +203,17 @@ def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
                prices: np.ndarray | None = None) -> SolveReport:
     """Averaged projected-gradient iteration to the Nash equilibrium.
 
-    One row of ``solve_nash_batch`` with its iterates kept: stops when the
-    fixed-point residual ||x - project(x - gamma F(x))|| drops below
-    ``tol`` or after ``max_iter`` rounds, with ``gamma`` defaulting to the
-    engine's step.
+    One row of ``solve_nash_batch``: stops when the fixed-point residual
+    ||x - project(x - gamma F(x))|| drops below ``tol`` or after
+    ``max_iter`` rounds, with ``gamma`` defaulting to the engine's step.
+    The report keeps the aggregate and authority-loss trace of the
+    recorded iterates, not the iterates themselves.
     """
     f1, f2 = game_map(instance, perturbation, prices)
     out = solve_nash_batch(
         instance, f2[None, :], f1=f1, gammas=gamma, x0=x0,
         max_iter=max_iter, tol=tol, record_iterates=True)
-    iterates = out["iterates"][:, 0, :]
-    sigma_trace = aggregates(instance, iterates)
+    sigma_trace = aggregates(instance, out["iterates"][:, 0, :])
     return SolveReport(
         x=out["x"][0],
         gamma=float(out["gammas"][0]),
@@ -223,7 +222,6 @@ def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
         residuals=out["residuals"][:, 0],
         j_g_trace=government_cost(sigma_trace, instance.government),
         sigma_trace=sigma_trace,
-        iterates=iterates,
     )
 
 

@@ -29,7 +29,10 @@ from .feasible import discretize
 from .model import GameInstance, government_cost, system_optimal_prices
 from .scenario import GameBuild, Scenario, build_game
 
-DEFAULT_FLAT_PRICE = np.array([3.0, 3.0, 3.0, 3.0])
+FLAT_PRICE = 3.0    # the flat baseline's price, at every station of the game
+# the four-station case study's price vectors (bench/workloads.py reads
+# them); the sweep runs p1 and p2 only on a 4-station game
+DEFAULT_FLAT_PRICE = np.full(4, FLAT_PRICE)
 REFERENCE_GRID_PRICES = {
     "p1": np.array([2.75, 1.625, 2.208, 1.0]),
     "p2": np.array([4.03, 2.8, 3.49, 2.24]),
@@ -224,6 +227,7 @@ def run_pipeline(config: ExperimentConfig,
     snapshot = _stage("simulate", seconds)(scenario_mod.simulate_period, scenario)
     build = _stage("estimate", seconds)(build_game, scenario, snapshot)
     instance = build.instance
+    flat = np.full(instance.n_stations, FLAT_PRICE)
     _write(written, out_dir, "snapshot.csv", scenario_mod.snapshot_rows(snapshot))
 
     t0 = time.perf_counter()
@@ -232,9 +236,7 @@ def run_pipeline(config: ExperimentConfig,
         upper = _stage("solve-upper", seconds)(
             solve_nash, instance, max_iter=config.max_iter, tol=config.tol)
     elif config.mechanism == "fixed-price":
-        price = config.fixed_price
-        if price is None:
-            price = DEFAULT_FLAT_PRICE[: instance.n_stations]
+        price = flat if config.fixed_price is None else config.fixed_price
         upper = _stage("solve-upper", seconds)(
             solve_nash, instance, prices=price, max_iter=config.max_iter,
             tol=config.tol)
@@ -248,8 +250,7 @@ def run_pipeline(config: ExperimentConfig,
     comparison: dict[str, tuple[float, np.ndarray]] = {}
     comparison_converged: dict[str, bool] = {}
     if config.mechanism == "rsg" and config.compare:
-        base_price = DEFAULT_FLAT_PRICE[: instance.n_stations]
-        base = _stage("baseline", seconds)(solve_nash, instance, prices=base_price,
+        base = _stage("baseline", seconds)(solve_nash, instance, prices=flat,
                                            max_iter=config.max_iter, tol=config.tol)
         grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
@@ -286,11 +287,8 @@ def run_pipeline(config: ExperimentConfig,
 
     sweep = None
     if config.run_robustness:
-        baselines = {
-            name: price[: instance.n_stations]
-            for name, price in REFERENCE_GRID_PRICES.items()
-        }
-        baselines["base"] = DEFAULT_FLAT_PRICE[: instance.n_stations]
+        baselines = dict(REFERENCE_GRID_PRICES) if instance.n_stations == 4 else {}
+        baselines["base"] = flat
         sweep = _stage("robustness", seconds)(
             robustness.robustness_sweep, instance, config.alphas, config.samples,
             baselines, scenario.seed, config.max_iter, config.tol)

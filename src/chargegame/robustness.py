@@ -7,12 +7,17 @@ from the perturbed demand inverse, the perturbed game may lose convexity
 of the true game (with an explicit suboptimality bound), and the attained
 authority loss carries a quantifiable gap versus the unperturbed optimum.
 
+The diagnostics read the station-blocked map (F1, F2) the engine solves:
+convexity is the sign of each company's diagonal entries in the perturbed
+F1 blocks, and the deviation gain in the true game is read off F(x).
+
 The sweep protocol fixes the fleet scenario and redraws only the
 estimation noise: for every noise magnitude ``alpha`` it samples the
 perturbed estimate many times, solves the perturbed game, and evaluates
 fixed-price baselines on the same perturbed demand for comparison. The
-perturbed games of one alpha run in one engine call; the baselines of all
-alphas share the true fixed-price map and run in one call after them.
+perturbed games of one alpha run in one engine call, and their deviation
+gains in one ``best_response_gap`` call; the baselines of all alphas share
+the true fixed-price map and run in one call after them.
 """
 
 from __future__ import annotations
@@ -74,20 +79,16 @@ def build_perturbation(instance: GameInstance, alpha: float, seed: int) -> Pertu
                         tuple(shifts), tuple(noises))
 
 
-def check_convexity_assumption(instance: GameInstance, perturbation: Perturbation) -> bool:
-    """Per-company curvature check of the perturbed cost.
+def _own_curvature_ok(f1: np.ndarray) -> np.ndarray:
+    """One flag per leading index of station-blocked F1 (..., m, mc, mc):
+    are all diagonal entries, each company's own (diagonal) Hessian, >= -1e-12?"""
+    return np.all(np.diagonal(f1, axis1=-2, axis2=-1) >= -1e-12, axis=(-2, -1))
 
-    All matrices are diagonal, so positive semidefiniteness reduces to an
-    entrywise inequality.
-    """
-    w = instance.government.weight
-    for comp, shift in zip(instance.companies, perturbation.demand_shift):
-        n2 = float(comp.fleet_size) ** 2
-        dd = comp.demand * shift
-        vals = n2 * (1.0 + dd) * w - dd * comp.quad
-        if np.any(vals < -1e-12):
-            return False
-    return True
+
+def check_convexity_assumption(instance: GameInstance, perturbation: Perturbation) -> bool:
+    """Does every company's perturbed cost stay convex in its own block?
+    Read off the diagonal of the perturbed F1 station blocks."""
+    return bool(_own_curvature_ok(game_map(instance, perturbation)[0]))
 
 
 def lipschitz_bound(instance: GameInstance) -> float:
@@ -174,26 +175,31 @@ def jg_gap_bound(instance: GameInstance, perturbation: Perturbation,
 def best_response_gap(instance: GameInstance, x: np.ndarray) -> np.ndarray:
     """Per-company improvement available by deviating in the true game.
 
-    Solves each company's convex best response over its polytope (diagonal
-    Hessian, so a weighted projection) and returns cost(current) -
-    cost(best response), elementwise nonnegative up to solver tolerance.
-    """
-    from .model import reduced_cost
+    Company i's cost is quadratic in its own block x_i, with gradient F_i,
+    its block of F(x) = F1 x + F2 under the true aligned map, and diagonal
+    Hessian h_i, the diagonal of its entries in the F1 station blocks. Its
+    best response is the h_i-weighted projection of x_i - F_i / h_i onto its
+    polytope, and with d = x_i - best the gain is F_i . d - 1/2 d' h_i d,
+    elementwise nonnegative up to solver tolerance.
 
+    ``x`` is one stacked allocation, giving one gain per company, or rows
+    of them, giving (rows, n_companies); a row gets the bits it would get
+    alone.
+    """
+    f1, f2 = game_map(instance)
+    x = np.asarray(x, dtype=float)
+    x_rows = x.reshape(-1, x.shape[-1])
+    # per-row product: the shared-map one may round a row apart by row count
+    grad = apply_map(np.broadcast_to(f1, (len(x_rows),) + f1.shape), x_rows) + f2
     m = instance.n_stations
-    blocks = x.reshape(instance.n_companies, m)
-    sigma = aggregates(instance, x)[0]
-    gaps = np.zeros(instance.n_companies)
-    w = instance.government.weight
-    for i, (comp, poly) in enumerate(zip(instance.companies, instance.polytopes)):
-        n_i = float(comp.fleet_size)
-        sigma_others = sigma - n_i * blocks[i]
-        hess = n_i**2 * w
-        lin = n_i * w * sigma_others + n_i * instance.government.linear
-        best = poly.project(-lin / hess, weights=hess)
-        gaps[i] = (reduced_cost(instance, i, blocks[i], sigma_others)
-                   - reduced_cost(instance, i, best, sigma_others))
-    return gaps
+    own = np.diagonal(f1, axis1=-2, axis2=-1)       # (m, mc): h_i is column i
+    gaps = np.empty((len(x_rows), instance.n_companies))
+    for i, poly in enumerate(instance.polytopes):
+        block = slice(i * m, (i + 1) * m)
+        h, g, x_i = own[:, i], grad[:, block], x_rows[:, block]
+        d = x_i - poly.project_batch(x_i - g / h, weights=h)
+        gaps[:, i] = np.sum(g * d, axis=1) - 0.5 * np.sum(d * h * d, axis=1)
+    return gaps.reshape(x.shape[:-1] + gaps.shape[-1:])
 
 
 @dataclass
@@ -259,7 +265,9 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     magnitudes must be distinct, since ``SweepResult`` finds an alpha's
     rows by its value.
 
-    The rsg games of one alpha run in one engine call with per-row maps.
+    The rsg games of one alpha run in one engine call with per-row maps;
+    their convexity flags are read from those maps and their deviation
+    gains in one call, and each row's gap bound covers its own iterates.
     Every baseline game, for all alphas and price vectors, shares the true
     fixed-price map, so all of them run in one engine call after the loop.
     """
@@ -271,67 +279,54 @@ def robustness_sweep(instance: GameInstance, alphas, n_samples: int,
     baseline_prices = baseline_prices or {}
 
     star = solve_nash(instance, max_iter=max_iter, tol=tol)
-    j_star = star.j_g
-    x_star = star.x
     n = instance.n_companies * instance.n_stations
+    gov = instance.government
 
-    f1_fixed_true, _ = game_map(instance, prices=np.zeros(instance.n_stations))
-
-    rsg_rows: list[list[SweepSample]] = []
-    estimates = []
-    eps = epsilon_bound(instance)
-    eps_obs = np.zeros((alphas.size, n_samples))
-    gap_b = np.zeros((alphas.size, n_samples))
-    gap_o = np.zeros((alphas.size, n_samples))
-    ass_ok = np.zeros((alphas.size, n_samples), dtype=bool)
+    shape = (alphas.size, n_samples)
+    eps_obs, gap_b, gap_o = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    ass_ok = np.zeros(shape, dtype=bool)
+    rsg, estimates = [], []     # rsg: (j_g, converged, residual) per alpha
 
     for a_idx, alpha in enumerate(alphas):
         perts = [build_perturbation(instance, alpha, _sample_seed(seed, a_idx, s))
                  for s in range(n_samples)]
-        f1_rows = np.empty((n_samples,) + f1_fixed_true.shape)
-        f2_rows = np.empty((n_samples, n))
-        for s, pert in enumerate(perts):
-            f1_rows[s], f2_rows[s] = game_map(instance, pert)
-            ass_ok[a_idx, s] = check_convexity_assumption(instance, pert)
-
+        f1_rows, f2_rows = (np.array(v) for v in
+                            zip(*(game_map(instance, pert) for pert in perts)))
+        ass_ok[a_idx] = _own_curvature_ok(f1_rows)
         out = solve_nash_batch(instance, f2_rows, f1_rows=f1_rows,
                                max_iter=max_iter, tol=tol, record_iterates=True)
-        j_rsg = government_cost(out["sigma_final"], instance.government)
-        rsg_rows.append([])
+        rsg.append((government_cost(out["sigma_final"], gov), out["converged"],
+                    out["residual"]))
+        eps_obs[a_idx] = best_response_gap(instance, out["x"]).max(axis=1)
         for s, pert in enumerate(perts):
-            rsg_rows[-1].append(SweepSample(float(alpha), s, "rsg", float(j_rsg[s]),
-                                            bool(ass_ok[a_idx, s]), bool(out["converged"][s]),
-                                            float(out["residual"][s])))
-            gb = jg_gap_bound(instance, pert, out["iterates"][:, s, :],
-                              float(out["gammas"][s]), x_star)
-            gap_b[a_idx, s] = gb.bound
-            gap_o[a_idx, s] = gb.observed
-            eps_obs[a_idx, s] = float(best_response_gap(instance, out["x"][s]).max())
+            gb = jg_gap_bound(instance, pert, out["iterates"][: out["iterations"][s] + 1, s],
+                              float(out["gammas"][s]), star.x)
+            gap_b[a_idx, s], gap_o[a_idx, s] = gb.bound, gb.observed
         estimates.append([pert.demand_estimate for pert in perts])
 
+    # per mechanism: (j_g, converged, residual), each (n_alphas, n_samples)
+    mechanisms = {"rsg": [np.array(v) for v in zip(*rsg)]}
     if baseline_prices:
-        # base_out row (a_idx, b, s): price vector b on alpha a_idx's sample s
-        shape = (alphas.size, len(baseline_prices), n_samples)
+        # engine row (a_idx, b, s): price vector b on alpha a_idx's sample s
         prices = np.array(list(baseline_prices.values()))
         f2_base = fixed_price_f2(instance, prices[None, :, None, :],
                                  np.asarray(estimates)[:, None])
-        base_out = solve_nash_batch(instance, f2_base.reshape(-1, n), f1=f1_fixed_true,
-                                    max_iter=max_iter, tol=tol)
-        j_base = government_cost(base_out["sigma_final"], instance.government).reshape(shape)
-        base_conv = base_out["converged"].reshape(shape)
-        base_res = base_out["residual"].reshape(shape)
-
-    rows: list[SweepSample] = []
-    for a_idx, alpha in enumerate(alphas):
-        rows += rsg_rows[a_idx]
+        f1_fixed_true, _ = game_map(instance, prices=np.zeros(instance.n_stations))
+        base = solve_nash_batch(instance, f2_base.reshape(-1, n), f1=f1_fixed_true,
+                                max_iter=max_iter, tol=tol)
+        cols = [v.reshape(alphas.size, len(baseline_prices), n_samples) for v in
+                (government_cost(base["sigma_final"], gov), base["converged"],
+                 base["residual"])]
         for b, name in enumerate(baseline_prices):
-            rows += [SweepSample(float(alpha), s, name, float(j_base[a_idx, b, s]),
-                                 bool(ass_ok[a_idx, s]), bool(base_conv[a_idx, b, s]),
-                                 float(base_res[a_idx, b, s]))
-                     for s in range(n_samples)]
+            mechanisms[name] = tuple(v[:, b] for v in cols)
 
-    return SweepResult(rows, alphas, n_samples, eps, eps_obs, gap_b, gap_o,
-                       ass_ok, j_star)
+    rows = [SweepSample(float(alpha), s, name, float(j_g[a_idx, s]), bool(ass_ok[a_idx, s]),
+                        bool(conv[a_idx, s]), float(res[a_idx, s]))
+            for a_idx, alpha in enumerate(alphas)
+            for name, (j_g, conv, res) in mechanisms.items()
+            for s in range(n_samples)]
+    return SweepResult(rows, alphas, n_samples, epsilon_bound(instance), eps_obs,
+                       gap_b, gap_o, ass_ok, star.j_g)
 
 
 def _sample_seed(master: int, alpha_idx: int, sample: int) -> int:

@@ -476,8 +476,14 @@ def scenario_from_json(text: str, base_dir: str | Path = ".") -> Scenario:
         if key in raw:
             raw[key] = tuple(raw[key])
     params = ScenarioParams(**raw)
-    return Scenario(net, np.array(cfg["station_nodes"], dtype=int),
-                    np.array(cfg["capacities"], dtype=float),
+    station_nodes = np.array(cfg["station_nodes"], dtype=int)
+    for what, nodes in (("station node", station_nodes), ("demand origin", demand[:, 1]),
+                        ("demand destination", demand[:, 2])):
+        outside = (nodes < 0) | (nodes >= net.n_nodes)
+        if outside.any():
+            raise ValueError(f"{what} {int(nodes[outside][0])} is not a node index "
+                             f"of the network (0..{net.n_nodes - 1})")
+    return Scenario(net, station_nodes, np.array(cfg["capacities"], dtype=float),
                     np.array(cfg["fleet_sizes"], dtype=int),
                     demand, params, seed=int(cfg.get("seed", 0)))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chargegame import build_game, demo_scenario, reference_game, simulate_period
+from chargegame.equilibrium import game_map, solve_nash_batch
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,13 @@ def demo_build(demo, demo_snapshot):
 def random_simplex(rng, n):
     v = rng.exponential(1.0, n)
     return v / v.sum()
+
+
+def recorded_solve(instance, perturbation=None, prices=None, **kwargs):
+    """The one-row engine call ``solve_nash`` makes, with every iterate kept:
+    ``out["iterates"][:, 0]`` is the trace of ``solve_nash``'s rounds."""
+    f1, f2 = game_map(instance, perturbation, prices)
+    return solve_nash_batch(instance, f2[None, :], f1=f1, record_iterates=True, **kwargs)
 
 
 def dense_perturbation(instance, perturbation):

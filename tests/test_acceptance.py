@@ -18,7 +18,7 @@ from chargegame.robustness import robustness_sweep
 from chargegame.scenario import mfd_speed
 from chargegame.surge import driver_best_response, two_step
 
-from conftest import dense_f1, random_simplex
+from conftest import dense_f1, random_simplex, recorded_solve
 from test_equilibrium import make_instance, qp_oracle
 from test_feasible import hall_oracle_disagreements
 from test_surge import make_driver, random_feasible_target
@@ -107,8 +107,8 @@ def test_criterion_4_step_bound_and_monotonicity(ref_game):
     assert rel <= 1e-10
 
     gamma = 0.99 * step_bound(game_map(ref_game)[0])
-    rep = solve_nash(ref_game, gamma=gamma, tol=1e-13, max_iter=4000)
-    dists = np.linalg.norm(rep.iterates - rep.x[None, :], axis=1)
+    out = recorded_solve(ref_game, gammas=gamma, tol=1e-13, max_iter=4000)
+    dists = np.linalg.norm(out["iterates"][:, 0] - out["x"], axis=1)
     worst_increase = float(np.diff(dists).max())
     assert worst_increase <= 1e-12
     _report(4, f"closed-form lambda rel err {rel:.1e}; distances nonincreasing "

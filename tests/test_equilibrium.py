@@ -16,7 +16,7 @@ from chargegame.qp import project_blocks
 from chargegame.robustness import build_perturbation
 from chargegame.scenario import reference_game
 
-from conftest import dense_f1, random_simplex
+from conftest import dense_f1, random_simplex, recorded_solve
 
 
 def make_instance(fleet, weight, set_point, seed=0, n_stations=None):
@@ -232,9 +232,10 @@ class TestSolver:
     def test_trace_is_read_from_iterates(self, ref_game):
         for prices in (None, np.full(4, 3.0)):
             rep = solve_nash(ref_game, prices=prices)
-            assert rep.iterates.shape == (rep.iterations + 1, 12)
-            assert np.array_equal(rep.iterates[-1], rep.x)
-            sigma = aggregates(ref_game, rep.iterates)
+            iterates = recorded_solve(ref_game, prices=prices)["iterates"][:, 0]
+            assert iterates.shape == (rep.iterations + 1, 12)
+            assert np.array_equal(iterates[-1], rep.x)
+            sigma = aggregates(ref_game, iterates)
             assert np.array_equal(rep.sigma_trace, sigma)
             assert np.array_equal(rep.j_g_trace,
                                   government_cost(sigma, ref_game.government))
@@ -259,8 +260,8 @@ class TestSolver:
     @pytest.mark.parametrize("fraction", [0.3, 0.9, 0.99])
     def test_monotone_distance_to_limit(self, ref_game, fraction):
         gamma = fraction * step_bound(game_map(ref_game)[0])
-        rep = solve_nash(ref_game, gamma=gamma, tol=1e-13, max_iter=4000)
-        dists = np.linalg.norm(rep.iterates - rep.x[None, :], axis=1)
+        out = recorded_solve(ref_game, gammas=gamma, tol=1e-13, max_iter=4000)
+        dists = np.linalg.norm(out["iterates"][:, 0] - out["x"], axis=1)
         assert np.all(np.diff(dists) <= 1e-12)
 
     def test_sigma_unique_across_starts(self, ref_game):
@@ -384,7 +385,8 @@ class TestLiveRowRounds:
                                  default_start(inst), 1000, 1e-8)
         self.assert_same(out, want, recorded=True)
         rep = solve_nash(inst)
-        assert np.array_equal(rep.iterates, want["iterates"][:, 0])
+        assert np.array_equal(rep.x, want["x"][0])
+        assert np.array_equal(rep.sigma_trace, aggregates(inst, want["iterates"][:, 0]))
         assert np.array_equal(rep.residuals, want["residuals"][:, 0])
 
 

@@ -324,6 +324,45 @@ class TestCLI:
         assert err.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("broken", ["demand origin 9999", "demand origin -1",
+                                        "station node 49"])
+    def test_node_index_outside_the_network_is_a_usage_error(self, tmp_path, command,
+                                                            broken):
+        # the 7 x 7 grid has nodes 0..48; refused at load, before anything is written
+        sc = small_scenario()
+        if broken == "station node 49":
+            sc = dataclasses.replace(sc, station_nodes=np.array([8, 16, 30, 49]))
+        else:
+            demand = sc.demand.copy()
+            demand[5, 1] = int(broken.split()[-1])
+            sc = dataclasses.replace(sc, demand=demand)
+        path = write_scenario(sc, tmp_path / "sc")
+        with pytest.raises(SystemExit) as err:
+            cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["pipeline", "--resolution", "2"], ["baseline"],
+                                         ["robustness", "--samples", "2"]])
+    def test_default_prices_fit_a_five_station_game(self, tmp_path, capsys, command):
+        # the flat price covers every station; the four-station case study's
+        # p1 and p2 do not run
+        sc = small_scenario()
+        params = dataclasses.replace(sc.params, queue_weight=(0.4, 0.1, 0.3, 0.2, 0.25),
+                                     occupancy=(0.35, 0.1, 0.2, 0.15, 0.1))
+        sc = dataclasses.replace(sc, station_nodes=np.array([8, 16, 30, 40, 24]),
+                                 capacities=np.array([10.0, 20.0, 15.0, 18.0, 12.0]),
+                                 params=params)
+        path = write_scenario(sc, tmp_path / "sc")
+        code = cli_main(command + ["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        if command[0] == "robustness":
+            means = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert set(means) == {"rsg", "base"}
+            rows = (tmp_path / "o" / "robustness.csv").read_text().splitlines()[1:]
+            assert {r.split(",")[2] for r in rows} == {"rsg", "base"}
+
     @pytest.mark.parametrize("command", [
         ["grid-search", "--resolution", "2", "--refine", "0"],
         ["solve-lower"],

@@ -1,17 +1,19 @@
 """Perturbations, convexity check, suboptimality and gap bounds, sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from chargegame.equilibrium import game_map, solve_nash
-from chargegame.model import pseudo_inverse_diag, reduced_cost
-from chargegame.robustness import (best_response_gap, build_perturbation,
+from chargegame.equilibrium import aggregates, game_map, solve_nash, solve_nash_batch
+from chargegame.model import GovernmentObjective, pseudo_inverse_diag, reduced_cost
+from chargegame.robustness import (_sample_seed, best_response_gap, build_perturbation,
                                    check_convexity_assumption, epsilon_bound,
                                    jg_gap_bound, lipschitz_bound, psi_values,
                                    robustness_sweep)
 from chargegame.scenario import reference_game
 
-from conftest import dense_f1, dense_perturbation, random_simplex
+from conftest import dense_f1, dense_perturbation, random_simplex, recorded_solve
 
 
 def _batch_perturbed_solve(instance, perts, max_iter=300, record_iterates=False):
@@ -31,6 +33,44 @@ def _batch_perturbed_solve(instance, perts, max_iter=300, record_iterates=False)
     return solve_nash_batch(instance, f2_rows, f1_rows=f1_rows, gammas=gammas,
                             max_iter=max_iter, tol=1e-9,
                             record_iterates=record_iterates)
+
+
+def _weak_authority(instance):
+    """The game with authority weight 0.5 x the queue weights, below the
+    2 x at which a large demand underestimate makes a company's curvature
+    negative."""
+    gov = GovernmentObjective.from_set_point(0.5 * instance.stations.queue_weight,
+                                             instance.government.set_point)
+    return dataclasses.replace(instance, government=gov)
+
+
+def _sigma_others_gap(instance, x):
+    """Reference deviation gain: each company's aligned cost at x minus at
+    its best response, given the other companies' aggregate."""
+    m = instance.n_stations
+    blocks = x.reshape(instance.n_companies, m)
+    sigma = aggregates(instance, x)[0]
+    w, b = instance.government.weight, instance.government.linear
+    gaps = np.zeros(instance.n_companies)
+    for i, (comp, poly) in enumerate(zip(instance.companies, instance.polytopes)):
+        n_i = float(comp.fleet_size)
+        sigma_others = sigma - n_i * blocks[i]
+        hess = n_i**2 * w
+        best = poly.project(-(n_i * w * sigma_others + n_i * b) / hess, weights=hess)
+        gaps[i] = (reduced_cost(instance, i, blocks[i], sigma_others)
+                   - reduced_cost(instance, i, best, sigma_others))
+    return gaps
+
+
+def _gap_points(instance, seed):
+    """Perturbed equilibria (alpha 0.05-0.35) and random admissible points."""
+    rng = np.random.default_rng(seed)
+    perts = [build_perturbation(instance, alpha, seed=seed + k)
+             for k, alpha in enumerate((0.05, 0.1, 0.15, 0.25, 0.35))]
+    eq = _batch_perturbed_solve(instance, perts, max_iter=300)["x"]
+    rand = [np.concatenate([poly.project(random_simplex(rng, instance.n_stations))
+                            for poly in instance.polytopes]) for _ in range(6)]
+    return np.vstack([eq, rand])
 
 
 class TestBuildPerturbation:
@@ -102,6 +142,22 @@ class TestConvexityAssumption:
                     expected = False
             assert check_convexity_assumption(ref_game, pert) == expected
 
+    def test_negative_curvature_is_flagged(self, ref_game):
+        # with a weak authority weight, large noise makes some flags false;
+        # each must equal the dense eigenvalue rule of the perturbed cost
+        game = _weak_authority(ref_game)
+        w = game.government.weight
+        flags = []
+        for seed in range(40):
+            pert = build_perturbation(game, 2.0, seed=seed)
+            expected = all(
+                np.linalg.eigvalsh(np.diag(comp.fleet_size**2 * (1 + comp.demand * shift) * w
+                                           - comp.demand * shift * comp.quad)).min() >= -1e-12
+                for comp, shift in zip(game.companies, pert.demand_shift))
+            assert check_convexity_assumption(game, pert) == expected
+            flags.append(expected)
+        assert 0 < sum(flags) < len(flags)
+
     def test_holds_at_moderate_noise(self, ref_game):
         ok = sum(
             check_convexity_assumption(ref_game,
@@ -155,6 +211,49 @@ class TestEpsilonBound:
                     assert base - val <= gaps[i] + 1e-6
 
 
+class TestBestResponseGapFromMap:
+    """The deviation gain read off F(x) and the own-block diagonal of F1."""
+
+    @pytest.mark.parametrize("seed,generous", [(0, False), (1, True)],
+                             ids=["chain", "simplex"])
+    def test_rows_equal_single_calls(self, seed, generous):
+        game = reference_game(seed, generous=generous)
+        x = _gap_points(game, seed)
+        rows = best_response_gap(game, x)
+        assert rows.shape == (x.shape[0], game.n_companies)
+        single = np.array([best_response_gap(game, row) for row in x])
+        assert single.shape == rows.shape
+        assert np.array_equal(rows, single)
+
+    @pytest.mark.parametrize("seed,generous", [(0, False), (1, True)],
+                             ids=["chain", "simplex"])
+    def test_matches_sigma_others_reference(self, seed, generous):
+        game = reference_game(seed, generous=generous)
+        x = _gap_points(game, seed + 7)
+        got = best_response_gap(game, x)
+        want = np.array([_sigma_others_gap(game, row) for row in x])
+        # a company already at its best response gains 0, which the
+        # reference's cost difference reads as rounding (|gain| < 1e-11 on
+        # costs of ~1e4): relative to the gain, floored at 1
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
+        assert np.mean(want > 1.0) > 0.5
+
+    def test_sweep_diagnostics_equal_per_sample_calls(self):
+        game = _weak_authority(reference_game(0, generous=False))
+        alphas, n = (0.0, 0.5, 2.0), 4
+        sweep = robustness_sweep(game, alphas, n, seed=3, max_iter=200)
+        for a_idx, alpha in enumerate(alphas):
+            perts = [build_perturbation(game, alpha, _sample_seed(3, a_idx, s))
+                     for s in range(n)]
+            maps = [game_map(game, pert) for pert in perts]
+            out = solve_nash_batch(game, np.array([f2 for _, f2 in maps]),
+                                   f1_rows=np.array([f1 for f1, _ in maps]), max_iter=200)
+            for s, pert in enumerate(perts):
+                assert sweep.assumption_ok[a_idx, s] == check_convexity_assumption(game, pert)
+                assert sweep.eps_observed[a_idx, s] == best_response_gap(game, out["x"][s]).max()
+        assert 0 < sweep.assumption_ok.sum() < sweep.assumption_ok.size
+
+
 class TestGapBound:
     def test_psi_is_quadratic_and_zero_at_star(self, ref_game):
         star = solve_nash(ref_game)
@@ -177,8 +276,9 @@ class TestGapBound:
     def test_zero_perturbation_bound_nonbinding(self, ref_game):
         star = solve_nash(ref_game)
         pert = build_perturbation(ref_game, 0.0, seed=0)
-        rep = solve_nash(ref_game, perturbation=pert, max_iter=300)
-        gb = jg_gap_bound(ref_game, pert, rep.iterates, rep.gamma, star.x)
+        out = recorded_solve(ref_game, pert, max_iter=300)
+        gb = jg_gap_bound(ref_game, pert, out["iterates"][:, 0], float(out["gammas"][0]),
+                          star.x)
         assert np.all(gb.psi == 0.0)
         assert gb.holds
 
@@ -195,13 +295,37 @@ class TestGapBound:
                               float(out["gammas"][s]), star.x)
             assert gb.holds
 
+    def test_sweep_bound_covers_each_rows_own_iterates(self):
+        # a row that stops before its alpha's slowest row is bounded over its
+        # own iterates: the bound of a one-row solve of the same perturbation
+        game = reference_game(0, generous=False)
+        alphas, n = (0.0, 0.05), 4
+        sweep = robustness_sweep(game, alphas, n, seed=0)
+        star = solve_nash(game)
+        stopped_early = 0
+        for a_idx, alpha in enumerate(alphas):
+            rounds = []
+            for s in range(n):
+                pert = build_perturbation(game, alpha, _sample_seed(0, a_idx, s))
+                f1, f2 = game_map(game, pert)
+                out = solve_nash_batch(game, f2[None], f1_rows=f1[None],
+                                       record_iterates=True)
+                gb = jg_gap_bound(game, pert, out["iterates"][:, 0],
+                                  float(out["gammas"][0]), star.x)
+                assert sweep.gap_bounds[a_idx, s] == gb.bound
+                assert sweep.gap_observed[a_idx, s] == gb.observed
+                rounds.append(int(out["iterations"][0]))
+            stopped_early += sum(k < max(rounds) for k in rounds)
+        assert stopped_early > 0
+
     def test_r_x_bound_respected(self, ref_game):
         star = solve_nash(ref_game)
         pert = build_perturbation(ref_game, 0.1, seed=1)
-        rep = solve_nash(ref_game, perturbation=pert, max_iter=100)
-        gb = jg_gap_bound(ref_game, pert, rep.iterates, rep.gamma, star.x)
+        out = recorded_solve(ref_game, pert, max_iter=100)
+        iterates = out["iterates"][:, 0]
+        gb = jg_gap_bound(ref_game, pert, iterates, float(out["gammas"][0]), star.x)
         assert gb.r_x <= ref_game.n_companies
-        norms = np.linalg.norm(rep.iterates, axis=1)
+        norms = np.linalg.norm(iterates, axis=1)
         assert np.all(norms <= gb.r_x + 1e-9)
 
 
