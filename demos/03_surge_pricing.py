@@ -24,7 +24,7 @@ for i in range(instance.n_companies):
     sigma_others = report.sigma - instance.fleet_sizes[i] * x_i
     prices = system_optimal_prices(instance, i, x_i, sigma_others)
     drivers = build.drivers[i]
-    target = discretize(x_i, build.feas[i], instance.companies[i].fleet_size)
+    target = discretize(x_i, build.feas[i])
 
     solution = two_step(target, drivers, prices)
     solutions.append(solution)

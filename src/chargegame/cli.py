@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error (an option no run can use, a
-scenario config that cannot be read or names a node outside its network,
-or a ``--price`` whose length is not the scenario's station count), 3
+scenario config that cannot be read, names a node outside its network or
+has a per-station vector of another length than its station count, or a
+``--price`` whose length is not the scenario's station count), 3
 infeasible scenario (degenerate fleet, empty allocation set, unmatchable
 target), 4 numerical failure, including a solve whose J_G the run writes
 (the upper level or a comparison baseline) that stopped at ``--max-iter``

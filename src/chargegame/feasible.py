@@ -96,31 +96,27 @@ def hall_condition(target: np.ndarray, feas: FeasibilityStructure) -> bool:
     return _assign_slots(np.where(feas.reach[:, slots], 0.0, np.inf)) is not None
 
 
-def admissible_polytope(feas: FeasibilityStructure, fleet_size: int) -> PolytopeProjector:
-    """Build the admissible polytope for a company.
+def admissible_polytope(feas: FeasibilityStructure) -> PolytopeProjector:
+    """Build the admissible polytope for a company of ``feas.n_vehicles``.
 
     One inequality per proper nonempty station subset S:
 
-        sum_{j in S} x_j  <=  max(0, |union of reach sets over S| - |S|) / fleet_size
+        sum_{j in S} x_j  <=  max(0, |union of reach sets over S| - |S|) / n_vehicles
 
     plus nonnegativity and the unit-sum equality. Membership guarantees
     that rounding to an integer target within the floor/ceil lattice stays
     matchable. The caps are kept as vehicle counts; the returned projector
     is the polytope, and decides its emptiness (a degenerate fleet state).
+    An empty fleet raises ``ValueError``.
     """
-    if fleet_size <= 0:
-        raise ValueError("fleet_size must be positive")
-    if feas.n_vehicles != fleet_size:
-        raise ValueError("fleet_size does not match the feasibility structure")
-
     members = _members(feas.n_stations)     # refuses too many stations
     # distinct vehicles reaching into each subset, less one per station in it
     caps = np.maximum((members @ feas.reach.T).sum(axis=1) - members.sum(axis=1), 0)
-    caps[-1] = fleet_size
-    return PolytopeProjector(caps, fleet_size)
+    caps[-1] = feas.n_vehicles
+    return PolytopeProjector(caps, feas.n_vehicles)
 
 
-def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np.ndarray:
+def discretize(x: np.ndarray, feas: FeasibilityStructure) -> np.ndarray:
     """Round an admissible continuous split to a matchable integer target.
 
     Candidates are the floor/ceil lattice points summing to the fleet size:
@@ -137,6 +133,7 @@ def discretize(x: np.ndarray, feas: FeasibilityStructure, fleet_size: int) -> np
     ``InfeasibleTargetError`` therefore signals a bug upstream.
     """
     x = np.asarray(x, dtype=float)
+    fleet_size = feas.n_vehicles
     scaled = fleet_size * x
     floors = np.floor(scaled + 1e-9).astype(int)
     fracs = scaled - floors

@@ -232,19 +232,21 @@ def run_pipeline(config: ExperimentConfig,
 
     t0 = time.perf_counter()
     grid_result = None
+    charged = None      # the one price vector a fixed-price mechanism charges
     if config.mechanism == "rsg":
         upper = _stage("solve-upper", seconds)(
             solve_nash, instance, max_iter=config.max_iter, tol=config.tol)
     elif config.mechanism == "fixed-price":
-        price = flat if config.fixed_price is None else config.fixed_price
+        charged = flat if config.fixed_price is None else config.fixed_price
         upper = _stage("solve-upper", seconds)(
-            solve_nash, instance, prices=price, max_iter=config.max_iter,
+            solve_nash, instance, prices=charged, max_iter=config.max_iter,
             tol=config.tol)
     else:
         grid_result = _stage("grid-search", seconds)(
             grid_search, instance, config.p_max, config.resolution,
             config.refine, config.max_iter, config.tol)
         upper = grid_result.report
+        charged = grid_result.best_price
     upper_seconds = time.perf_counter() - t0
 
     comparison: dict[str, tuple[float, np.ndarray]] = {}
@@ -267,10 +269,12 @@ def run_pipeline(config: ExperimentConfig,
     surge_solutions = []
     sigma = upper.sigma
     for i in range(instance.n_companies):
-        sigma_others = sigma - instance.fleet_sizes[i] * blocks[i]
-        prices_at_eq.append(system_optimal_prices(instance, i, blocks[i], sigma_others))
-        target = _stage("discretize", seconds)(discretize, blocks[i], build.feas[i],
-                                               instance.companies[i].fleet_size)
+        if charged is None:     # rsg: the feedback price aligned at company i's split
+            sigma_others = sigma - instance.fleet_sizes[i] * blocks[i]
+            prices_at_eq.append(system_optimal_prices(instance, i, blocks[i], sigma_others))
+        else:
+            prices_at_eq.append(np.asarray(charged, dtype=float))
+        target = _stage("discretize", seconds)(discretize, blocks[i], build.feas[i])
         targets.append(target)
         sol = _stage("solve-lower", seconds)(
             surge.two_step, target, build.drivers[i], prices_at_eq[i])

@@ -256,97 +256,6 @@ def _dispatch_step(requests: range, dist, node, remaining_km, origins, dests,
     return unserved
 
 
-def _feasibility(passes) -> list[FeasibilityStructure]:
-    """Stations each charging vehicle can still reach, one structure per company.
-
-    Station k is reachable for a vehicle at battery s iff
-    s - (100 / max_range) * distance > 0. The first company with a
-    vehicle that reaches no station raises, naming those vehicles.
-    """
-    for sel, _, reach, _ in passes:
-        dead = sel[~reach.any(axis=1)]
-        if dead.size:
-            raise DegenerateFleetError(
-                f"vehicles {dead.tolist()} cannot reach any charging station")
-    return [FeasibilityStructure(reach) for _, _, reach, _ in passes]
-
-
-def _charging_demand(snapshot: FleetSnapshot, scenario: Scenario):
-    """Per company: the charging vehicles, their distance to each station,
-    the reach mask and the per-vehicle charging demand at each station."""
-    dist = scenario.network.distances_km()
-    station_idx = np.asarray(scenario.station_nodes, dtype=int)
-    passes = []
-    for i in range(scenario.n_companies):
-        sel = np.flatnonzero(snapshot.needs_charge & (snapshot.company == i))
-        d_vk = dist[snapshot.node[sel]][:, station_idx]
-        left = discharge(snapshot.battery[sel][:, None],
-                         snapshot.max_range_km[sel][:, None], d_vk)
-        reach = left > 0
-        beta = snapshot.charge_per_pct[sel][:, None]
-        demand = beta * (100.0 - left)
-        passes.append((sel, d_vk, reach, demand))
-    return passes
-
-
-def _company_params(passes, scenario: Scenario, share: np.ndarray):
-    """Company demand diagonals and net-revenue vectors from the fleet state.
-
-    Demand per station is the fleet-to-charge size times the mean per-
-    vehicle charging demand over the vehicles able to reach that station
-    (zero when none can). The revenue vector combines the idle-travel
-    cost to each station with the expected regional profit, which carries
-    a seeded uniform noise term.
-    """
-    p = scenario.params
-    rng = np.random.default_rng(scenario.seed + 1)
-    share = np.asarray(share, dtype=float)
-    stations = scenario.stations
-    occupancy = np.asarray(p.occupancy, dtype=float)
-
-    companies = []
-    extras = []
-    for sel, d_vk, reach, demand in passes:
-        n_i = sel.size
-        mean_demand = np.zeros(scenario.n_stations)
-        mean_dist = np.zeros(scenario.n_stations)
-        for k in range(scenario.n_stations):
-            members = reach[:, k]
-            if members.any():
-                mean_demand[k] = demand[members, k].mean()
-                mean_dist[k] = d_vk[members, k].mean()
-        d_i = n_i * mean_demand
-        e_arr = p.idle_cost_per_km * occupancy * mean_dist
-        e_arr[mean_demand == 0] = 0.0
-        e_pro = p.profit_scale * share + rng.uniform(-p.profit_noise,
-                                                     p.profit_noise,
-                                                     scenario.n_stations)
-        f_i = n_i * (e_arr - e_pro)
-        companies.append(CompanyParams.build(n_i, stations, d_i, f_i))
-        extras.append({"e_arr": e_arr, "e_pro": e_pro})
-    return companies, extras
-
-
-def _driver_params(passes, scenario: Scenario, extras: list[dict]) -> list[Fleet]:
-    """Per-vehicle cost data for the surge game, one ``Fleet`` per company.
-
-    The drivers of a company share one revenue vector and one surge-gain
-    vector, and their demand rows are zero exactly where the vehicle
-    cannot reach.
-    """
-    p = scenario.params
-    surge_gain = p.driver_hours * p.speed_estimate * np.asarray(p.occupancy, dtype=float)
-    surge_gain.flags.writeable = False
-    fleets = []
-    for (_, _, reach, demand), ex in zip(passes, extras):
-        d_rows = np.where(reach, demand, 0.0)
-        g_v = ex["e_arr"] - (p.driver_hours / p.daily_hours) * ex["e_pro"]
-        for arr in (d_rows, g_v):   # read-only already, so a Fleet keeps them as they are
-            arr.flags.writeable = False
-        fleets.append(Fleet(d_rows, g_v, surge_gain))
-    return fleets
-
-
 @dataclass
 class GameBuild:
     """Game instance plus the scenario-side data the lower level needs.
@@ -358,7 +267,6 @@ class GameBuild:
     instance: GameInstance
     drivers: list[Fleet]
     share: np.ndarray
-    extras: list[dict]
     feas: list[FeasibilityStructure]
 
 
@@ -366,27 +274,70 @@ def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None) -> Gam
     """Estimate all parameters from ``snapshot`` (simulated when None) and
     assemble the game.
 
-    One charging-demand pass per company feeds the reach matrices, the
-    company parameters and the driver data.
+    One pass per company takes its charging vehicles and their distance to
+    each station. Station k is reachable for a vehicle at battery s iff
+    s - (100 / max_range) * distance > 0; the first company with a vehicle
+    that reaches no station raises, naming those vehicles by snapshot
+    index. Company demand per station is the fleet-to-charge size times
+    the mean per-vehicle charging demand over the vehicles able to reach
+    that station (zero when none can). The revenue vector combines the
+    idle-travel cost to each station with the expected regional profit,
+    which carries a uniform noise term drawn from the seed plus one, in
+    company order. The company's drivers share one revenue vector and one
+    surge-gain vector, and their demand rows are zero exactly where the
+    vehicle cannot reach.
     """
     if snapshot is None:
         snapshot = simulate_period(scenario)
+    p = scenario.params
     share = demand_share(scenario)
-    passes = _charging_demand(snapshot, scenario)
-    feas = _feasibility(passes)
-    companies, extras = _company_params(passes, scenario, share)
-    drivers = _driver_params(passes, scenario, extras)
+    rng = np.random.default_rng(scenario.seed + 1)
+    stations = scenario.stations
+    m = scenario.n_stations
+    dist = scenario.network.distances_km()[:, np.asarray(scenario.station_nodes, dtype=int)]
+    occupancy = np.asarray(p.occupancy, dtype=float)
+    surge_gain = p.driver_hours * p.speed_estimate * occupancy
+    surge_gain.flags.writeable = False
 
-    polytopes = tuple(
-        admissible_polytope(f, c.fleet_size) for f, c in zip(feas, companies)
-    )
-    weight = (scenario.params.authority_weight_scale
-              * np.asarray(scenario.params.queue_weight, dtype=float))
+    companies, polytopes, drivers, feas = [], [], [], []
+    for i in range(scenario.n_companies):
+        sel = np.flatnonzero(snapshot.needs_charge & (snapshot.company == i))
+        d_vk = dist[snapshot.node[sel]]
+        left = discharge(snapshot.battery[sel][:, None],
+                         snapshot.max_range_km[sel][:, None], d_vk)
+        reach = left > 0
+        dead = sel[~reach.any(axis=1)]
+        if dead.size:
+            raise DegenerateFleetError(
+                f"vehicles {dead.tolist()} cannot reach any charging station")
+        demand = snapshot.charge_per_pct[sel][:, None] * (100.0 - left)
+
+        n_i = sel.size
+        mean_demand, mean_dist = np.zeros(m), np.zeros(m)
+        for k in range(m):
+            members = reach[:, k]
+            if members.any():
+                mean_demand[k] = demand[members, k].mean()
+                mean_dist[k] = d_vk[members, k].mean()
+        e_arr = p.idle_cost_per_km * occupancy * mean_dist
+        e_arr[mean_demand == 0] = 0.0
+        e_pro = p.profit_scale * share + rng.uniform(-p.profit_noise, p.profit_noise, m)
+        companies.append(CompanyParams.build(n_i, stations, n_i * mean_demand,
+                                             n_i * (e_arr - e_pro)))
+
+        feas.append(FeasibilityStructure(reach))
+        polytopes.append(admissible_polytope(feas[-1]))
+        d_rows = np.where(reach, demand, 0.0)
+        g_v = e_arr - (p.driver_hours / p.daily_hours) * e_pro
+        for arr in (d_rows, g_v):   # read-only already, so a Fleet keeps them as they are
+            arr.flags.writeable = False
+        drivers.append(Fleet(d_rows, g_v, surge_gain))
+
+    weight = p.authority_weight_scale * np.asarray(p.queue_weight, dtype=float)
     counts = np.array([c.fleet_size for c in companies], dtype=float)
     government = GovernmentObjective.from_distribution(weight, counts, share)
-    instance = GameInstance(scenario.stations, government, tuple(companies),
-                            polytopes)
-    return GameBuild(instance, drivers, share, extras, feas)
+    instance = GameInstance(stations, government, tuple(companies), tuple(polytopes))
+    return GameBuild(instance, drivers, share, feas)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +434,12 @@ def scenario_from_json(text: str, base_dir: str | Path = ".") -> Scenario:
         if outside.any():
             raise ValueError(f"{what} {int(nodes[outside][0])} is not a node index "
                              f"of the network (0..{net.n_nodes - 1})")
+    for what, values in (("capacities", cfg["capacities"]),
+                         ("params.queue_weight", params.queue_weight),
+                         ("params.occupancy", params.occupancy)):
+        if np.shape(values) != station_nodes.shape:
+            raise ValueError(f"{what} needs one entry per station node "
+                             f"({station_nodes.size}), not shape {np.shape(values)}")
     return Scenario(net, station_nodes, np.array(cfg["capacities"], dtype=float),
                     np.array(cfg["fleet_sizes"], dtype=int),
                     demand, params, seed=int(cfg.get("seed", 0)))
@@ -555,5 +512,5 @@ def reference_game(seed: int = 0, generous: bool = True) -> GameInstance:
             reach = rng.random((n_i, 4)) < 0.8
             reach[~reach.any(axis=1), 0] = True
             feas = FeasibilityStructure(reach)
-        polytopes.append(admissible_polytope(feas, int(n_i)))
+        polytopes.append(admissible_polytope(feas))
     return GameInstance(stations, government, tuple(companies), tuple(polytopes))

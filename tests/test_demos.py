@@ -38,3 +38,12 @@ def test_full_pipeline_demo(tmp_path, monkeypatch, capsys):
     written = {p.name for p in (tmp_path / "out" / "demo_run").iterdir()}
     assert {"allocation.csv", "snapshot.csv", "surge_prices.csv"} <= written
     assert "lower level tracking cost per company: [0.0, 0.0, 0.0]" in out
+
+
+def test_readme_quick_start(capsys):
+    # the README's "Library quick start" block, run as written
+    readme = (DEMOS.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" 0.0")

@@ -29,7 +29,7 @@ def make_instance(fleet, weight, set_point, seed=0, n_stations=None):
     for n_i in fleet:
         comps.append(CompanyParams.build(
             int(n_i), stations, rng.uniform(20, 80, m) * n_i, rng.normal(0, 50, m)))
-        polys.append(admissible_polytope(FeasibilityStructure.full(int(n_i), m), int(n_i)))
+        polys.append(admissible_polytope(FeasibilityStructure.full(int(n_i), m)))
     return GameInstance(stations, gov, tuple(comps), tuple(polys))
 
 

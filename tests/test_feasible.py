@@ -188,7 +188,7 @@ class TestHallCondition:
             # a split whose floor/ceil lattice holds a known matching
             x = (counts + lattice_shift(rng, counts)) / n_v
             lr = largest_remainder(x, n_v)
-            target = discretize(x, feas, n_v)
+            target = discretize(x, feas)
             assert target.sum() == n_v
             assert np.all(np.abs(target - n_v * x) < 1)
             assert maxflow_feasible(target, reach)
@@ -202,7 +202,7 @@ class TestHallCondition:
             y[0] += 1.0 / n_v
             y[1:] -= 1.0 / (n_v * (m - 1))
             with pytest.raises(InfeasibleTargetError):
-                discretize(y, FeasibilityStructure(blocked), n_v)
+                discretize(y, FeasibilityStructure(blocked))
         # both answers occur at every target sum but n_v + 1, always False
         assert outcomes == {(-1, True), (-1, False), (0, True), (0, False),
                             (1, False)}
@@ -211,14 +211,14 @@ class TestHallCondition:
 class TestAdmissiblePolytope:
     def test_subset_inequality_count(self):
         feas = FeasibilityStructure.full(6, 4)
-        poly = admissible_polytope(feas, 6)
+        poly = admissible_polytope(feas)
         assert poly.caps[1:-1].size == 2**4 - 2
 
     def test_full_reach_matches_formula_bounds(self):
         # vertex-style check on m=3, fleet 5: membership must coincide with
         # the subset caps (fleet - |S|)/fleet intersected with the simplex
         feas = FeasibilityStructure.full(5, 3)
-        poly = admissible_polytope(feas, 5)
+        poly = admissible_polytope(feas)
         rng = np.random.default_rng(0)
         for _ in range(300):
             v = rng.exponential(1.0, 3)
@@ -231,7 +231,7 @@ class TestAdmissiblePolytope:
 
     def test_single_station_is_point(self):
         feas = FeasibilityStructure.full(3, 1)
-        poly = admissible_polytope(feas, 3)
+        poly = admissible_polytope(feas)
         assert poly.contains(np.array([1.0]))
         assert not poly.contains(np.array([0.9]))
 
@@ -241,7 +241,7 @@ class TestAdmissiblePolytope:
         # so the whole fleet state is degenerate
         reach = np.array([[True, False], [True, False], [True, False]])
         feas = FeasibilityStructure(reach)
-        poly = admissible_polytope(feas, 3)
+        poly = admissible_polytope(feas)
         assert poly.forced_zero.tolist() == [False, True]
         assert poly.caps[0b10] == 0
         assert poly.is_empty
@@ -249,7 +249,7 @@ class TestAdmissiblePolytope:
     def test_empty_polytope_detected(self):
         # two stations, one vehicle: every singleton cap is 0, so no mass fits
         feas = FeasibilityStructure(np.array([[True, True]]))
-        poly = admissible_polytope(feas, 1)
+        poly = admissible_polytope(feas)
         assert poly.is_empty
         with pytest.raises(EmptyPolytopeError):
             poly.project(np.array([0.5, 0.5]))
@@ -259,7 +259,7 @@ class TestAdmissiblePolytope:
         m = MAX_STATIONS_FOR_SUBSETS + 1
         big = FeasibilityStructure.full(3, m)
         with pytest.raises(ValueError):
-            admissible_polytope(big, 3)
+            admissible_polytope(big)
 
     def test_degenerate_vehicle_rejected(self):
         with pytest.raises(DegenerateFleetError):
@@ -269,7 +269,7 @@ class TestAdmissiblePolytope:
 class TestProject:
     def test_already_inside(self):
         feas = FeasibilityStructure.full(8, 3)
-        poly = admissible_polytope(feas, 8)
+        poly = admissible_polytope(feas)
         x = np.array([0.3, 0.3, 0.4])
         assert np.allclose(poly.project(x), x, atol=1e-10)
 
@@ -288,12 +288,12 @@ class TestProject:
 class TestDiscretize:
     def test_integral_input(self):
         feas = FeasibilityStructure.full(3, 3)
-        out = discretize(np.array([1 / 3, 1 / 3, 1 / 3]), feas, 3)
+        out = discretize(np.array([1 / 3, 1 / 3, 1 / 3]), feas)
         assert out.tolist() == [1, 1, 1]
 
     def test_half_split(self):
         feas = FeasibilityStructure.full(3, 2)
-        out = discretize(np.array([0.5, 0.5]), feas, 3)
+        out = discretize(np.array([0.5, 0.5]), feas)
         assert sorted(out.tolist()) == [1, 2]
         assert out.sum() == 3
 
@@ -305,14 +305,15 @@ class TestDiscretize:
             n_v = int(rng.integers(m, 12))
             reach = random_fleet(rng, n_v, m)
             feas = FeasibilityStructure(reach)
-            poly = admissible_polytope(feas, n_v)
+            poly = admissible_polytope(feas)
+            assert poly.total == feas.n_vehicles == n_v     # read off the reach matrix
             if poly.is_empty:
                 continue
             raw = rng.exponential(1.0, m)
             x = poly.project(raw / raw.sum())
-            target = discretize(x, feas, n_v)
+            target = discretize(x, feas)
             assert hall_condition(target, feas)
-            assert target.sum() == n_v
+            assert target.sum() == feas.n_vehicles == n_v
             scaled = n_v * x
             assert np.all(target >= np.floor(scaled + 1e-9) - 0)
             assert np.all(target <= np.ceil(scaled - 1e-9) + 0)
@@ -323,7 +324,7 @@ class TestDiscretize:
         feas = FeasibilityStructure.full(5, 3)
         for x in ([0.4, 0.4, 0.0], [0.6, 0.6, -0.2], [0.8, 0.8, 0.2]):
             with pytest.raises(ValueError):
-                discretize(np.array(x), feas, 5)
+                discretize(np.array(x), feas)
 
     def test_unmatchable_largest_remainder(self):
         # LR gives [1, 2, 0]: only vehicle 1 reaches station 0, and station
@@ -333,7 +334,7 @@ class TestDiscretize:
         feas = FeasibilityStructure(reach)
         x = np.array([0.2, 0.6, 0.2])
         assert largest_remainder(x, 3).tolist() == [1, 2, 0]
-        assert discretize(x, feas, 3).tolist() == [0, 2, 1]
+        assert discretize(x, feas).tolist() == [0, 2, 1]
 
     def test_300_random_points_against_lattice_brute_force(self):
         rng = np.random.default_rng(3)
@@ -361,9 +362,9 @@ class TestDiscretize:
             if not matchable:
                 kinds["none"] += 1
                 with pytest.raises(InfeasibleTargetError):
-                    discretize(x, feas, n_v)
+                    discretize(x, feas)
                 continue
-            out = discretize(x, feas, n_v)
+            out = discretize(x, feas)
             best = min(matchable, key=lambda item: item[0])[1]
             assert out.tolist() == best.tolist()
             if subset_hall(lr, reach):

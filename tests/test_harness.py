@@ -343,6 +343,46 @@ class TestCLI:
         assert err.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "solve-upper"])
+    @pytest.mark.parametrize("short", ["capacities", "queue_weight", "occupancy"])
+    def test_per_station_vector_of_the_wrong_length_is_a_usage_error(self, tmp_path,
+                                                                     command, short):
+        # a fifth station, with one per-station vector left at four entries;
+        # refused at load, before anything is written
+        sc = small_scenario()
+        five = dict(capacities=(10.0, 20.0, 15.0, 18.0, 12.0),
+                    queue_weight=(0.4, 0.1, 0.3, 0.2, 0.25),
+                    occupancy=(0.35, 0.1, 0.2, 0.15, 0.1))
+        five[short] = five[short][:4]
+        params = dataclasses.replace(sc.params, queue_weight=five["queue_weight"],
+                                     occupancy=five["occupancy"])
+        sc = dataclasses.replace(sc, station_nodes=np.array([8, 16, 30, 40, 24]),
+                                 capacities=np.array(five["capacities"]), params=params)
+        path = write_scenario(sc, tmp_path / "sc")
+        with pytest.raises(SystemExit) as err:
+            cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_baseline_prices_the_drivers_at_the_price_charged(self, tmp_path, demo_build):
+        assert cli_main(["baseline", "--price", "3,3,3,3", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "prices_table.csv").read_text().splitlines()
+        for row in rows[1:1 + demo_build.instance.n_companies]:
+            assert row.split(",")[2::2] == ["3.0"] * 4
+        targets = np.zeros((demo_build.instance.n_companies, 4), dtype=int)
+        for row in (tmp_path / "allocation.csv").read_text().splitlines()[1:]:
+            i, j, _, n = row.split(",")
+            targets[int(i), int(j)] = int(n)
+        surge = [np.zeros(fleet.demand.shape) for fleet in demo_build.drivers]
+        for row in (tmp_path / "surge_prices.csv").read_text().splitlines()[1:]:
+            i, v, k, rho, _ = row.split(",")
+            surge[int(i)][int(v), int(k)] = float(rho)
+        # every driver takes its cheapest reachable station at price 3 plus surge
+        for fleet, rho, target in zip(demo_build.drivers, surge, targets):
+            cost = fleet.demand * 3.0 + fleet.base_revenue - fleet.surge_gain * rho
+            choice = np.argmin(np.where(fleet.demand > 0, cost, np.inf), axis=1)
+            assert np.bincount(choice, minlength=4).tolist() == target.tolist()
+
     @pytest.mark.parametrize("command", [["pipeline", "--resolution", "2"], ["baseline"],
                                          ["robustness", "--samples", "2"]])
     def test_default_prices_fit_a_five_station_game(self, tmp_path, capsys, command):

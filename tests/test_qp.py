@@ -49,7 +49,7 @@ def random_polytope(rng, m):
         reach = rng.random((n_v, m)) < 0.85
         reach[~reach.any(axis=1), rng.integers(0, m)] = True
         feas = FeasibilityStructure(reach)
-        poly = admissible_polytope(feas, n_v)
+        poly = admissible_polytope(feas)
         if not poly.is_empty:
             return poly
 
@@ -324,7 +324,7 @@ class TestChainOfTightSets:
         rng = np.random.default_rng(seed)
         reach = rng.random((30, 5)) < 0.4
         reach[~reach.any(1), 0] = True
-        poly = admissible_polytope(FeasibilityStructure(reach), 30)
+        poly = admissible_polytope(FeasibilityStructure(reach))
         w = rng.uniform(0.5, 4, 5)
         y = rng.normal(0, 1.5, (20, 5))[row]
         assert poly.lower is not None
@@ -343,7 +343,7 @@ class TestChainOfTightSets:
             n_v = int(rng.integers(8 * m, 16 * m))
             reach = rng.random((n_v, m)) < 0.3
             reach[~reach.any(axis=1), rng.integers(0, m)] = True
-            poly = admissible_polytope(FeasibilityStructure(reach), n_v)
+            poly = admissible_polytope(FeasibilityStructure(reach))
             if poly.is_empty:
                 continue
             proj = chain_projector(poly)
@@ -363,7 +363,7 @@ class TestChainOfTightSets:
             n_v = int(rng.integers(4 * m, 16 * m))
             reach = rng.random((n_v, m)) < density
             reach[~reach.any(axis=1), rng.integers(0, m)] = True
-            poly = admissible_polytope(FeasibilityStructure(reach), n_v)
+            poly = admissible_polytope(FeasibilityStructure(reach))
             want = lp_rank(poly.g_mat, poly.h)
             assert poly.is_empty == (want is None), f"trial {trial}"
             if want is not None:
@@ -419,7 +419,7 @@ def reach_polytope(rng, m, density):
         n_v = int(rng.integers(4 * m, 12 * m))
         reach = rng.random((n_v, m)) < density
         reach[~reach.any(axis=1), rng.integers(0, m)] = True
-        poly = admissible_polytope(FeasibilityStructure(reach), n_v)
+        poly = admissible_polytope(FeasibilityStructure(reach))
         if not poly.is_empty:
             return poly
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+import re
 
 import numpy as np
 import pytest
@@ -304,8 +305,33 @@ class TestFeasibility:
                              np.full_like(snap.battery, 1e-6),
                              snap.max_range_km, snap.threshold,
                              snap.needs_charge, snap.charge_per_pct)
-        with pytest.raises(DegenerateFleetError):
+        with pytest.raises(DegenerateFleetError) as err:
             build_game(demo, drained)
+        # company 0 fails first, naming every charging vehicle of it that is
+        # not parked at a station (there, distance 0 leaves the station in reach)
+        dist = demo.network.distances_km()[:, demo.station_nodes]
+        first = np.flatnonzero(snap.needs_charge & (snap.company == 0))
+        first = first[dist[snap.node[first]].min(axis=1) > 0]
+        assert f"vehicles {first.tolist()} cannot reach" in str(err.value)
+
+        # two empty vehicles of company 1 are named by their snapshot index
+        dead = np.flatnonzero(snap.needs_charge & (snap.company == 1))[[0, 3]]
+        battery = snap.battery.copy()
+        battery[dead] = 0.0
+        some = dataclasses.replace(snap, battery=battery)
+        with pytest.raises(DegenerateFleetError,
+                           match=re.escape(f"vehicles {dead.tolist()} cannot reach")):
+            build_game(demo, some)
+
+
+def profit_draws(scenario, share):
+    """Each company's expected regional profit, drawn as the build draws it:
+    one uniform noise vector per company, in company order, from seed + 1."""
+    p = scenario.params
+    rng = np.random.default_rng(scenario.seed + 1)
+    return [p.profit_scale * share
+            + rng.uniform(-p.profit_noise, p.profit_noise, scenario.n_stations)
+            for _ in range(scenario.n_companies)]
 
 
 class TestEstimation:
@@ -321,10 +347,14 @@ class TestEstimation:
         snap = demo_snapshot
         p = demo.params
         dist = demo.network.distances_km()
-        companies, extras = demo_build.instance.companies, demo_build.extras
+        companies = demo_build.instance.companies
+        e_pro = profit_draws(demo, demo_build.share)
         for i, comp in enumerate(companies):
             sel = np.flatnonzero(snap.needs_charge & (snap.company == i))
             n_i = sel.size
+            # the idle-travel cost, read off the drivers' shared revenue vector
+            e_arr = (demo_build.drivers[i][0].base_revenue
+                     + (p.driver_hours / p.daily_hours) * e_pro[i])
             for k in range(demo.n_stations):
                 deltas, dists = [], []
                 for v in sel:
@@ -341,17 +371,18 @@ class TestEstimation:
                 else:
                     want_d, want_e = 0.0, 0.0
                 assert np.isclose(comp.demand[k], want_d, rtol=1e-12, atol=1e-12)
-                assert np.isclose(extras[i]["e_arr"][k], want_e, rtol=1e-12,
-                                  atol=1e-12)
-            want_f = n_i * (extras[i]["e_arr"] - extras[i]["e_pro"])
+                assert np.isclose(e_arr[k], want_e, rtol=1e-12, atol=1e-12)
+            want_f = n_i * (e_arr - e_pro[i])
             assert np.allclose(comp.revenue, want_f, rtol=1e-12)
 
     def test_driver_params_formulas(self, demo, demo_build):
         p = demo.params
-        extras = demo_build.extras
+        e_pro = profit_draws(demo, demo_build.share)
         for i, fleet in enumerate(demo_build.drivers):
-            g_want = (extras[i]["e_arr"]
-                      - (p.driver_hours / p.daily_hours) * extras[i]["e_pro"])
+            # the idle-travel cost, read off the company's revenue vector
+            comp = demo_build.instance.companies[i]
+            e_arr = comp.revenue / comp.fleet_size + e_pro[i]
+            g_want = e_arr - (p.driver_hours / p.daily_hours) * e_pro[i]
             for d in fleet[:10]:
                 assert np.allclose(d.base_revenue, g_want)
                 assert np.allclose(
@@ -381,14 +412,19 @@ class TestEstimation:
         assert drivers[0][0].surge_gain[0] == 0.0
 
     def test_profit_noise_seeded(self, demo, demo_build, demo_snapshot):
-        share = demo_build.share
-        ex_a = build_game(dataclasses.replace(demo, seed=4), demo_snapshot).extras
-        ex_b = build_game(dataclasses.replace(demo, seed=4), demo_snapshot).extras
-        ex_c = build_game(dataclasses.replace(demo, seed=5), demo_snapshot).extras
-        assert np.array_equal(ex_a[0]["e_pro"], ex_b[0]["e_pro"])
-        assert not np.array_equal(ex_a[0]["e_pro"], ex_c[0]["e_pro"])
-        for ex in ex_a:
-            noise = ex["e_pro"] - 300.0 * share
+        # the noise is what a noiseless build of the same snapshot lacks:
+        # revenue = n_i * (e_arr - 300 * share - noise)
+        def revenues(seed, noise=10.0):
+            params = dataclasses.replace(demo.params, profit_noise=noise)
+            sc = dataclasses.replace(demo, seed=seed, params=params)
+            return [c.revenue for c in build_game(sc, demo_snapshot).instance.companies]
+
+        rev_a, rev_b, rev_c = revenues(4), revenues(4), revenues(5)
+        assert np.array_equal(rev_a[0], rev_b[0])
+        assert not np.array_equal(rev_a[0], rev_c[0])
+        sizes = [c.fleet_size for c in demo_build.instance.companies]
+        for f, f_flat, n_i in zip(rev_a, revenues(4, noise=0.0), sizes):
+            noise = (f_flat - f) / n_i
             assert np.all(np.abs(noise) <= 10.0)
 
 

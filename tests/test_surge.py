@@ -426,8 +426,7 @@ class TestEqualPriceAssignment:
             prices = system_optimal_prices(
                 instance, i, x_i, report.sigma - instance.fleet_sizes[i] * x_i)
             drivers = demo_build.drivers[i]
-            target = discretize(x_i, fleet_feasibility(drivers, instance.n_stations),
-                                instance.companies[i].fleet_size)
+            target = discretize(x_i, fleet_feasibility(drivers, instance.n_stations))
             sol = equal_price_solve(target, drivers, prices,
                                     np.zeros(instance.n_stations))
             assert sol.solver_info == ASSIGNMENT_PATH
