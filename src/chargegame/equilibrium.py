@@ -22,10 +22,20 @@ variants at once (price grids, perturbation sweeps) and owns the one step
 rule: 0.9 times each row's `step_bound` unless a step inside the bound is
 given. A row stops once its residual meets the tolerance. Each round
 computes F1 x for every row (`apply_map`), and then adds F2, steps,
-projects every company block in one `qp.project_blocks` call, and takes
-the residual and the average on the live rows only. Every row gets the
-bits it would get alone among all rows. `solve_nash` is its one-row case
-with the aggregate trace kept, and `nash_residual` its first-round residual.
+projects every company block in one call of a `qp.BlockProjector` built
+once per solve, and takes the residual and the average on the live rows
+only. Every row gets the bits it would get alone among all rows.
+
+A call allocates one workspace, four arrays the size of x, and every
+round writes into it through ``out=`` and ``scratch=`` (`apply_map`,
+the projector, ``np.take`` gathers of the live rows). So after the first
+round no round allocates an array the size of x: freed and re-faulted
+every round, such arrays cost a grid search tens of thousands of page
+faults. What a round still allocates are row-length vectors and, for
+chain polytopes, the chain walk's arrays.
+
+`solve_nash` is the engine's one-row case with the aggregate trace kept,
+and `nash_residual` its first-round residual.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameInstance, government_cost
-from .qp import project_blocks
+from .qp import BlockProjector, carve
 
 
 @dataclass
@@ -140,7 +150,8 @@ def perturbation_map(instance: GameInstance, perturbation):
     return phi_l1, (d_shift * delta).reshape(-1)
 
 
-def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
+def apply_map(f1: np.ndarray, x: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """F1 x for station-blocked F1 (..., m, mc, mc) and stacked x (..., mc*m).
 
     A single map (m, mc, mc) is shared by every row of x; per-row maps
@@ -148,16 +159,28 @@ def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
     product may round a row differently with the number of rows (a row
     alone can differ from the same row among three), so the engine
     always passes every row, stopped ones included.
+
+    The product is taken into a C-contiguous array laid out as numpy
+    would allocate it, and then copied transposed into ``out``, a
+    C-contiguous array shaped like x (allocated when None). ``scratch``,
+    a C-contiguous float array of at least x.size cells that shares no
+    memory with x or ``out``, holds that product; it is allocated when
+    None. Per-row maps take a scratch only with one map per row of x.
     """
     m, mc = f1.shape[-3], f1.shape[-1]
     x = np.asarray(x, dtype=float)
     blocks = x.reshape(*x.shape[:-1], mc, m)
+    if out is None:
+        out = np.empty(x.shape)
     if f1.ndim == 3:    # one (mc, mc) @ (mc, rows) product per station
         cols = blocks.reshape(-1, mc, m).transpose(2, 1, 0)
-        out = np.matmul(f1, cols).transpose(2, 1, 0)
+        prod = np.matmul(f1, cols, out=carve(scratch, cols.shape)[0])
+        np.copyto(out.reshape(-1, mc, m), prod.transpose(2, 1, 0))
     else:               # one (mc, mc) @ (mc, 1) product per row and station
-        out = np.matmul(f1, blocks.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)
-    return out.reshape(x.shape)
+        cols = blocks.swapaxes(-1, -2)[..., None]
+        prod = np.matmul(f1, cols, out=carve(scratch, f1.shape[:-1] + (1,))[0])
+        np.copyto(out.reshape(blocks.shape), prod[..., 0].swapaxes(-1, -2))
+    return out
 
 
 def lambda_max_closed_form(instance: GameInstance) -> float:
@@ -260,9 +283,16 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     is one start for every row or one per row, ``default_start`` if
     omitted. Rows stop moving once their residual drops to ``tol``; after
     the full-width F1 product, a round works on the live rows only, and
-    projects all their companies in one ``project_blocks`` call.
+    projects all their companies in one `qp.BlockProjector` call.
     ``record_iterates`` keeps every round's iterate (start included) and
     residual (0 for stopped rows).
+
+    The rounds run in one workspace allocated per call: x; the step,
+    which trades places with x on rounds where every row is live; and
+    two buffers that hold in turn the full-width F1 x and its product,
+    the gathers of the live rows, the projection's scratch and the move.
+    Rows run in row prefixes of it. The returned ``x`` is one whole
+    array that shares no memory with the other returned arrays.
 
     Returns ``x``, ``iterations``, ``converged``, the final ``residual``,
     ``sigma_final``, the ``gammas`` used and, when recorded, ``iterates``
@@ -283,7 +313,13 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     if x0 is None:
         x0 = default_start(instance)
 
+    # the workspace (see above); np.take reads f2_rows in place when it is
+    # C-contiguous, and writes into out= unbuffered with mode="clip"
+    f2_rows = np.ascontiguousarray(f2_rows, dtype=float)
     x = np.broadcast_to(np.asarray(x0, dtype=float), f2_rows.shape).copy()
+    step = np.empty_like(x)
+    work = np.empty((2,) + x.shape)
+    project = BlockProjector(instance.polytopes)
     live = np.arange(rows)
     iterations = np.zeros(rows, dtype=int)
     residual = np.full(rows, np.inf)
@@ -292,28 +328,37 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
 
     for k in range(max_iter):
         # F1 x at full width: matmul may round a row differently by row count;
-        # everything after it runs on the live rows only
-        every = live.size == rows
-        step = apply_map(f1, x)
-        if not every:
-            step = step[live]
-        step += f2_rows if every else f2_rows[live]
-        step *= -(gammas if every else gammas[live])[:, None]
-        step += x if every else x[live]     # x - gamma F(x), the same bits as the subtraction
-        proj = project_blocks(instance.polytopes, step, out=step)
-        x_live = x if every else x[live]    # gathered again: not held through the projection
-        move = proj - x_live
-        proj += x_live
-        proj *= 0.5                         # x <- (x + proj) / 2
-        del step, x_live
+        # everything after it runs on the live rows only, in row prefixes
+        # of the workspace
+        n_live = live.size
+        every = n_live == rows
+        s, gathered, move = step[:n_live], work[1][:n_live], work[0][:n_live]
         if every:
-            x = proj
+            apply_map(f1, x, out=s, scratch=work[1])
+            s += f2_rows
+            s *= gammas[:, None]
+            x_live = x
         else:
-            x[live] = proj
-        del proj
+            apply_map(f1, x, out=work[0], scratch=work[1])
+            np.take(work[0], live, axis=0, out=s, mode="clip")
+            np.take(f2_rows, live, axis=0, out=gathered, mode="clip")
+            s += gathered
+            s *= gammas[live][:, None]
+            x_live = np.take(x, live, axis=0, out=gathered, mode="clip")
+        np.subtract(x_live, s, out=s)       # x - gamma F(x)
+        project(s, out=s, scratch=work)
+        if not every:                       # gathered again: the projection used it
+            np.take(x, live, axis=0, out=x_live, mode="clip")
+        np.subtract(s, x_live, out=move)
+        s += x_live
+        s *= 0.5                            # x <- (x + proj) / 2
+        if every:
+            x, step = step, x
+        else:
+            x[live] = s
         move *= move                        # np.linalg.norm(move, axis=1), term for term
-        res = np.sqrt(np.add.reduce(move, axis=1))
-        del move                            # not held while the next round runs
+        res = np.add.reduce(move, axis=1, out=work[1].reshape(-1)[:n_live])
+        np.sqrt(res, out=res)
         iterations[live] = k + 1
         residual[live] = res
         if record_iterates:     # stopped rows stay put: their residual is 0
@@ -321,8 +366,10 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
             residual_hist.append(np.zeros(rows))
             residual_hist[-1][live] = res
         live = live[res > tol]
+        del s, gathered, move, x_live, res  # views: the workspace goes with the loop
         if not live.size:
             break
+    del step, work
 
     out = {
         "x": x,

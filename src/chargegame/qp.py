@@ -17,10 +17,13 @@ the base polytope of f (Fujishige, *Submodular Functions and Optimization*,
 polytope: it keeps the caps and N, decides emptiness and membership, and
 exposes the H-representation the caps stand for. Its `project_batch`
 projects rows onto that one polytope, weighted or not; a single
-projection is a batch of one row. `project_blocks` projects rows of
+projection is a batch of one row. A `BlockProjector` projects rows of
 stacked company blocks, block i onto polytope i, in one call: the
-equilibrium engine's projection step. The projection has two exact
-paths, read off f once per polytope:
+equilibrium engine's projection step. It reads its per-polytope
+constants once, and writes into the ``out=`` and ``scratch=`` buffers it
+is given (`carve` cuts them), so the engine's rounds reuse one
+workspace; `project_blocks` is one call of a fresh one. The projection
+has two exact paths, read off f once per polytope:
 
 * Lower-bounded simplex. When f(S) = N - l(V \\ S) for every nonempty S,
   with l_k = N - f(V \\ k), P is {sum(x) = 1, x >= l / N} and the
@@ -46,6 +49,7 @@ paths, read off f once per polytope:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -221,8 +225,7 @@ class PolytopeProjector:
         self._require_nonempty()
         if self.lower is not None:
             return self._project_simplex(y_rows, w)
-        return _chain_walk(np.broadcast_to(self.rank, (y_rows.shape[0], self.rank.size)),
-                           y_rows, w, _walk_tables(self.members, w))
+        return _chain_walk(self.rank[None], y_rows, w, _walk_tables(self.members, w))
 
     def _require_nonempty(self) -> None:
         if self.is_empty:
@@ -252,54 +255,111 @@ class PolytopeProjector:
         return lower + np.maximum(z - tau[:, None] / w, 0.0)
 
 
-def project_blocks(polytopes: tuple[PolytopeProjector, ...], y_rows: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean projection of every row's company blocks, block i onto ``polytopes[i]``.
+class BlockProjector:
+    """Euclidean projection of rows of stacked company blocks, block i onto
+    ``polytopes[i]``, with every per-polytope constant built once.
 
-    ``y_rows`` is (rows, k * n) for k polytopes on n stations each. The
-    blocks of all lower-bounded simplices share one sorting network
-    (`_simplex_tau`), and the blocks of all chain polytopes one
-    `_chain_walk` over rows * k rows. Every row gets the same bits as the
-    sort-based projection with unit weights, whatever the other rows and
-    blocks of the call. ``out`` receives the result and may be ``y_rows``
-    itself.
+    The polytopes must be nonempty and share their n stations. Block i of
+    a row is its columns i * n to (i + 1) * n. The blocks of all
+    lower-bounded simplices share one sorting network (`_simplex_tau`),
+    and the blocks of all chain polytopes one `_chain_walk`. Every row gets
+    the same bits as the sort-based projection with unit weights, whatever
+    the other rows and blocks of the call. The equilibrium engine builds
+    one per solve and calls it every round.
     """
-    y_rows = np.asarray(y_rows, dtype=float)
-    if out is None:
-        out = np.empty_like(y_rows)
-    n = polytopes[0].n
-    cols = np.arange(len(polytopes) * n).reshape(-1, n)     # block i's columns
-    simplex, chain = [], []
-    for i, poly in enumerate(polytopes):
-        poly._require_nonempty()
-        if poly.lower is None:
-            chain.append(i)
-        elif poly.single_point:
-            out[:, cols[i]] = poly.lower
-        else:
-            simplex.append(i)
-    if chain:
-        # polytope-major stack: block i of every row, then the next polytope's
-        stacked = np.concatenate([y_rows[:, cols[i]] for i in chain])
-        rank_rows = np.repeat([polytopes[i].rank for i in chain], y_rows.shape[0], axis=0)
-        walked = _chain_walk(rank_rows, stacked, np.ones(n), _unit_walk_tables(n))
-        out[:, cols[chain]] = walked.reshape(len(chain), -1, n).transpose(1, 0, 2)
-    if simplex:
-        # station-major (n, blocks, rows): one contiguous wire per station
-        picked = cols[simplex].T
-        lower = np.stack([polytopes[i].lower for i in simplex], axis=1)[:, :, None]
-        slack = np.array([1.0 - polytopes[i].lower.sum() for i in simplex])[:, None]
-        z = y_rows.T[picked]
-        z -= lower
-        tau = _simplex_tau(z, slack)
-        del z                   # sorted scratch, freed before z is read again
-        z = y_rows.T[picked]
-        z -= lower
-        z -= tau
-        np.maximum(z, 0.0, out=z)
-        z += lower
-        out.T[picked] = z
-    return out
+
+    def __init__(self, polytopes: tuple[PolytopeProjector, ...]):
+        self.n = n = polytopes[0].n
+        self.k = len(polytopes)
+        simplex, self.chain, self.fixed = [], [], []
+        for i, poly in enumerate(polytopes):
+            poly._require_nonempty()
+            if poly.lower is None:
+                self.chain.append(i)
+            elif poly.single_point:
+                self.fixed.append((i, poly.lower))
+            else:
+                simplex.append(i)
+        self.chain_ranks = np.array([polytopes[i].rank for i in self.chain])
+        self.n_simplex = len(simplex)
+        lowers = [polytopes[i].lower for i in simplex]
+        # station-major (n, blocks, 1) and (blocks, 1), like the wires
+        self.lower = np.array(lowers).reshape(-1, n).T[:, :, None]
+        self.slack = np.array([1.0 - lower.sum() for lower in lowers])[:, None]
+        # runs [wire block, row block, length] of adjacent simplex blocks,
+        # each copied to and from the wires as one slice
+        self.runs = []
+        for b, i in enumerate(simplex):
+            if b and simplex[b - 1] == i - 1:
+                self.runs[-1][2] += 1
+            else:
+                self.runs.append([b, i, 1])
+
+    def __call__(self, y_rows: np.ndarray, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+        """Project every row of ``y_rows`` (rows, k * n) into ``out``.
+
+        ``out`` receives the result and may be ``y_rows`` itself; it is
+        allocated when None. ``scratch``, a C-contiguous float array that
+        shares no memory with either, holds the simplex blocks'
+        station-major copy (n cells per row and block) and then the four
+        sorting wires (4 cells per row and block); what does not fit in it
+        is allocated. Its contents are never read.
+        """
+        y_rows = np.asarray(y_rows, dtype=float)
+        if out is None:
+            out = np.empty_like(y_rows)
+        rows, n = y_rows.shape[0], self.n
+        # splitting the last axis is a view of any 2-D array
+        y3, out3 = y_rows.reshape(rows, self.k, n), out.reshape(rows, self.k, n)
+        for i, lower in self.fixed:
+            out3[:, i] = lower
+        if self.chain:
+            # polytope-major stack: block i of every row, then the next polytope's
+            stacked = np.concatenate([y3[:, i] for i in self.chain])
+            walked = _chain_walk(self.chain_ranks, stacked, np.ones(n), _unit_walk_tables(n))
+            for c, i in enumerate(self.chain):
+                out3[:, i] = walked[c * rows:(c + 1) * rows]
+        if self.n_simplex:
+            # station-major (n, blocks, rows): one contiguous wire per station
+            z, scratch = carve(scratch, (n, self.n_simplex, rows))
+            self._gather(z, y3)
+            tau = _simplex_tau(z, self.slack, scratch)
+            self._gather(z, y3)         # the sort used z up
+            z -= tau
+            np.maximum(z, 0.0, out=z)
+            z += self.lower
+            for b, i, c in self.runs:
+                np.copyto(out3[:, i:i + c].T, z[:, b:b + c])
+        return out
+
+    def _gather(self, z: np.ndarray, y3: np.ndarray) -> None:
+        """z = y - l of the simplex blocks, station-major (n, blocks, rows)."""
+        for b, i, c in self.runs:
+            np.subtract(y3[:, i:i + c].T, self.lower[:, b:b + c], out=z[:, b:b + c])
+
+
+def project_blocks(polytopes: tuple[PolytopeProjector, ...], y_rows: np.ndarray,
+                   out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean projection of every row's company blocks, block i onto
+    ``polytopes[i]``: a `BlockProjector` of the polytopes, called once.
+
+    ``y_rows`` is (rows, k * n) for k polytopes on n stations each; ``out``
+    and ``scratch`` are those of `BlockProjector.__call__`.
+    """
+    return BlockProjector(polytopes)(y_rows, out, scratch)
+
+
+def carve(scratch: np.ndarray | None, shape: tuple) -> tuple:
+    """An array of ``shape`` on the front of the C-contiguous float buffer
+    ``scratch`` and the 1-D rest of it, or a fresh array and ``scratch``
+    itself when it is missing or too small."""
+    size = math.prod(shape)
+    if scratch is None or scratch.size < size:
+        return np.empty(shape), scratch
+    flat = scratch.reshape(-1)
+    return flat[:size].reshape(shape), flat[size:]
 
 
 @functools.cache
@@ -324,37 +384,44 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _simplex_tau(z: np.ndarray, slack: np.ndarray) -> np.ndarray:
+def _simplex_tau(z: np.ndarray, slack: np.ndarray,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """The threshold tau of x = l + max(0, z - tau) on {sum(x) = 1, x >= l}.
 
-    ``z`` = y - l is (n, blocks, rows), station j of block b in row r at
-    ``z[j, b, r]``, and is used up as scratch; ``slack`` = 1 - sum(l) is
-    (blocks, 1). This is ``PolytopeProjector._project_simplex`` with unit
-    weights, to the bit: the breakpoints are sorted in decreasing order
-    by a compare-exchange network on whole wires, and with w = 1 the
-    running sums, the divisors j + 1 and tau / w are those of the sort.
+    ``z`` = y - l is (n, blocks, rows), C-contiguous, station j of block b
+    in row r at ``z[j, b, r]``, and is used up as scratch; ``slack`` =
+    1 - sum(l) is (blocks, 1). Four (blocks, rows) arrays ``low``,
+    ``run``, ``tau`` and ``count`` are carved from ``scratch`` when it
+    holds them, and allocated otherwise; tau is returned in ``run``.
+    This is ``PolytopeProjector._project_simplex`` with unit weights, to
+    the bit: the breakpoints are sorted in decreasing order by a
+    compare-exchange network on whole wires, and with w = 1 the running
+    sums, the divisors j + 1 and tau / w are those of the sort.
     """
-    for i, j in _sorting_network(z.shape[0]):
-        low = np.minimum(z[i], z[j])
-        np.maximum(z[i], z[j], out=z[i])
-        z[j] = low
-    count = np.zeros(z.shape[1:], dtype=int)
-    run = z[0].copy()
-    tau = np.empty_like(run)
-    for j in range(z.shape[0]):
+    low, run, tau, count = carve(scratch, (4,) + z.shape[1:])[0]
+    count = count.view(np.int64)
+    # the array of each wire: a compare-exchange and a stored tau hand an
+    # array over instead of copying it
+    wires = list(z)
+    for i, j in _sorting_network(len(wires)):
+        np.minimum(wires[i], wires[j], out=low)
+        np.maximum(wires[i], wires[j], out=wires[i])
+        wires[j], low = low, wires[j]
+    count.fill(0)
+    np.copyto(run, wires[0])
+    for j, wire in enumerate(wires):
         if j:
-            run += z[j]
+            run += wire
         np.subtract(run, slack, out=tau)
         tau /= j + 1
-        count += z[j] > tau
-        z[j] = tau              # the sorted breakpoint is not read again
-    # tau = taus[count - 1]; at least one breakpoint is active when slack > 0,
-    # even if rounding hides it
-    del run
-    tau[...] = z[0]
-    for j in range(1, z.shape[0]):
-        np.copyto(tau, z[j], where=count > j)
-    return tau
+        count += wire > tau
+        wires[j], tau = tau, wire   # the sorted breakpoint is not read again
+    # tau = taus[count - 1], into run: every other array may be a row of z.
+    # At least one breakpoint is active when slack > 0, even if rounding hides it
+    np.copyto(run, wires[0])
+    for j in range(1, len(wires)):
+        np.copyto(run, wires[j], where=count > j)
+    return run
 
 
 def _subset_sums(y_rows: np.ndarray) -> np.ndarray:
@@ -388,20 +455,23 @@ def _unit_walk_tables(n: int) -> tuple:
     return tables
 
 
-def _chain_walk(rank_rows: np.ndarray, y_rows: np.ndarray, w: np.ndarray,
+def _chain_walk(ranks: np.ndarray, y_rows: np.ndarray, w: np.ndarray,
                 tables: tuple) -> np.ndarray:
-    """Exact projection of each row onto the base polytope of its own rank vector.
+    """Exact projection of each row onto the base polytope of its group's rank vector.
 
-    ``rank_rows`` (rows, 2^n) holds, for each row of ``y_rows`` (rows, n),
-    f / total of the polytope that row is projected onto; ``w`` weights
-    every row alike, and ``tables`` are `_walk_tables` of w.
+    ``y_rows`` (groups * rows, n) stacks the rows group by group, and row
+    g of ``ranks`` (groups, 2^n) holds f / total of the polytope group g's
+    rows are projected onto; ``w`` weights every row alike, and
+    ``tables`` are `_walk_tables` of w.
     Each round moves every row from its tight set S to the superset T of
     least slope (g(T) - g(S)) / (W(T) - W(S)), the largest W on ties, and
     gives the new block T \\ S the multiplier w_j (x_j - y_j) equal to that
     slope. Rows are independent; they share the rounds.
     """
     members, width, superset, run = tables
-    g = rank_rows - _subset_sums(y_rows)                # (rows, 2^n)
+    g = _subset_sums(y_rows)                            # (rows, 2^n)
+    by_group = g.reshape(len(ranks), len(g) // len(ranks), g.shape[1])
+    np.subtract(ranks[:, None, :], by_group, out=by_group)
     full = members.shape[0] - 1
     tight = np.zeros(y_rows.shape[0], dtype=int)
     slope = np.zeros_like(y_rows)

@@ -27,7 +27,6 @@ downstream game instances.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -169,7 +168,9 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
     over every accumulation the period can reach: ``base_accumulation``
     plus the driving vehicles and the private trips, formed as
     ``base + (driving + private)``, which is exact for an integer-valued
-    base.
+    base. Private trips are a running count: each ends at the first later
+    step whose start time reaches its expiry, found by ``searchsorted`` on
+    the step times the loop uses.
     """
     p = scenario.params
     rng = np.random.default_rng(scenario.seed)
@@ -188,19 +189,20 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
     origins = demand[:, 1].astype(int)
     dests = demand[:, 2].astype(int)
     trip_km = dist[origins, dests]
-    private_expiry: list[float] = []     # heap of private-trip end times
     # at most every vehicle drives and every request is a private trip
     speeds = mfd_speed(p.base_accumulation + np.arange(n_total + len(demand) + 1))
 
     n_steps = int(round(p.horizon_h * HOURS / p.dt_s))
+    times = np.arange(n_steps) * p.dt_s     # t_now of every step, to the bit
     # the requests of step s are ends[s - 1]:ends[s], those before its end
-    ends = np.searchsorted(demand[:, 0], np.arange(n_steps) * p.dt_s + p.dt_s)
+    ends = np.searchsorted(demand[:, 0], times + p.dt_s)
+    # private trips running, and how many of them end by each step's start
+    private, ending = 0, np.zeros(n_steps + 1, dtype=int)
     first = 0
     for step in range(n_steps):
         t_now = step * p.dt_s
-        while private_expiry and private_expiry[0] <= t_now:   # t_now only grows
-            heapq.heappop(private_expiry)
-        speed = float(speeds[np.count_nonzero(remaining_km > 0) + len(private_expiry)])
+        private -= ending[step]
+        speed = float(speeds[np.count_nonzero(remaining_km > 0) + private])
         step_km = speed * p.dt_s / HOURS
 
         unserved = range(first, ends[step])
@@ -210,8 +212,10 @@ def simulate_period(scenario: Scenario) -> FleetSnapshot:
                                       dests, trip_km, speed * p.pickup_limit_s / HOURS)
         if unserved:
             trip_h = trip_km[unserved] / max(speed, 1e-9)
-            for expiry in (t_now + trip_h * HOURS).tolist():
-                heapq.heappush(private_expiry, expiry)
+            # a trip ends at the first later step whose time reaches its expiry
+            end_step = np.searchsorted(times, t_now + trip_h * HOURS, side="left")
+            np.add.at(ending, np.maximum(end_step, step + 1), 1)
+            private += len(unserved)
 
         driving = remaining_km > 0
         travelled = np.minimum(remaining_km[driving], step_km)

@@ -1,5 +1,8 @@
 """Game map, step bound, and the averaged projected-gradient solver."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
@@ -376,6 +379,55 @@ class TestLiveRowRounds:
         self.assert_same(out, want, recorded)
         assert {p.path for p in inst.polytopes} == {"chain"}
         assert np.unique(out["iterations"]).size >= 4
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_mixed_simplex_and_chain_companies(self, recorded):
+        # one chain company among simplex ones, and rows that stop at many
+        # rounds: every-row and live-row rounds both run through the workspace
+        inst = make_instance([30, 24, 17], np.array([1.0, 0.7, 1.3, 0.9]),
+                             np.array([20.0, 14.0, 25.0, 12.0]), seed=3)
+        reach = np.random.default_rng(3).random((24, 4)) < 0.45
+        reach[~reach.any(axis=1), 0] = True
+        polys = list(inst.polytopes)
+        polys[1] = admissible_polytope(FeasibilityStructure(reach))
+        inst = dataclasses.replace(inst, polytopes=tuple(polys))
+        assert [p.path for p in inst.polytopes] == ["simplex", "chain", "simplex"]
+        f1, _ = game_map(inst, prices=np.zeros(4))
+        f2_rows = fixed_price_f2(inst, price_grid([np.linspace(0.0, 6.0, 5)] * 4))
+        out = solve_nash_batch(inst, f2_rows, f1=f1, max_iter=600,
+                               record_iterates=recorded)
+        want = full_width_engine(inst, f2_rows, f1, out["gammas"],
+                                 default_start(inst), 600, 1e-8)
+        self.assert_same(out, want, recorded)
+        assert np.unique(out["iterations"]).size >= 10
+
+    def test_returned_x_owns_its_memory(self, demo_build):
+        inst = demo_build.instance
+        f1, _ = game_map(inst, prices=np.zeros(4))
+        f2_rows = fixed_price_f2(inst, price_grid([np.linspace(0.0, 5.0, 3)] * 4))
+        for recorded in (False, True):
+            out = solve_nash_batch(inst, f2_rows, f1=f1, record_iterates=recorded)
+            assert out["x"].flags.owndata and out["x"].shape == f2_rows.shape
+            for key, value in out.items():
+                if key != "x":
+                    assert not np.shares_memory(out["x"], value), key
+
+    def test_demo_grid_pass_memory_peak(self, demo_build):
+        # one workspace per call: x, the step and two buffers of the same
+        # size, and no row-sized array allocated round by round
+        inst = demo_build.instance
+        f1, _ = game_map(inst, prices=np.zeros(4))
+        f2_rows = fixed_price_f2(inst, price_grid([np.linspace(0.0, 5.0, 9)] * 4))
+        solve_nash_batch(inst, f2_rows[:10], f1=f1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_nash_batch(inst, f2_rows, f1=f1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert f2_rows.shape == (6561, 12)
+        assert peak <= 2.9e6, f"{peak / 1e6:.3f} MB"
 
     def test_recorded_single_row(self, demo_build):
         inst = demo_build.instance

@@ -448,6 +448,50 @@ class TestProjectBlocks:
         with pytest.raises(EmptyPolytopeError, match="empty"):
             project_blocks([reach_polytope(rng, 3, 0.5), empty], np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_reused_buffers_are_invisible(self, m):
+        # the engine hands every round the same out and scratch buffers:
+        # their contents, their size and an earlier larger call must not
+        # show, and a scratch too small for the wires (2 stations) must not fail
+        rng = np.random.default_rng(67 + m)
+
+        def simplex(**kw):
+            return PolytopeProjector(lower_bounded_simplex(rng, m, **kw)[0], 32)
+
+        def chain():    # every 2-station polytope is a simplex: force the walk
+            return chain_projector(reach_polytope(rng, m, 0.4))
+
+        sets = {"simplex": [simplex(), simplex(with_zero=True)],
+                "single point": [simplex(tight=True)],
+                "chain": [chain(), chain()],
+                "mixed": [simplex(), chain(), simplex(tight=True), simplex()]}
+        assert sets["single point"][0].single_point
+        rows = 9
+        for name, polys in sets.items():
+            n = len(polys) * m
+            y = rng.normal(0, 1.5, (rows, n))
+            want = project_blocks(polys, y)
+            engine_work = np.full((2, rows, n), np.nan)
+            buffers = {"nan-filled": np.full(5 * rows * n, np.nan),
+                       "engine-shaped": engine_work,
+                       "oversized": np.full(40 * rows * n + 3, np.nan),
+                       "too small": np.full(5, np.nan),
+                       "empty": np.empty(0)}
+            for label, scratch in buffers.items():
+                out = np.full_like(y, np.nan)
+                assert project_blocks(polys, y, out=out, scratch=scratch) is out
+                assert np.array_equal(out, want), (name, label)
+            # in place, after a call on more rows through the same buffers
+            big_out = np.full((3 * rows, n), np.nan)
+            big_work = np.full((2, 3 * rows, n), np.nan)
+            y_big = rng.normal(0, 1.5, (3 * rows, n))
+            project_blocks(polys, y_big, out=big_out, scratch=big_work)
+            assert np.array_equal(big_out, project_blocks(polys, y_big)), name
+            prefix = big_out[:rows]
+            prefix[...] = y
+            assert project_blocks(polys, prefix, out=prefix, scratch=big_work) is prefix
+            assert np.array_equal(prefix, want), name
+
     @pytest.mark.parametrize("rows", [1, 3, 25])
     def test_chain_walk_matches_loop_reference(self, rows):
         # up to 5 stations, where the reference's 0/1 matrix product sums
