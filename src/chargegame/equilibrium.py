@@ -21,18 +21,30 @@ One engine, `solve_nash_batch`, runs this update row-wise over many game
 variants at once (price grids, perturbation sweeps) and owns the one step
 rule: 0.9 times each row's `step_bound` unless a step inside the bound is
 given. A row stops once its residual meets the tolerance. Each round
-computes F1 x for every row (`apply_map`), and then adds F2, steps,
-projects every company block in one call of a `qp.BlockProjector` built
-once per solve, and takes the residual and the average on the live rows
-only. Every row gets the bits it would get alone among all rows.
+computes F1 x for every row, and then adds F2, steps, projects every
+company block in one call of a `qp.BlockProjector` built once per solve,
+and takes the residual and the average on the live rows only. Every row
+gets the bits it would get alone among all rows.
 
-A call allocates one workspace, four arrays the size of x, and every
-round writes into it through ``out=`` and ``scratch=`` (`apply_map`,
-the projector, ``np.take`` gathers of the live rows). So after the first
-round no round allocates an array the size of x: freed and re-faulted
-every round, such arrays cost a grid search tens of thousands of page
-faults. What a round still allocates are row-length vectors and, for
-chain polytopes, the chain walk's arrays.
+The rounds keep x station-major, an (m, mc, rows) array with one
+contiguous row vector per station and company: F1 x is then one BLAS
+product per station straight into the step, and the projector's sorting
+network runs on the step in place. x is converted from and to the
+row-major (rows, mc*m) layout of the engine's inputs and outputs once
+per call. The residual sums each row's squared move in the order
+``np.add.reduce`` takes along a row-major row (`_pairwise_sum`), so it
+keeps the bits of the row-major norm; below `PAIRWISE_ROWS` live rows it
+reduces a row-major copy of the move instead, which costs fewer calls.
+
+A call allocates one workspace: x, the step and one buffer of at least
+twice the size of x, or more at 2-3 stations, where the projector's
+sorting wires outgrow x. Every round writes into it (``out=`` of the
+product and of ``np.take`` gathers of the live rows, the projector's
+scratch). So after the first round no round allocates an array the size
+of x: freed and re-faulted every round, such arrays cost a grid search
+tens of thousands of page faults. What a round still allocates are
+row-length vectors, the residual's copy of fewer than `PAIRWISE_ROWS`
+rows and, for chain polytopes, the chain walk's arrays.
 
 `solve_nash` is the engine's one-row case with the aggregate trace kept,
 and `nash_residual` its first-round residual.
@@ -46,6 +58,12 @@ import numpy as np
 
 from .model import GameInstance, government_cost
 from .qp import BlockProjector, carve
+
+# Live rows from which the residual sums the squared move where it lies
+# (`_pairwise_sum`, one ufunc call per term) instead of reducing a
+# row-major copy of it. On the demo game (12 terms, 2-core VM) the two
+# cost the same, ~8.5 us, at ~150 rows; the copy grows with the rows.
+PAIRWISE_ROWS = 128
 
 
 @dataclass
@@ -150,37 +168,78 @@ def perturbation_map(instance: GameInstance, perturbation):
     return phi_l1, (d_shift * delta).reshape(-1)
 
 
-def apply_map(f1: np.ndarray, x: np.ndarray, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+def apply_map(f1: np.ndarray, x: np.ndarray) -> np.ndarray:
     """F1 x for station-blocked F1 (..., m, mc, mc) and stacked x (..., mc*m).
 
     A single map (m, mc, mc) is shared by every row of x; per-row maps
     (rows, m, mc, mc) pair with x of shape (rows, mc*m). The shared-map
     product may round a row differently with the number of rows (a row
     alone can differ from the same row among three), so the engine
-    always passes every row, stopped ones included.
-
-    The product is taken into a C-contiguous array laid out as numpy
-    would allocate it, and then copied transposed into ``out``, a
-    C-contiguous array shaped like x (allocated when None). ``scratch``,
-    a C-contiguous float array of at least x.size cells that shares no
-    memory with x or ``out``, holds that product; it is allocated when
-    None. Per-row maps take a scratch only with one map per row of x.
+    always passes every row, stopped ones included. The engine's
+    station-major product (`_station_product`) gives the same bits.
     """
     m, mc = f1.shape[-3], f1.shape[-1]
     x = np.asarray(x, dtype=float)
     blocks = x.reshape(*x.shape[:-1], mc, m)
-    if out is None:
-        out = np.empty(x.shape)
     if f1.ndim == 3:    # one (mc, mc) @ (mc, rows) product per station
-        cols = blocks.reshape(-1, mc, m).transpose(2, 1, 0)
-        prod = np.matmul(f1, cols, out=carve(scratch, cols.shape)[0])
-        np.copyto(out.reshape(-1, mc, m), prod.transpose(2, 1, 0))
-    else:               # one (mc, mc) @ (mc, 1) product per row and station
-        cols = blocks.swapaxes(-1, -2)[..., None]
-        prod = np.matmul(f1, cols, out=carve(scratch, f1.shape[:-1] + (1,))[0])
-        np.copyto(out.reshape(blocks.shape), prod[..., 0].swapaxes(-1, -2))
+        prod = np.matmul(f1, blocks.reshape(-1, mc, m).transpose(2, 1, 0))
+        return prod.transpose(2, 1, 0).reshape(x.shape)
+    # one (mc, mc) @ (mc, 1) product per row and station
+    prod = np.matmul(f1, blocks.swapaxes(-1, -2)[..., None])
+    return prod[..., 0].swapaxes(-1, -2).reshape(x.shape)
+
+
+def _station_product(f1: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """F1 x into ``out`` for station-major x and ``out`` (m, mc, rows),
+    both C-contiguous: `apply_map`'s bits, without its transposed copies."""
+    if f1.ndim == 3:
+        np.matmul(f1, x, out=out)
+    else:
+        np.matmul(f1, x.transpose(2, 0, 1)[..., None], out=out.transpose(2, 0, 1)[..., None])
+
+
+def _pairwise_sum(terms: list, out: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` along each row of the columns ``terms``, to the bit.
+
+    ``terms`` are equal-shaped arrays, column j of the rows in order, and
+    are used up; the sums go into ``out``. numpy 2.4 reduces a
+    contiguous row from the identity 0.0 with its pairwise sum: below 8
+    terms left to right, up to 128 eight accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the rest in order, and
+    above that the two halves at a multiple of 8. The engine's residual
+    keeps the bits of a row-major reduce this way; a test pins the order.
+    """
+    np.add(_pairwise_terms(terms), 0.0, out=out)
     return out
+
+
+def _pairwise_terms(terms: list) -> np.ndarray:
+    """numpy's pairwise sum of ``terms``, accumulated into one of them."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        acc = _pairwise_terms(terms[:half])
+        acc += _pairwise_terms(terms[half:])
+        return acc
+    acc = terms[0]
+    if n < 8:
+        for term in terms[1:]:
+            acc += term
+        return acc
+    r = terms[:8]
+    for q in range(8, n - n % 8, 8):
+        for j in range(8):
+            r[j] += terms[q + j]
+    r[0] += r[1]
+    r[2] += r[3]
+    r[0] += r[2]
+    r[4] += r[5]
+    r[6] += r[7]
+    r[4] += r[6]
+    r[0] += r[4]
+    for term in terms[n - n % 8:]:
+        acc += term
+    return acc
 
 
 def lambda_max_closed_form(instance: GameInstance) -> float:
@@ -287,12 +346,15 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
     ``record_iterates`` keeps every round's iterate (start included) and
     residual (0 for stopped rows).
 
-    The rounds run in one workspace allocated per call: x; the step,
-    which trades places with x on rounds where every row is live; and
-    two buffers that hold in turn the full-width F1 x and its product,
-    the gathers of the live rows, the projection's scratch and the move.
-    Rows run in row prefixes of it. The returned ``x`` is one whole
-    array that shares no memory with the other returned arrays.
+    The rounds keep every array station-major, (m, mc, rows) and
+    C-contiguous: the layout of the F1 product and of the projector's
+    sorting wires, so x moves between layouts only on entry and exit. They
+    run in one workspace allocated per call: x; the step, which trades
+    places with x on rounds where every row is live; and one buffer that
+    holds in turn the full-width F1 x, the gathers of the live rows, the
+    projection's scratch and the move. Live rows run in prefixes of it.
+    The returned arrays are row-major, and ``x`` is one whole array that
+    shares no memory with the other returned arrays.
 
     Returns ``x``, ``iterations``, ``converged``, the final ``residual``,
     ``sigma_final``, the ``gammas`` used and, when recorded, ``iterates``
@@ -315,11 +377,17 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
 
     # the workspace (see above); np.take reads f2_rows in place when it is
     # C-contiguous, and writes into out= unbuffered with mode="clip"
+    mc, m = instance.n_companies, instance.n_stations
     f2_rows = np.ascontiguousarray(f2_rows, dtype=float)
-    x = np.broadcast_to(np.asarray(x0, dtype=float), f2_rows.shape).copy()
+    by_row = (rows, mc, m)      # splits a row-major row into its blocks
+    f2_view = f2_rows.reshape(by_row).transpose(2, 1, 0)    # a copy would add one x
+    x = np.empty((m, mc, rows))
+    np.copyto(x, np.broadcast_to(np.asarray(x0, dtype=float),
+                                 f2_rows.shape).reshape(by_row).transpose(2, 1, 0))
     step = np.empty_like(x)
-    work = np.empty((2,) + x.shape)
     project = BlockProjector(instance.polytopes)
+    work = np.empty(max(2 * x.size, project.scratch_size(rows)))
+    prod = work[:x.size].reshape(x.shape)
     live = np.arange(rows)
     iterations = np.zeros(rows, dtype=int)
     residual = np.full(rows, np.inf)
@@ -328,36 +396,47 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
 
     for k in range(max_iter):
         # F1 x at full width: matmul may round a row differently by row count;
-        # everything after it runs on the live rows only, in row prefixes
-        # of the workspace
+        # everything after it runs on the live rows only, in prefixes of
+        # the workspace
         n_live = live.size
         every = n_live == rows
-        s, gathered, move = step[:n_live], work[1][:n_live], work[0][:n_live]
+        shape = (m, mc, n_live)
+        s = carve(step, shape)[0]
+        front, back = carve(work, shape)
         if every:
-            apply_map(f1, x, out=s, scratch=work[1])
-            s += f2_rows
-            s *= gammas[:, None]
-            x_live = x
+            _station_product(f1, x, out=s)
+            s += f2_view
+            s *= gammas
+            x_live, move = x, front
         else:
-            apply_map(f1, x, out=work[0], scratch=work[1])
-            np.take(work[0], live, axis=0, out=s, mode="clip")
-            np.take(f2_rows, live, axis=0, out=gathered, mode="clip")
-            s += gathered
-            s *= gammas[live][:, None]
-            x_live = np.take(x, live, axis=0, out=gathered, mode="clip")
+            _station_product(f1, x, out=prod)
+            np.take(prod, live, axis=2, out=s, mode="clip")
+            # F2 of the live rows, gathered row-major and added transposed
+            s += np.take(f2_rows.reshape(by_row), live, axis=0, mode="clip",
+                         out=front.reshape(n_live, mc, m)).transpose(2, 1, 0)
+            s *= gammas[live]
+            x_live = np.take(x, live, axis=2, out=front, mode="clip")
+            move = carve(back, shape)[0]
         np.subtract(x_live, s, out=s)       # x - gamma F(x)
-        project(s, out=s, scratch=work)
+        project(s, scratch=work)
         if not every:                       # gathered again: the projection used it
-            np.take(x, live, axis=0, out=x_live, mode="clip")
+            np.take(x, live, axis=2, out=x_live, mode="clip")
         np.subtract(s, x_live, out=move)
         s += x_live
         s *= 0.5                            # x <- (x + proj) / 2
         if every:
             x, step = step, x
         else:
-            x[live] = s
-        move *= move                        # np.linalg.norm(move, axis=1), term for term
-        res = np.add.reduce(move, axis=1, out=work[1].reshape(-1)[:n_live])
+            x[:, :, live] = s
+        # np.linalg.norm(move, axis=1) of the row-major move, term for term,
+        # into the step, which is free again. On few rows one transposed
+        # copy costs less than the pairwise sum's mc*m calls
+        move *= move
+        res = step.reshape(-1)[:n_live]
+        if n_live < PAIRWISE_ROWS:
+            np.add.reduce(move.transpose(2, 1, 0).reshape(n_live, mc * m), axis=1, out=res)
+        else:
+            _pairwise_sum([move[j, i] for i in range(mc) for j in range(m)], out=res)
         np.sqrt(res, out=res)
         iterations[live] = k + 1
         residual[live] = res
@@ -366,20 +445,22 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
             residual_hist.append(np.zeros(rows))
             residual_hist[-1][live] = res
         live = live[res > tol]
-        del s, gathered, move, x_live, res  # views: the workspace goes with the loop
+        del s, front, back, move, x_live, res   # views: the workspace goes with the loop
         if not live.size:
             break
-    del step, work
+    del step, work, prod
 
+    x_rows = np.empty(f2_rows.shape)
+    np.copyto(x_rows.reshape(by_row), x.transpose(2, 1, 0))
     out = {
-        "x": x,
+        "x": x_rows,
         "iterations": iterations,
         "converged": residual <= tol,
         "residual": residual,
-        "sigma_final": aggregates(instance, x),
+        "sigma_final": aggregates(instance, x_rows),
         "gammas": gammas,
     }
     if record_iterates:
-        out["iterates"] = np.array(iter_hist)
+        out["iterates"] = np.stack(iter_hist).transpose(0, 3, 2, 1).reshape(-1, rows, mc * m)
         out["residuals"] = np.array(residual_hist).reshape(-1, rows)
     return out

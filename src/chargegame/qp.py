@@ -17,13 +17,16 @@ the base polytope of f (Fujishige, *Submodular Functions and Optimization*,
 polytope: it keeps the caps and N, decides emptiness and membership, and
 exposes the H-representation the caps stand for. Its `project_batch`
 projects rows onto that one polytope, weighted or not; a single
-projection is a batch of one row. A `BlockProjector` projects rows of
-stacked company blocks, block i onto polytope i, in one call: the
-equilibrium engine's projection step. It reads its per-polytope
-constants once, and writes into the ``out=`` and ``scratch=`` buffers it
-is given (`carve` cuts them), so the engine's rounds reuse one
-workspace; `project_blocks` is one call of a fresh one. The projection
-has two exact paths, read off f once per polytope:
+projection is a batch of one row. A `BlockProjector` projects stacked
+company blocks, block i onto polytope i, in one call: the equilibrium
+engine's projection step. It reads its per-polytope constants once and
+works in the engine's station-major layout, an (n, k, rows) array with
+one contiguous row vector per station and block: it projects that array
+in place, and takes its sorting scratch from a buffer it is given
+(`carve` cuts it), so the engine's rounds reuse one workspace.
+`project_blocks` is the row-major (rows, k * n) form, one call of a
+fresh one on a station-major copy. The projection has two exact paths,
+read off f once per polytope:
 
 * Lower-bounded simplex. When f(S) = N - l(V \\ S) for every nonempty S,
   with l_k = N - f(V \\ k), P is {sum(x) = 1, x >= l / N} and the
@@ -41,7 +44,7 @@ has two exact paths, read off f once per polytope:
   (Fujishige 2005, section 8.2; Bach, *Learning with Submodular
   Functions*, FnT ML 2013, section 9). At most m rounds, each over all
   2^m subsets. `_chain_walk` is the one loop: it takes a rank vector per
-  row, so the blocks of every chain polytope in a `project_blocks` call
+  row, so the blocks of every chain polytope in a `BlockProjector` call
   share its rounds. Its unit-weight tables are built once per station
   count; weighted projections build theirs per call.
 """
@@ -256,16 +259,17 @@ class PolytopeProjector:
 
 
 class BlockProjector:
-    """Euclidean projection of rows of stacked company blocks, block i onto
+    """Euclidean projection of stacked company blocks, block i onto
     ``polytopes[i]``, with every per-polytope constant built once.
 
-    The polytopes must be nonempty and share their n stations. Block i of
-    a row is its columns i * n to (i + 1) * n. The blocks of all
-    lower-bounded simplices share one sorting network (`_simplex_tau`),
-    and the blocks of all chain polytopes one `_chain_walk`. Every row gets
-    the same bits as the sort-based projection with unit weights, whatever
-    the other rows and blocks of the call. The equilibrium engine builds
-    one per solve and calls it every round.
+    The polytopes must be nonempty and share their n stations. A call
+    takes a station-major (n, k, rows) array: ``y[j, i, r]`` is station j
+    of block i in row r. The blocks of all lower-bounded simplices share
+    one sorting network (`_simplex_tau`), and the blocks of all chain
+    polytopes one `_chain_walk`. Every row gets the same bits as the
+    sort-based projection with unit weights, whatever the other rows and
+    blocks of the call. The equilibrium engine builds one per solve and
+    calls it every round.
     """
 
     def __init__(self, polytopes: tuple[PolytopeProjector, ...]):
@@ -277,7 +281,7 @@ class BlockProjector:
             if poly.lower is None:
                 self.chain.append(i)
             elif poly.single_point:
-                self.fixed.append((i, poly.lower))
+                self.fixed.append((i, poly.lower[:, None]))
             else:
                 simplex.append(i)
         self.chain_ranks = np.array([polytopes[i].rank for i in self.chain])
@@ -286,8 +290,8 @@ class BlockProjector:
         # station-major (n, blocks, 1) and (blocks, 1), like the wires
         self.lower = np.array(lowers).reshape(-1, n).T[:, :, None]
         self.slack = np.array([1.0 - lower.sum() for lower in lowers])[:, None]
-        # runs [wire block, row block, length] of adjacent simplex blocks,
-        # each copied to and from the wires as one slice
+        # runs [wire block, block, length] of adjacent simplex blocks, each
+        # read and written as one slice
         self.runs = []
         for b, i in enumerate(simplex):
             if b and simplex[b - 1] == i - 1:
@@ -295,60 +299,62 @@ class BlockProjector:
             else:
                 self.runs.append([b, i, 1])
 
-    def __call__(self, y_rows: np.ndarray, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
-        """Project every row of ``y_rows`` (rows, k * n) into ``out``.
+    def scratch_size(self, rows: int) -> int:
+        """Cells of scratch a call on ``rows`` rows uses: the simplex
+        blocks' z (n per row and block) and the four sorting wires."""
+        return (self.n + 4) * self.n_simplex * rows
 
-        ``out`` receives the result and may be ``y_rows`` itself; it is
-        allocated when None. ``scratch``, a C-contiguous float array that
-        shares no memory with either, holds the simplex blocks'
-        station-major copy (n cells per row and block) and then the four
-        sorting wires (4 cells per row and block); what does not fit in it
-        is allocated. Its contents are never read.
+    def __call__(self, y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """Project the station-major (n, k, rows) float array ``y`` in place
+        and return it.
+
+        ``scratch``, a C-contiguous float array that shares no memory with
+        ``y``, holds the simplex blocks' z = y - l and then the sorting
+        wires (`scratch_size` cells); what does not fit in it is
+        allocated. Its contents are never read.
         """
-        y_rows = np.asarray(y_rows, dtype=float)
-        if out is None:
-            out = np.empty_like(y_rows)
-        rows, n = y_rows.shape[0], self.n
-        # splitting the last axis is a view of any 2-D array
-        y3, out3 = y_rows.reshape(rows, self.k, n), out.reshape(rows, self.k, n)
+        n, rows = self.n, y.shape[-1]
         for i, lower in self.fixed:
-            out3[:, i] = lower
+            y[:, i] = lower
         if self.chain:
-            # polytope-major stack: block i of every row, then the next polytope's
-            stacked = np.concatenate([y3[:, i] for i in self.chain])
+            # polytope-major stack of row-major blocks: block i of every
+            # row, then the next polytope's
+            stacked = np.concatenate([y[:, i].T for i in self.chain])
             walked = _chain_walk(self.chain_ranks, stacked, np.ones(n), _unit_walk_tables(n))
             for c, i in enumerate(self.chain):
-                out3[:, i] = walked[c * rows:(c + 1) * rows]
+                y[:, i] = walked[c * rows:(c + 1) * rows].T
         if self.n_simplex:
-            # station-major (n, blocks, rows): one contiguous wire per station
+            # one contiguous wire per station
             z, scratch = carve(scratch, (n, self.n_simplex, rows))
-            self._gather(z, y3)
-            tau = _simplex_tau(z, self.slack, scratch)
-            self._gather(z, y3)         # the sort used z up
-            z -= tau
-            np.maximum(z, 0.0, out=z)
-            z += self.lower
             for b, i, c in self.runs:
-                np.copyto(out3[:, i:i + c].T, z[:, b:b + c])
-        return out
+                np.subtract(y[:, i:i + c], self.lower[:, b:b + c], out=z[:, b:b + c])
+            tau = _simplex_tau(z, self.slack, scratch)
+            for b, i, c in self.runs:     # x = l + max(0, (y - l) - tau)
+                block, lower = y[:, i:i + c], self.lower[:, b:b + c]
+                block -= lower
+                block -= tau[b:b + c]
+                np.maximum(block, 0.0, out=block)
+                block += lower
+        return y
 
-    def _gather(self, z: np.ndarray, y3: np.ndarray) -> None:
-        """z = y - l of the simplex blocks, station-major (n, blocks, rows)."""
-        for b, i, c in self.runs:
-            np.subtract(y3[:, i:i + c].T, self.lower[:, b:b + c], out=z[:, b:b + c])
 
-
-def project_blocks(polytopes: tuple[PolytopeProjector, ...], y_rows: np.ndarray,
-                   out: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
+def project_blocks(polytopes: tuple[PolytopeProjector, ...],
+                   y_rows: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row's company blocks, block i onto
-    ``polytopes[i]``: a `BlockProjector` of the polytopes, called once.
+    ``polytopes[i]``: a `BlockProjector` of the polytopes, called once on a
+    station-major copy.
 
-    ``y_rows`` is (rows, k * n) for k polytopes on n stations each; ``out``
-    and ``scratch`` are those of `BlockProjector.__call__`.
+    ``y_rows`` is (rows, k * n) for k polytopes on n stations each; block i
+    of a row is its columns i * n to (i + 1) * n. Returns a new array
+    shaped like ``y_rows``.
     """
-    return BlockProjector(polytopes)(y_rows, out, scratch)
+    y_rows = np.asarray(y_rows, dtype=float)
+    project = BlockProjector(polytopes)
+    shape = (y_rows.shape[0], project.k, project.n)
+    y = project(y_rows.reshape(shape).transpose(2, 1, 0).copy())
+    out = np.empty(y_rows.shape)
+    np.copyto(out.reshape(shape), y.transpose(2, 1, 0))
+    return out
 
 
 def carve(scratch: np.ndarray | None, shape: tuple) -> tuple:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
-from chargegame.equilibrium import (aggregates, apply_map, default_start,
-                                    fixed_price_f2, game_map,
-                                    lambda_max_closed_form, nash_residual,
-                                    solve_nash, solve_nash_batch, step_bound)
+from chargegame.equilibrium import (PAIRWISE_ROWS, _pairwise_sum, aggregates,
+                                    apply_map, default_start, fixed_price_f2,
+                                    game_map, lambda_max_closed_form,
+                                    nash_residual, solve_nash, solve_nash_batch,
+                                    step_bound)
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.harness import price_grid
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
@@ -401,6 +402,36 @@ class TestLiveRowRounds:
         self.assert_same(out, want, recorded)
         assert np.unique(out["iterations"]).size >= 10
 
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("mc, m, levels", [(2, 3, 6), (3, 3, 6), (3, 4, 4),
+                                               (4, 4, 4), (4, 5, 3)])
+    def test_widths_against_full_width_engine(self, mc, m, levels, per_row):
+        # mc * m below 8, 8-15 and 16 or more terms per row; one chain
+        # company; rows that stop at many rounds, so the residual runs both
+        # on the station-major move and on a row-major copy of few rows
+        rng = np.random.default_rng(10 * mc + m)
+        inst = make_instance([30, 24, 21, 27][:mc], np.linspace(0.7, 1.3, m),
+                             np.linspace(25.0, 12.0, m), seed=mc + m)
+        polys = list(inst.polytopes)
+        while polys[1].path != "chain" or polys[1].is_empty:
+            reach = rng.random((24, m)) < 0.45
+            reach[~reach.any(axis=1), 0] = True
+            polys[1] = admissible_polytope(FeasibilityStructure(reach))
+        inst = dataclasses.replace(inst, polytopes=tuple(polys))
+        f1, _ = game_map(inst, prices=np.zeros(m))
+        f2_rows = fixed_price_f2(inst, price_grid([np.linspace(0.0, 6.0, levels)] * m))
+        rows = len(f2_rows)
+        if per_row:
+            f1 = f1 * rng.uniform(0.5, 1.5, (rows, 1, 1, 1))
+        kw = {"f1_rows" if per_row else "f1": f1}
+        out = solve_nash_batch(inst, f2_rows, max_iter=600, record_iterates=True, **kw)
+        want = full_width_engine(inst, f2_rows, f1, out["gammas"],
+                                 default_start(inst), 600, 1e-8)
+        self.assert_same(out, want, recorded=True)
+        assert np.unique(out["iterations"]).size >= 5
+        last = np.count_nonzero(out["iterations"] == out["iterations"].max())
+        assert last < PAIRWISE_ROWS <= rows
+
     def test_returned_x_owns_its_memory(self, demo_build):
         inst = demo_build.instance
         f1, _ = game_map(inst, prices=np.zeros(4))
@@ -429,6 +460,27 @@ class TestLiveRowRounds:
         assert f2_rows.shape == (6561, 12)
         assert peak <= 2.9e6, f"{peak / 1e6:.3f} MB"
 
+    @pytest.mark.parametrize("m, levels", [(2, 61), (3, 15)])
+    def test_few_station_grid_pass_memory_peak(self, m, levels):
+        # at 2-3 stations the four sorting wires per row and company outgrow
+        # x: the workspace holds them as well, so no round allocates them
+        inst = make_instance([30, 24, 17], np.linspace(0.7, 1.3, m),
+                             np.linspace(25.0, 12.0, m), seed=3)
+        f1, _ = game_map(inst, prices=np.zeros(m))
+        f2_rows = fixed_price_f2(inst, price_grid([np.linspace(0.0, 6.0, levels)] * m))
+        solve_nash_batch(inst, f2_rows[:10], f1=f1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_nash_batch(inst, f2_rows, f1=f1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # x, the step, the buffer and a few row-length vectors
+        x_bytes, row_bytes = f2_rows.nbytes, 8 * len(f2_rows)
+        workspace = 2 * x_bytes + max(2 * x_bytes, (m + 4) * 3 * row_bytes)
+        assert peak <= workspace + 10 * row_bytes, f"{peak / x_bytes:.2f} x"
+
     def test_recorded_single_row(self, demo_build):
         inst = demo_build.instance
         f1, f2 = game_map(inst)
@@ -440,6 +492,31 @@ class TestLiveRowRounds:
         assert np.array_equal(rep.x, want["x"][0])
         assert np.array_equal(rep.sigma_trace, aggregates(inst, want["iterates"][:, 0]))
         assert np.array_equal(rep.residuals, want["residuals"][:, 0])
+
+
+class TestPairwiseSum:
+    """The residual's row sums keep the bits of a row-major np.add.reduce."""
+
+    @pytest.mark.parametrize("rows", [1, 5, 300])
+    def test_matches_add_reduce_bit_for_bit(self, rows):
+        # a change in numpy's summation order fails here, not in a CSV
+        rng = np.random.default_rng(73 + rows)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                             1.7e308, np.inf, -np.inf, np.nan])
+        for width in range(1, 131):
+            scale = rng.choice([1.0, 1e-310, 1e-150, 1e150], (rows, width),
+                               p=[0.7, 0.1, 0.1, 0.1])
+            a = rng.normal(0.0, 1.0, (rows, width)) * scale
+            special = rng.random((rows, width)) < 0.05
+            a[special] = rng.choice(specials, np.count_nonzero(special))
+            if rows > 1:
+                a[-1] = rng.choice([0.0, -0.0], width)     # signed zeros only
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.add.reduce(a, axis=1)
+                got = _pairwise_sum([a[:, j].copy() for j in range(width)], np.empty(rows))
+            same = ((got.view(np.int64) == want.view(np.int64))
+                    | (np.isnan(got) & np.isnan(want)))
+            assert same.all(), f"width {width}"
 
 
 class TestUniquePoint:

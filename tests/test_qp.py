@@ -10,8 +10,8 @@ from scipy.optimize import linprog
 
 from chargegame.errors import EmptyPolytopeError
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
-from chargegame.qp import (MAX_STATIONS_FOR_SUBSETS, PolytopeProjector,
-                          _sorting_network, project_blocks)
+from chargegame.qp import (MAX_STATIONS_FOR_SUBSETS, BlockProjector,
+                          PolytopeProjector, _sorting_network, project_blocks)
 
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
@@ -424,6 +424,11 @@ def reach_polytope(rng, m, density):
             return poly
 
 
+def station_major(y_rows, n):
+    """A C-contiguous (n, k, rows) copy of row-major blocks (rows, k * n)."""
+    return y_rows.reshape(len(y_rows), -1, n).transpose(2, 1, 0).copy()
+
+
 class TestProjectBlocks:
     @pytest.mark.parametrize("rows", [0, 1, 3, 40])
     def test_equals_per_polytope_projection_bit_for_bit(self, rows):
@@ -450,9 +455,9 @@ class TestProjectBlocks:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_reused_buffers_are_invisible(self, m):
-        # the engine hands every round the same out and scratch buffers:
-        # their contents, their size and an earlier larger call must not
-        # show, and a scratch too small for the wires (2 stations) must not fail
+        # the engine hands every round the same scratch buffer: its
+        # contents, its size and an earlier larger call must not show, and
+        # a scratch too small for the wires must not fail
         rng = np.random.default_rng(67 + m)
 
         def simplex(**kw):
@@ -468,29 +473,29 @@ class TestProjectBlocks:
         assert sets["single point"][0].single_point
         rows = 9
         for name, polys in sets.items():
+            project = BlockProjector(polys)
             n = len(polys) * m
             y = rng.normal(0, 1.5, (rows, n))
-            want = project_blocks(polys, y)
-            engine_work = np.full((2, rows, n), np.nan)
+            want = station_major(project_blocks(polys, y), m)
+            exact = project.scratch_size(rows)
             buffers = {"nan-filled": np.full(5 * rows * n, np.nan),
-                       "engine-shaped": engine_work,
+                       "engine-shaped": np.full(max(2 * rows * n, exact), np.nan),
+                       "exact": np.full(exact, np.nan),
                        "oversized": np.full(40 * rows * n + 3, np.nan),
                        "too small": np.full(5, np.nan),
                        "empty": np.empty(0)}
             for label, scratch in buffers.items():
-                out = np.full_like(y, np.nan)
-                assert project_blocks(polys, y, out=out, scratch=scratch) is out
-                assert np.array_equal(out, want), (name, label)
-            # in place, after a call on more rows through the same buffers
-            big_out = np.full((3 * rows, n), np.nan)
-            big_work = np.full((2, 3 * rows, n), np.nan)
+                got = station_major(y, m)
+                assert project(got, scratch=scratch) is got
+                assert np.array_equal(got, want), (name, label)
+            # after a call on more rows through the same buffer
+            big_work = np.full(project.scratch_size(3 * rows), np.nan)
             y_big = rng.normal(0, 1.5, (3 * rows, n))
-            project_blocks(polys, y_big, out=big_out, scratch=big_work)
-            assert np.array_equal(big_out, project_blocks(polys, y_big)), name
-            prefix = big_out[:rows]
-            prefix[...] = y
-            assert project_blocks(polys, prefix, out=prefix, scratch=big_work) is prefix
-            assert np.array_equal(prefix, want), name
+            got_big = project(station_major(y_big, m), scratch=big_work)
+            assert np.array_equal(got_big, station_major(project_blocks(polys, y_big), m)), name
+            got = station_major(y, m)
+            assert project(got, scratch=big_work) is got
+            assert np.array_equal(got, want), name
 
     @pytest.mark.parametrize("rows", [1, 3, 25])
     def test_chain_walk_matches_loop_reference(self, rows):
@@ -575,7 +580,10 @@ class TestSimplexNetwork:
         rng = np.random.default_rng(61)
         polys = [PolytopeProjector(lower_bounded_simplex(rng, 4)[0], 32),
                  reach_polytope(rng, 4, 0.4)]
-        y = rng.normal(0, 1.5, (20, 8))
-        want = project_blocks(polys, y)
-        assert project_blocks(polys, y, out=y) is y
-        assert np.array_equal(y, want)
+        y_rows = rng.normal(0, 1.5, (20, 8))
+        before = y_rows.copy()
+        want = project_blocks(polys, y_rows)      # the row-major form copies
+        assert np.array_equal(y_rows, before) and not np.shares_memory(want, y_rows)
+        y = station_major(y_rows, 4)
+        assert BlockProjector(polys)(y) is y
+        assert np.array_equal(y, station_major(want, 4))
