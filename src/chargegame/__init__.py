@@ -20,21 +20,19 @@ from .feasible import (FeasibilityStructure, admissible_polytope, discretize,
                        hall_condition)
 from .qp import PolytopeProjector
 from .model import (CompanyParams, GameInstance, GovernmentObjective,
-                    StationSet, company_cost, derive_queuing_params,
-                    government_cost, pseudo_inverse_diag, queuing_cost,
-                    reduced_cost, setpoint_from_distribution,
-                    system_optimal_prices, approximate_prices)
+                    StationSet, government_cost, pseudo_inverse_diag,
+                    queuing_terms, setpoint_from_distribution,
+                    system_optimal_prices)
 from .equilibrium import (SolveReport, aggregates, apply_map, default_start,
-                          game_map, lambda_max_closed_form, nash_residual,
-                          solve_nash, step_bound)
+                          game_map, solve_nash, step_bound)
 from .robustness import (GapBound, Perturbation, SweepResult,
                          best_response_gap, build_perturbation,
                          check_convexity_assumption, epsilon_bound,
                          jg_gap_bound, lipschitz_bound, psi_values,
                          robustness_sweep)
 from .surge import (DriverParams, Fleet, SurgeSolution, assign_vehicles,
-                    driver_best_response, equal_price_solve,
-                    per_vehicle_prices, two_step, verify_zero_cost)
+                    equal_price_solve, per_vehicle_prices, two_step,
+                    verify_zero_cost)
 from .scenario import (FleetSnapshot, Scenario, ScenarioParams, build_game,
                        demo_scenario, discharge, mfd_speed, reference_game,
                        simulate_period)

@@ -46,8 +46,7 @@ tens of thousands of page faults. What a round still allocates are
 row-length vectors, the residual's copy of fewer than `PAIRWISE_ROWS`
 rows and, for chain polytopes, the chain walk's arrays.
 
-`solve_nash` is the engine's one-row case with the aggregate trace kept,
-and `nash_residual` its first-round residual.
+`solve_nash` is the engine's one-row case with the aggregate trace kept.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameInstance, government_cost
+from .model import GameInstance, _policy_terms, government_cost, queuing_terms
 from .qp import BlockProjector, carve
 
 # Live rows from which the residual sums the squared move where it lies
@@ -102,21 +101,18 @@ def game_map(instance: GameInstance, perturbation=None, prices: np.ndarray | Non
 
     * default: the game under the aligned feedback prices,
       F1[k] = weight_k N N', F2 = stack_i(N_i * linear);
-    * ``prices`` given: the fixed-price game, whose gradient uses the raw
-      queuing coefficients plus the constant charging/revenue term;
+    * ``prices`` given: the fixed-price game, F1 the queuing Hessian of
+      `model.queuing_terms` and F2 from `fixed_price_f2`;
     * ``perturbation`` given: feedback prices built from a perturbed
       demand inverse; adds the blocks of ``perturbation_map``.
     """
     if perturbation is not None and prices is not None:
         raise ValueError("perturbation applies to feedback prices only")
-    n_vec = instance.fleet_sizes
-    outer = np.outer(n_vec, n_vec)
-
     if prices is not None:
-        f1 = instance.stations.queue_weight[:, None, None] * (outer + np.diag(n_vec**2))
-        return f1, fixed_price_f2(instance, prices)
+        return queuing_terms(instance)[0], fixed_price_f2(instance, prices)
 
-    f1 = instance.government.weight[:, None, None] * outer
+    n_vec = instance.fleet_sizes
+    f1 = instance.government.weight[:, None, None] * np.outer(n_vec, n_vec)
     f2 = np.concatenate([n_i * instance.government.linear for n_i in n_vec])
 
     if perturbation is not None:
@@ -128,7 +124,8 @@ def game_map(instance: GameInstance, perturbation=None, prices: np.ndarray | Non
 
 def fixed_price_f2(instance: GameInstance, price_rows,
                    demand_rows=None) -> np.ndarray:
-    """F2 of the fixed-price game, stack_i((lin_i + revenue_i) + prices * demand_i).
+    """F2 of the fixed-price game, stack_i((lin_i + revenue_i) + prices * demand_i),
+    with lin the queuing term of `model.queuing_terms`.
 
     ``price_rows`` is one price vector (m,) or an array of them (..., m);
     ``demand_rows`` replaces the companies' demand diagonals, as one
@@ -139,7 +136,7 @@ def fixed_price_f2(instance: GameInstance, price_rows,
     prices = np.asarray(price_rows, dtype=float)
     if np.any(prices < 0):
         raise ValueError("prices must be nonnegative")
-    base = np.stack([c.lin + c.revenue for c in instance.companies])
+    base = queuing_terms(instance)[2] + np.stack([c.revenue for c in instance.companies])
     demand = (np.stack([c.demand for c in instance.companies])
               if demand_rows is None else np.asarray(demand_rows, dtype=float))
     f2 = base + prices[..., None, :] * demand
@@ -153,11 +150,8 @@ def perturbation_map(instance: GameInstance, perturbation):
     policy coefficients: b_bar_ik * N_j off the diagonal, a_bar_ik on it,
     matching the gradient of the perturbed company cost.
     """
-    from .model import _policy_terms  # local import to keep module surfaces small
-
     mc = instance.n_companies
-    a_bar, b_bar, delta = (np.stack(t) for t in
-                           zip(*[_policy_terms(instance, i) for i in range(mc)]))
+    a_bar, b_bar, delta = _policy_terms(instance)
     d_shift = np.stack([
         np.asarray(shift, dtype=float) * comp.demand
         for comp, shift in zip(instance.companies, perturbation.demand_shift)
@@ -242,12 +236,6 @@ def _pairwise_terms(terms: list) -> np.ndarray:
     return acc
 
 
-def lambda_max_closed_form(instance: GameInstance) -> float:
-    """Largest eigenvalue of the aligned F1: ||N||^2 max weight."""
-    n_vec = instance.fleet_sizes
-    return float(n_vec @ n_vec) * float(instance.government.weight.max())
-
-
 def step_bound(f1: np.ndarray):
     """Supremum 2 / L of admissible step sizes for station-blocked F1.
 
@@ -305,18 +293,6 @@ def solve_nash(instance: GameInstance, x0: np.ndarray | None = None,
         j_g_trace=government_cost(sigma_trace, instance.government),
         sigma_trace=sigma_trace,
     )
-
-
-def nash_residual(instance: GameInstance, x: np.ndarray, gamma: float | None = None,
-                  perturbation=None, prices: np.ndarray | None = None) -> float:
-    """Fixed-point residual; zero exactly at a Nash equilibrium.
-
-    The first-round residual of a one-round solve started at x.
-    """
-    f1, f2 = game_map(instance, perturbation, prices)
-    out = solve_nash_batch(instance, f2[None, :], f1=f1, gammas=gamma, x0=x,
-                           max_iter=1)
-    return float(out["residual"][0])
 
 
 def aggregates(instance: GameInstance, x: np.ndarray) -> np.ndarray:
@@ -461,6 +437,8 @@ def solve_nash_batch(instance: GameInstance, f2_rows: np.ndarray,
         "gammas": gammas,
     }
     if record_iterates:
-        out["iterates"] = np.stack(iter_hist).transpose(0, 3, 2, 1).reshape(-1, rows, mc * m)
-        out["residuals"] = np.array(residual_hist).reshape(-1, rows)
+        rounds = len(residual_hist)
+        out["iterates"] = np.stack(iter_hist).transpose(0, 3, 2, 1).reshape(
+            rounds + 1, rows, mc * m)
+        out["residuals"] = np.array(residual_hist).reshape(rounds, rows)
     return out

@@ -1,12 +1,16 @@
-"""Cost functions, game parameters, and the two pricing-policy families.
+"""Game data, the queuing cost model, and the aligned feedback prices.
 
 The upper-level game: a central authority announces per-company station
 price *functions* of the joint fleet split; each company then minimizes
 
-    queuing cost + charging cost + negative expected revenue
+    N x' q (N x + sigma_others - capacity)  +  x' (demand * prices)  +  revenue' x,
 
-over its admissible allocation polytope. All matrices involved are
-diagonal and are stored as 1-D arrays of their diagonals throughout.
+queuing cost plus charging cost minus expected revenue, over its
+admissible allocation polytope. All matrices involved are diagonal and
+are stored as 1-D arrays of their diagonals throughout. `CompanyParams`
+holds a company's data only; `queuing_terms` is the one place the
+queuing cost becomes coefficients, and the game map
+(`equilibrium.game_map`) and the policies read them from it.
 
 Conventions:
   * ``sigma`` is the aggregate vehicle count per station, sum_i N_i x^i.
@@ -66,28 +70,6 @@ class StationSet:
         return self.capacity.size
 
 
-def derive_queuing_params(fleet_size: int, queue_weight: np.ndarray,
-                          capacity: np.ndarray):
-    """Coefficients of the queuing cost in its generic quadratic form.
-
-    Returns (quad, cross, lin) with quad = 2 N^2 q, cross = N q and
-    lin = -N q m, so that
-
-        1/2 x' quad x + x' cross sigma_others + lin' x
-            ==  N x' q (N x + sigma_others - m).
-    """
-    queue_weight = np.asarray(queue_weight, dtype=float)
-    capacity = np.asarray(capacity, dtype=float)
-    if fleet_size <= 0:
-        raise ValueError("fleet_size must be positive")
-    if np.any(queue_weight <= 0):
-        raise ValueError("queue weights must be positive")
-    quad = 2.0 * fleet_size**2 * queue_weight
-    cross = float(fleet_size) * queue_weight
-    lin = -float(fleet_size) * queue_weight * capacity
-    return quad, cross, lin
-
-
 @dataclass(frozen=True)
 class CompanyParams:
     """One company's cost data.
@@ -95,29 +77,25 @@ class CompanyParams:
     ``demand[k]`` is the company's charging demand served at station k
     (zero for stations no vehicle of the company can reach) and
     ``revenue`` the net idle-travel-minus-expected-profit vector. The
-    queuing coefficients are derived from the fleet size and the station
-    set and satisfy the identities in :func:`derive_queuing_params`.
+    queuing cost is not stored: :func:`queuing_terms` forms it from the
+    fleet sizes and the station set.
     """
 
     fleet_size: int
     demand: np.ndarray
     revenue: np.ndarray
-    quad: np.ndarray
-    cross: np.ndarray
-    lin: np.ndarray
 
-    @classmethod
-    def build(cls, fleet_size: int, stations: StationSet,
-              demand: np.ndarray, revenue: np.ndarray) -> "CompanyParams":
-        demand = np.asarray(demand, dtype=float)
-        revenue = np.asarray(revenue, dtype=float)
-        if demand.shape != (stations.n,) or revenue.shape != (stations.n,):
-            raise ValueError("demand and revenue must have one entry per station")
+    def __post_init__(self):
+        demand = np.asarray(self.demand, dtype=float)
+        revenue = np.asarray(self.revenue, dtype=float)
+        if self.fleet_size <= 0:
+            raise ValueError("fleet_size must be positive")
+        if demand.ndim != 1 or revenue.shape != demand.shape:
+            raise ValueError("demand and revenue must be matching 1-D arrays")
         if np.any(demand < 0):
             raise ValueError("demand entries must be nonnegative")
-        quad, cross, lin = derive_queuing_params(
-            fleet_size, stations.queue_weight, stations.capacity)
-        return cls(fleet_size, demand, revenue, quad, cross, lin)
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "revenue", revenue)
 
     @property
     def demand_pinv(self) -> np.ndarray:
@@ -225,87 +203,56 @@ class GameInstance:
 
     def with_demand(self, demand_per_company) -> "GameInstance":
         """Copy of the instance with replaced company demand diagonals."""
-        new = tuple(
-            replace(c, demand=np.asarray(d, dtype=float))
-            for c, d in zip(self.companies, demand_per_company)
-        )
+        new = tuple(replace(c, demand=d) for c, d in zip(self.companies, demand_per_company))
         return replace(self, companies=new)
 
 
-def queuing_cost(company: CompanyParams, x_i: np.ndarray,
-                 sigma_others: np.ndarray) -> float:
-    """Expected queuing cost in the generic quadratic form."""
-    x_i = np.asarray(x_i, dtype=float)
-    sigma_others = np.asarray(sigma_others, dtype=float)
-    return float(0.5 * x_i @ (company.quad * x_i)
-                 + x_i @ (company.cross * sigma_others)
-                 + company.lin @ x_i)
+def queuing_terms(instance: GameInstance):
+    """The queuing cost of every company, as coefficients of its gradient.
+
+    Company i's queuing cost N_i x_i' q (N_i x_i + sigma_others - capacity)
+    has the gradient 2 N_i^2 q x_i + cross_i sigma_others + lin_i, which is
+    block row i of hessian x plus lin_i for the stacked x. Returns
+
+    * ``hessian`` (m, mc, mc): station block k is q_k (N N' + diag(N^2)),
+      so company i's own curvature is 2 N_i^2 q on the diagonal;
+    * ``cross`` (mc, m): N_i q, the weight of the other companies' aggregate;
+    * ``lin`` (mc, m): -N_i q capacity.
+    """
+    q = instance.stations.queue_weight
+    n_vec = instance.fleet_sizes
+    hessian = q[:, None, None] * (np.outer(n_vec, n_vec) + np.diag(n_vec**2))
+    cross = n_vec[:, None] * q
+    lin = -n_vec[:, None] * q * instance.stations.capacity
+    return hessian, cross, lin
 
 
-def company_cost(company: CompanyParams, x_i: np.ndarray, sigma_others: np.ndarray,
-                 prices: np.ndarray) -> float:
-    """Total company cost: queuing + charging + negative expected revenue."""
-    x_i = np.asarray(x_i, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != x_i.shape:
-        raise ValueError("prices must have one entry per station")
-    return (queuing_cost(company, x_i, sigma_others)
-            + float(x_i @ (company.demand * prices))
-            + float(company.revenue @ x_i))
-
-
-def _policy_terms(instance: GameInstance, i: int):
-    """Per-company affine coefficients used by both policy families."""
-    c = instance.companies[i]
-    n_i = float(c.fleet_size)
+def _policy_terms(instance: GameInstance):
+    """Affine coefficients (a_bar, b_bar, delta) of the feedback policies,
+    each (mc, m) with one row per company."""
+    hessian, cross, lin = queuing_terms(instance)
+    n_vec = instance.fleet_sizes[:, None]
     w = instance.government.weight
-    a_bar = n_i**2 * w - c.quad
-    b_bar = n_i * w - c.cross
-    delta = n_i * instance.government.linear - c.lin - c.revenue
+    revenue = np.stack([c.revenue for c in instance.companies])
+    a_bar = n_vec**2 * w - np.diagonal(hessian, axis1=1, axis2=2).T
+    b_bar = n_vec * w - cross
+    delta = n_vec * instance.government.linear - lin - revenue
     return a_bar, b_bar, delta
-
-
-def policy_bracket(instance: GameInstance, i: int, x_i: np.ndarray,
-                   sigma_others: np.ndarray) -> np.ndarray:
-    """The affine expression both policies scale by a demand inverse."""
-    a_bar, b_bar, delta = _policy_terms(instance, i)
-    x_i = np.asarray(x_i, dtype=float)
-    sigma_others = np.asarray(sigma_others, dtype=float)
-    return 0.5 * a_bar * x_i + b_bar * sigma_others + delta
 
 
 def system_optimal_prices(instance: GameInstance, i: int, x_i: np.ndarray,
                           sigma_others: np.ndarray) -> np.ndarray:
     """Feedback prices that align the company's incentives with the authority.
 
-    Stations with zero company demand get price exactly zero through the
-    diagonal pseudo-inverse.
+    The company's inverse demand times 1/2 a_bar x_i + b_bar sigma_others +
+    delta. Under them its cost is 1/2 N^2 x' W x + N x' W sigma_others +
+    N b' x, whose gradient is the authority-loss gradient, so the game
+    admits the authority loss as an exact potential. Stations with zero
+    company demand get price exactly zero through the diagonal
+    pseudo-inverse.
     """
-    return instance.companies[i].demand_pinv * policy_bracket(instance, i, x_i, sigma_others)
-
-
-def approximate_prices(instance: GameInstance, i: int, x_i: np.ndarray,
-                       sigma_others: np.ndarray, demand_shift: np.ndarray) -> np.ndarray:
-    """Policy built from a perturbed demand inverse (estimation error)."""
-    demand_shift = np.asarray(demand_shift, dtype=float)
-    scale = instance.companies[i].demand_pinv + demand_shift
-    return scale * policy_bracket(instance, i, x_i, sigma_others)
-
-
-def reduced_cost(instance: GameInstance, i: int, x_i: np.ndarray,
-                 sigma_others: np.ndarray) -> float:
-    """Company cost after substituting the aligned feedback prices.
-
-    Equals 1/2 N^2 x' W x + N x' W sigma_others + N b' x, whose per-company
-    gradient coincides with the authority-loss gradient (the game admits
-    the authority loss as an exact potential).
-    """
-    c = instance.companies[i]
-    n_i = float(c.fleet_size)
-    w = instance.government.weight
-    b = instance.government.linear
+    a_bar, b_bar, delta = (t[i] for t in _policy_terms(instance))
     x_i = np.asarray(x_i, dtype=float)
     sigma_others = np.asarray(sigma_others, dtype=float)
-    return float(0.5 * n_i**2 * x_i @ (w * x_i)
-                 + n_i * x_i @ (w * sigma_others)
-                 + n_i * b @ x_i)
+    bracket = 0.5 * a_bar * x_i + b_bar * sigma_others + delta
+    return instance.companies[i].demand_pinv * bracket

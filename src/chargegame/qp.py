@@ -200,14 +200,6 @@ class PolytopeProjector:
         """Stations pinned to zero by a proper subset of cap 0; defined when empty too."""
         return self.members[1:-1][self.caps[1:-1] <= 0].any(axis=0)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.is_empty or x.shape != (self.n,):
-            return False
-        if abs(x.sum() - 1.0) > tol:
-            return False
-        return bool(np.all(self.g_mat @ x <= self.h + tol))
-
     def project(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return self.project_batch(y[None, :], weights)[0]

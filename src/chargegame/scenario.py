@@ -326,8 +326,7 @@ def build_game(scenario: Scenario, snapshot: FleetSnapshot | None = None) -> Gam
         e_arr = p.idle_cost_per_km * occupancy * mean_dist
         e_arr[mean_demand == 0] = 0.0
         e_pro = p.profit_scale * share + rng.uniform(-p.profit_noise, p.profit_noise, m)
-        companies.append(CompanyParams.build(n_i, stations, n_i * mean_demand,
-                                             n_i * (e_arr - e_pro)))
+        companies.append(CompanyParams(n_i, n_i * mean_demand, n_i * (e_arr - e_pro)))
 
         feas.append(FeasibilityStructure(reach))
         polytopes.append(admissible_polytope(feas[-1]))
@@ -509,7 +508,7 @@ def reference_game(seed: int = 0, generous: bool = True) -> GameInstance:
         # without price pressure, as in the published tables
         e_pro = 900.0 * share + rng.uniform(-10.0, 10.0, 4)
         f_i = n_i * (e_arr - e_pro)
-        companies.append(CompanyParams.build(int(n_i), stations, d_i, f_i))
+        companies.append(CompanyParams(int(n_i), d_i, f_i))
         if generous:
             feas = FeasibilityStructure.full(int(n_i), 4)
         else:

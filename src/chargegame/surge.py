@@ -203,16 +203,6 @@ def assign_vehicles(target: np.ndarray, feas: FeasibilityStructure) -> np.ndarra
     return assigned
 
 
-def driver_best_response(driver: DriverParams, surge: np.ndarray,
-                         prices: np.ndarray) -> int:
-    """Cost-minimizing station; ties broken toward the lowest index."""
-    prices = np.asarray(prices, dtype=float)
-    a, gains, reach = _stack(Fleet.of([driver], prices.size), prices)
-    if not reach.any():
-        raise ValueError("driver has no reachable station")
-    return int(_best_responses(a, gains, reach, np.asarray(surge, dtype=float))[0])
-
-
 def per_vehicle_prices(assignment: np.ndarray, drivers: Sequence[DriverParams],
                        prices: np.ndarray, rho_min: np.ndarray,
                        margin: float = DEFAULT_MARGIN) -> SurgeSolution:

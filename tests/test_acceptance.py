@@ -9,16 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from chargegame.equilibrium import (aggregates, default_start, game_map,
-                                    lambda_max_closed_form, solve_nash,
+from chargegame.equilibrium import (aggregates, default_start, game_map, solve_nash,
                                     step_bound)
 from chargegame.harness import ExperimentConfig, grid_search, run_pipeline
-from chargegame.model import government_cost, reduced_cost, system_optimal_prices
+from chargegame.model import government_cost, system_optimal_prices
 from chargegame.robustness import robustness_sweep
 from chargegame.scenario import mfd_speed
-from chargegame.surge import driver_best_response, two_step
+from chargegame.surge import two_step
 
-from conftest import dense_f1, random_simplex, recorded_solve
+from conftest import (dense_f1, driver_best_response, lambda_max_closed_form,
+                      random_simplex, recorded_solve, reduced_cost)
 from test_equilibrium import make_instance, qp_oracle
 from test_feasible import hall_oracle_disagreements
 from test_surge import make_driver, random_feasible_target

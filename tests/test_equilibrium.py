@@ -9,18 +9,19 @@ from scipy.optimize import LinearConstraint, minimize
 
 from chargegame.equilibrium import (PAIRWISE_ROWS, _pairwise_sum, aggregates,
                                     apply_map, default_start, fixed_price_f2,
-                                    game_map, lambda_max_closed_form,
-                                    nash_residual, solve_nash, solve_nash_batch,
+                                    game_map, solve_nash, solve_nash_batch,
                                     step_bound)
 from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.harness import price_grid
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
-                              StationSet, government_cost, reduced_cost)
+                              StationSet, government_cost, queuing_terms)
 from chargegame.qp import project_blocks
 from chargegame.robustness import build_perturbation
 from chargegame.scenario import reference_game
 
-from conftest import dense_f1, random_simplex, recorded_solve
+from conftest import (approximate_prices, company_cost, dense_f1,
+                      lambda_max_closed_form, nash_residual, random_simplex,
+                      recorded_solve, reduced_cost)
 
 
 def make_instance(fleet, weight, set_point, seed=0, n_stations=None):
@@ -31,8 +32,8 @@ def make_instance(fleet, weight, set_point, seed=0, n_stations=None):
     gov = GovernmentObjective.from_set_point(weight, set_point)
     comps, polys = [], []
     for n_i in fleet:
-        comps.append(CompanyParams.build(
-            int(n_i), stations, rng.uniform(20, 80, m) * n_i, rng.normal(0, 50, m)))
+        comps.append(CompanyParams(
+            int(n_i), rng.uniform(20, 80, m) * n_i, rng.normal(0, 50, m)))
         polys.append(admissible_polytope(FeasibilityStructure.full(int(n_i), m)))
     return GameInstance(stations, gov, tuple(comps), tuple(polys))
 
@@ -110,10 +111,11 @@ class TestGameMap:
         demand = rng.uniform(1e3, 1e4, (6, 3, 4))
         rows = fixed_price_f2(ref_game, prices, demand)
         assert rows.shape == (6, 12)
+        lin = queuing_terms(ref_game)[2]
         for r in range(6):
             want = np.concatenate([
-                c.lin + c.demand * prices[r] + c.revenue
-                for c in ref_game.with_demand(demand[r]).companies])
+                lin_i + c.demand * prices[r] + c.revenue
+                for lin_i, c in zip(lin, ref_game.with_demand(demand[r]).companies)])
             assert np.allclose(rows[r], want, rtol=1e-14, atol=0.0)
             assert np.array_equal(fixed_price_f2(ref_game, prices[r], demand[r]), rows[r])
         _, f2 = game_map(ref_game, prices=prices[0])
@@ -137,6 +139,28 @@ class TestGameMap:
                       - reduced_cost(inst, i, blocks[i] - e, sig_others)) / (2 * h)
                 assert np.isclose(g[i * 4 + k], fd, rtol=1e-6, atol=1e-5)
 
+    @pytest.mark.parametrize("game", ["reference", "demo"])
+    def test_fixed_price_map_matches_finite_differences(self, ref_game, demo_build, game):
+        # F1 x + F2 of the fixed-price game against central differences of
+        # each company's direct cost; exact for a quadratic up to rounding
+        inst = ref_game if game == "reference" else demo_build.instance
+        m, mc = inst.n_stations, inst.n_companies
+        rng = np.random.default_rng(11)
+        prices = rng.uniform(0.0, 5.0, m)
+        blocks = np.stack([random_simplex(rng, m) for _ in range(mc)])
+        f1, f2 = game_map(inst, prices=prices)
+        g = apply_map(f1, blocks.reshape(-1)) + f2
+        h = 1e-3
+        for i, comp in enumerate(inst.companies):
+            sig_others = aggregates(inst, blocks)[0] - inst.fleet_sizes[i] * blocks[i]
+            for k in range(m):
+                e = np.zeros(m)
+                e[k] = h
+                fd = (company_cost(inst.stations, comp, blocks[i] + e, sig_others, prices)
+                      - company_cost(inst.stations, comp, blocks[i] - e, sig_others, prices)
+                      ) / (2 * h)
+                assert np.isclose(g[i * m + k], fd, rtol=1e-9, atol=1e-6)
+
     def test_zero_perturbation_is_identity(self, ref_game):
         pert = build_perturbation(ref_game, 0.0, seed=0)
         x = np.tile(np.full(4, 0.25), 3)
@@ -146,8 +170,6 @@ class TestGameMap:
 
     def test_perturbed_blocks_match_finite_differences(self, ref_game):
         # gradient of the company cost under the shifted policy
-        from chargegame.model import approximate_prices, company_cost
-
         rng = np.random.default_rng(1)
         inst = ref_game
         pert = build_perturbation(inst, 0.2, seed=3)
@@ -163,7 +185,7 @@ class TestGameMap:
             def cost(xi):
                 p = approximate_prices(inst, i, xi, sig_others,
                                        pert.demand_shift[i])
-                return company_cost(comp, xi, sig_others, p)
+                return company_cost(inst.stations, comp, xi, sig_others, p)
 
             for k in range(4):
                 e = np.zeros(4)
@@ -492,6 +514,18 @@ class TestLiveRowRounds:
         assert np.array_equal(rep.x, want["x"][0])
         assert np.array_equal(rep.sigma_trace, aggregates(inst, want["iterates"][:, 0]))
         assert np.array_equal(rep.residuals, want["residuals"][:, 0])
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_zero_rows(self, ref_game, record):
+        f1, _ = game_map(ref_game, prices=np.zeros(4))
+        out = solve_nash_batch(ref_game, np.zeros((0, 12)), f1=f1, record_iterates=record)
+        for key in ("x", "iterations", "converged", "residual", "sigma_final", "gammas"):
+            assert out[key].shape[0] == 0, key
+        assert out["x"].shape == (0, 12)
+        if record:
+            assert out["iterates"].shape[0] == out["residuals"].shape[0] + 1
+            assert out["iterates"].shape[1:] == (0, 12)
+            assert out["residuals"].shape[1] == 0
 
 
 class TestPairwiseSum:

@@ -12,6 +12,8 @@ from chargegame.feasible import (FeasibilityStructure, admissible_polytope,
 from chargegame.qp import MAX_STATIONS_FOR_SUBSETS
 from chargegame.surge import assign_vehicles
 
+from conftest import contains
+
 
 def subset_hall(target, reach):
     """Independent oracle: the marriage condition over every station subset.
@@ -227,13 +229,13 @@ class TestAdmissiblePolytope:
                 x[list(s)].sum() <= max(0, 5 - len(s)) / 5 + 1e-12
                 for s in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
             )
-            assert poly.contains(x, tol=1e-12) == manual
+            assert contains(poly, x, tol=1e-12) == manual
 
     def test_single_station_is_point(self):
         feas = FeasibilityStructure.full(3, 1)
         poly = admissible_polytope(feas)
-        assert poly.contains(np.array([1.0]))
-        assert not poly.contains(np.array([0.9]))
+        assert contains(poly, np.array([1.0]))
+        assert not contains(poly, np.array([0.9]))
 
     def test_zero_cap_forces_zero_allocation(self):
         # station 2 reachable by nobody: its singleton cap is 0, the row

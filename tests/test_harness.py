@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from chargegame.cli import main as cli_main
-from chargegame.equilibrium import nash_residual, solve_nash
+from chargegame.equilibrium import solve_nash
 from chargegame.harness import ExperimentConfig, grid_search, price_grid, run_pipeline
 from chargegame.scenario import (demo_scenario, reference_game, simulate_period,
                                  small_scenario, snapshot_rows, write_scenario)
+
+from conftest import nash_residual
 
 
 @pytest.fixture(scope="module")

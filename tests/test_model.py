@@ -1,36 +1,64 @@
-"""Cost functions, derived parameters, and pricing-policy identities."""
+"""The queuing cost model, company data checks, and pricing-policy identities."""
 
 import numpy as np
 import pytest
 
 from chargegame.equilibrium import aggregates
+from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.model import (CompanyParams, GameInstance, GovernmentObjective,
-                              StationSet, approximate_prices,
-                              company_cost, derive_queuing_params, government_cost,
-                              pseudo_inverse_diag, queuing_cost, reduced_cost,
-                              setpoint_from_distribution, system_optimal_prices)
+                              StationSet, government_cost, pseudo_inverse_diag,
+                              queuing_terms, setpoint_from_distribution,
+                              system_optimal_prices)
 from chargegame.scenario import reference_game
 
-from conftest import random_simplex
+from conftest import (approximate_prices, company_cost, queuing_cost,
+                      random_simplex, reduced_cost)
+
+
+def one_company_game(fleet_size, stations, demand, revenue):
+    """A one-company game on ``stations``, for reading ``queuing_terms``."""
+    gov = GovernmentObjective(np.ones(stations.n), np.zeros(stations.n))
+    poly = admissible_polytope(FeasibilityStructure.full(fleet_size, stations.n))
+    return GameInstance(stations, gov, (CompanyParams(fleet_size, demand, revenue),),
+                        (poly,))
+
+
+def own_terms(instance, i=0):
+    """Company i's (quad, cross, lin): its own curvature read off the
+    Hessian's diagonal, and its cross and linear rows."""
+    hessian, cross, lin = queuing_terms(instance)
+    return hessian[:, i, i], cross[i], lin[i]
 
 
 class TestDerivedParams:
     def test_scalar_substitution(self):
-        quad, cross, lin = derive_queuing_params(1, np.array([1.0]), np.array([1.0]))
+        inst = one_company_game(1, StationSet(np.array([1.0]), np.array([1.0])),
+                                np.zeros(1), np.zeros(1))
+        quad, cross, lin = own_terms(inst)
         assert quad[0] == 2 and cross[0] == 1 and lin[0] == -1
 
     def test_case_study_values(self):
         q = 0.1 * np.array([4.0, 1.0, 3.0, 2.0])
-        quad, cross, lin = derive_queuing_params(194, q, np.array([15.0, 60, 35, 50]))
+        cap = np.array([15.0, 60, 35, 50])
+        inst = one_company_game(194, StationSet(cap, q), np.ones(4), np.zeros(4))
+        quad, cross, lin = own_terms(inst)
         assert np.allclose(quad, 2 * 194**2 * q)
         assert np.allclose(cross, 194 * q)
-        assert np.allclose(lin, -194 * q * np.array([15.0, 60, 35, 50]))
+        assert np.allclose(lin, -194 * q * cap)
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, ref_game):
         with pytest.raises(ValueError):
-            derive_queuing_params(0, np.array([1.0]), np.array([1.0]))
+            ref_game.with_demand([-np.ones(4)] * 3)
         with pytest.raises(ValueError):
-            derive_queuing_params(3, np.array([0.0]), np.array([1.0]))
+            CompanyParams(0, np.ones(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            StationSet(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError):
+            CompanyParams(3, np.array([1.0, -1.0]), np.zeros(2))
+        with pytest.raises(ValueError):
+            CompanyParams(3, np.ones((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            CompanyParams(3, np.ones(4), np.zeros(3))
 
     def test_quadratic_form_matches_direct_queuing_cost(self):
         # the generic form must reproduce N x' q (sigma - capacity) exactly
@@ -41,12 +69,13 @@ class TestDerivedParams:
             q = rng.uniform(0.05, 2.0, m)
             cap = rng.uniform(1, 80, m)
             stations = StationSet(cap, q)
-            comp = CompanyParams.build(n_i, stations, rng.uniform(0, 5, m),
-                                       rng.normal(0, 3, m))
+            inst = one_company_game(n_i, stations, rng.uniform(0, 5, m),
+                                    rng.normal(0, 3, m))
+            quad, cross, lin = own_terms(inst)
             x = random_simplex(rng, m)
             sig_others = rng.uniform(0, 200, m)
-            direct = n_i * x @ (q * (n_i * x + sig_others - cap))
-            assert np.isclose(queuing_cost(comp, x, sig_others), direct,
+            generic = 0.5 * x @ (quad * x) + x @ (cross * sig_others) + lin @ x
+            assert np.isclose(generic, queuing_cost(n_i, stations, x, sig_others),
                               rtol=1e-12, atol=1e-9)
 
 
@@ -115,33 +144,38 @@ class TestCompanyCost:
         rng = np.random.default_rng(3)
         m = 4
         stations = StationSet(rng.uniform(5, 20, m), rng.uniform(0.1, 1.0, m))
-        comp = CompanyParams.build(7, stations, rng.uniform(1, 5, m), np.zeros(m))
+        inst = one_company_game(7, stations, rng.uniform(1, 5, m), np.zeros(m))
+        quad, _, lin = own_terms(inst)
         j = 2
         x = np.zeros(m)
         x[j] = 1.0
-        val = company_cost(comp, x, np.zeros(m), np.zeros(m))
-        assert val == pytest.approx(0.5 * comp.quad[j] + comp.lin[j])
+        val = company_cost(stations, inst.companies[0], x, np.zeros(m), np.zeros(m))
+        assert val == pytest.approx(0.5 * quad[j] + lin[j])
 
     def test_unit_example(self):
         stations = StationSet(np.array([1.0]), np.array([1.0]))
-        comp = CompanyParams.build(1, stations, np.array([0.0]), np.array([0.0]))
-        val = company_cost(comp, np.array([1.0]), np.array([1.0]), np.array([0.0]))
+        comp = CompanyParams(1, np.array([0.0]), np.array([0.0]))
+        val = company_cost(stations, comp, np.array([1.0]), np.array([1.0]), np.array([0.0]))
         assert val == pytest.approx(1.0)
 
     def test_random_instances_match_expansion(self):
+        # the generic form read off queuing_terms, plus charging and revenue
         rng = np.random.default_rng(4)
         for _ in range(100):
             m = int(rng.integers(1, 6))
             stations = StationSet(rng.uniform(1, 60, m), rng.uniform(0.05, 1.5, m))
             n_i = int(rng.integers(1, 250))
-            comp = CompanyParams.build(n_i, stations, rng.uniform(0, 8, m),
-                                       rng.normal(0, 20, m))
+            inst = one_company_game(n_i, stations, rng.uniform(0, 8, m),
+                                    rng.normal(0, 20, m))
+            comp = inst.companies[0]
+            quad, cross, lin = own_terms(inst)
             x = random_simplex(rng, m)
             sig = rng.uniform(0, 300, m)
             p = rng.uniform(0, 5, m)
-            expansion = (n_i * x @ (stations.queue_weight * (n_i * x + sig - stations.capacity))
+            expansion = (0.5 * x @ (quad * x) + x @ (cross * sig) + lin @ x
                          + x @ (comp.demand * p) + comp.revenue @ x)
-            assert np.isclose(company_cost(comp, x, sig, p), expansion, rtol=1e-12)
+            assert np.isclose(company_cost(stations, comp, x, sig, p), expansion,
+                              rtol=1e-12)
 
 
 class TestPolicies:
@@ -168,7 +202,7 @@ class TestPolicies:
                 for k, j in enumerate(j for j in range(inst.n_companies) if j != i)
             ], axis=0)
             p = system_optimal_prices(inst, i, x, sig_others)
-            full = company_cost(inst.companies[i], x, sig_others, p)
+            full = company_cost(inst.stations, inst.companies[i], x, sig_others, p)
             red = reduced_cost(inst, i, x, sig_others)
             assert np.isclose(full, red, rtol=1e-10)
 
@@ -192,8 +226,8 @@ class TestPolicies:
             shift = rng.normal(0, 1e-4, 4)
             p_true = system_optimal_prices(inst, i, x, sig)
             p_tilde = approximate_prices(inst, i, x, sig, shift)
-            lhs = company_cost(comp, x, sig, p_tilde)
-            rhs = (company_cost(comp, x, sig, p_true)
+            lhs = company_cost(inst.stations, comp, x, sig, p_tilde)
+            rhs = (company_cost(inst.stations, comp, x, sig, p_true)
                    + x @ (comp.demand**2 * shift * p_true))
             assert np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 

@@ -13,6 +13,8 @@ from chargegame.feasible import FeasibilityStructure, admissible_polytope
 from chargegame.qp import (MAX_STATIONS_FOR_SUBSETS, BlockProjector,
                           PolytopeProjector, _sorting_network, project_blocks)
 
+from conftest import contains
+
 
 def oracle_project(y, g_mat, h, weights=None, total=1.0):
     """Enumerate candidate active sets; keep the best feasible KKT point.
@@ -332,7 +334,7 @@ class TestChainOfTightSets:
         x_chain = chain_projector(poly).project(y, w)
         assert np.abs(x - x_chain).max() <= 1e-10
         for point in (x, x_chain):
-            assert poly.contains(point, tol=1e-12)
+            assert contains(poly, point, tol=1e-12)
             assert first_order_gap(point, y, w, poly.g_mat, poly.h) >= -1e-10
 
     def test_certifies_random_partial_reach_polytopes(self):
@@ -350,7 +352,7 @@ class TestChainOfTightSets:
             y = rng.normal(0, 1.5, m)
             w = rng.uniform(0.5, 4.0, m)
             x = proj.project(y, w)
-            assert poly.contains(x, tol=1e-10)
+            assert contains(poly, x, tol=1e-10)
             assert first_order_gap(x, y, w, poly.g_mat, poly.h) >= -1e-10
             certified += 1
 

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from chargegame.equilibrium import aggregates, game_map, solve_nash, solve_nash_batch
-from chargegame.model import GovernmentObjective, pseudo_inverse_diag, reduced_cost
+from chargegame.model import GovernmentObjective, pseudo_inverse_diag
 from chargegame.robustness import (_sample_seed, best_response_gap, build_perturbation,
                                    check_convexity_assumption, epsilon_bound,
                                    jg_gap_bound, lipschitz_bound, psi_values,
                                    robustness_sweep)
 from chargegame.scenario import reference_game
 
-from conftest import dense_f1, dense_perturbation, random_simplex, recorded_solve
+from conftest import (contains, dense_f1, dense_perturbation, random_simplex,
+                      recorded_solve, reduced_cost)
 
 
 def _batch_perturbed_solve(instance, perts, max_iter=300, record_iterates=False):
@@ -131,13 +132,14 @@ class TestConvexityAssumption:
     def test_diagonal_rule_matches_dense_eigenvalues(self, ref_game):
         rng = np.random.default_rng(1)
         w = ref_game.government.weight
+        q = ref_game.stations.queue_weight
         for seed in range(30):
             pert = build_perturbation(ref_game, 0.4, seed=seed)
             expected = True
             for comp, shift in zip(ref_game.companies, pert.demand_shift):
                 mat = (comp.fleet_size**2
                        * np.diag((1 + comp.demand * shift) * w)
-                       - np.diag(comp.demand * shift * comp.quad))
+                       - np.diag(comp.demand * shift * 2 * comp.fleet_size**2 * q))
                 if np.linalg.eigvalsh(mat).min() < -1e-12:
                     expected = False
             assert check_convexity_assumption(ref_game, pert) == expected
@@ -147,12 +149,14 @@ class TestConvexityAssumption:
         # each must equal the dense eigenvalue rule of the perturbed cost
         game = _weak_authority(ref_game)
         w = game.government.weight
+        q = game.stations.queue_weight
         flags = []
         for seed in range(40):
             pert = build_perturbation(game, 2.0, seed=seed)
             expected = all(
                 np.linalg.eigvalsh(np.diag(comp.fleet_size**2 * (1 + comp.demand * shift) * w
-                                           - comp.demand * shift * comp.quad)).min() >= -1e-12
+                                           - comp.demand * shift * 2 * comp.fleet_size**2 * q)
+                                   ).min() >= -1e-12
                 for comp, shift in zip(game.companies, pert.demand_shift))
             assert check_convexity_assumption(game, pert) == expected
             flags.append(expected)
@@ -206,7 +210,7 @@ class TestEpsilonBound:
             base = reduced_cost(ref_game, i, blocks[i], sig_others)
             for _ in range(200):
                 y = random_simplex(rng, 4)
-                if ref_game.polytopes[i].contains(y):
+                if contains(ref_game.polytopes[i], y):
                     val = reduced_cost(ref_game, i, y, sig_others)
                     assert base - val <= gaps[i] + 1e-6
 

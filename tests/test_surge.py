@@ -9,9 +9,10 @@ from chargegame import surge
 from chargegame.errors import DegenerateFleetError, InfeasibleTargetError, ZeroGainError
 from chargegame.feasible import FeasibilityStructure
 from chargegame.surge import (DEFAULT_MARGIN, DriverParams, Fleet, assign_vehicles,
-                              driver_best_response, equal_price_solve,
-                              fleet_feasibility, per_vehicle_prices,
+                              equal_price_solve, fleet_feasibility, per_vehicle_prices,
                               surge_price_rows, two_step, verify_zero_cost)
+
+from conftest import driver_best_response
 
 
 def make_driver(rng, m, reachable=None, gain_range=(5.0, 20.0)):
@@ -108,18 +109,32 @@ class TestAssignVehicles:
                 assert j in drivers[v].reachable
 
 
+def fleet_best_response(driver, surge_vec, prices):
+    """The program's vectorized rule on a one-driver fleet."""
+    prices = np.asarray(prices, dtype=float)
+    a, gains, reach = surge._stack(Fleet.of([driver], prices.size), prices)
+    return int(surge._best_responses(a, gains, reach, np.asarray(surge_vec, dtype=float))[0])
+
+
 class TestDriverBestResponse:
+    """The program's rule and the test oracle ``driver_best_response``."""
+
+    RULES = (fleet_best_response, driver_best_response)
+
     def test_single_station(self):
         d = DriverParams(np.array([5.0, 0.0]), np.zeros(2), np.ones(2))
-        assert driver_best_response(d, np.zeros(2), np.array([1.0, 1.0])) == 0
+        for rule in self.RULES:
+            assert rule(d, np.zeros(2), np.array([1.0, 1.0])) == 0
 
     def test_surge_dominates_identical_stations(self):
         d = DriverParams(np.array([5.0, 5.0]), np.zeros(2), np.ones(2))
-        assert driver_best_response(d, np.array([0.0, 1.0]), np.ones(2)) == 1
+        for rule in self.RULES:
+            assert rule(d, np.array([0.0, 1.0]), np.ones(2)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         d = DriverParams(np.array([5.0, 5.0]), np.zeros(2), np.ones(2))
-        assert driver_best_response(d, np.zeros(2), np.ones(2)) == 0
+        for rule in self.RULES:
+            assert rule(d, np.zeros(2), np.ones(2)) == 0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(1)
@@ -128,13 +143,13 @@ class TestDriverBestResponse:
             d = make_driver(rng, m)
             rho = rng.uniform(0, 5, m)
             prices = rng.uniform(0, 4, m)
-            got = driver_best_response(d, rho, prices)
             by_hand = min(
                 sorted(d.reachable),
                 key=lambda k: (d.demand[k] * prices[k] + d.base_revenue[k]
                                - d.surge_gain[k] * rho[k], k),
             )
-            assert got == by_hand
+            assert fleet_best_response(d, rho, prices) == by_hand
+            assert driver_best_response(d, rho, prices) == by_hand
 
 
 def loop_thresholds(assignment, drivers, prices, rho_min, margin=DEFAULT_MARGIN):
